@@ -6,14 +6,16 @@ pass. Only the operations the two encoders and their losses need are
 provided. Broadcasting is deliberately restricted to adding a last-axis bias
 vector; all other elementwise operands must match shapes exactly, which turns
 most wiring mistakes into immediate ShapeErrors instead of silent ones.
+Inside `no_grad()` nothing is recorded, for inference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,20 +23,47 @@ from .errors import ContractViolation, ShapeError
 
 Array = np.ndarray
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Compute values only: ops inside record no parents and no backward rule,
+    so each intermediate is freed as soon as nothing references it."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
 
 class Tensor:
-    """A node of the computation graph: value, gradient slot, backward rule."""
+    """A node of the computation graph: value, gradient slot, backward rule.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A node that needs no gradient keeps neither its parents nor its backward
+    rule, so it holds no graph alive.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_rule", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = tuple(parents)
-        self._backward: Callable[[Array], None] | None = backward
+        parents = tuple(parents)
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self._parents)
+            requires_grad = _recording and any(p.requires_grad for p in parents)
         self.requires_grad = bool(requires_grad)
+        self._parents: tuple[Tensor, ...] = parents if self.requires_grad else ()
+        self._backward = backward
+
+    @property
+    def _backward(self) -> Callable[[Array], None] | None:
+        return self._rule
+
+    @_backward.setter
+    def _backward(self, rule: Callable[[Array], None] | None) -> None:
+        self._rule = rule if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,7 +156,12 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/dp into every reachable parameter's .grad."""
+    """Accumulate d(loss)/dp into every reachable parameter's .grad.
+
+    An interior node's gradient is dropped once its rule has passed it on,
+    so the gradients of a pass do not all stay alive until it ends; leaves
+    keep theirs.
+    """
     if loss.data.size != 1:
         raise ContractViolation(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -137,6 +171,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(tape.nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def _accum(t: Tensor, g: Array) -> None:

@@ -130,7 +130,9 @@ def derive_hr(record: RPeakRecord) -> HrSeries:
     secs = np.arange(first, last_excl, dtype=np.float64)
     idx = np.searchsorted(t, secs, side="right") - 1
     rr = t[idx + 1] - t[idx]
-    hr = np.clip(60.0 / rr, HR_MIN, HR_MAX)
+    # an interval under 60 / HR_MAX clips to HR_MAX anyway; flooring it at half
+    # that keeps 60 / rr finite for intervals too short to invert
+    hr = np.clip(60.0 / np.maximum(rr, 30.0 / HR_MAX), HR_MIN, HR_MAX)
     return HrSeries(record.record_id, hr)
 
 
@@ -306,12 +308,13 @@ class WindowedDataset:
         return {name: data.n for name, data in self._splits.items()}
 
 
-def _split_data(windows: Sequence[LabeledWindow], stats: StandardizationStats) -> SplitData:
+def _split_data(windows: Sequence[LabeledWindow], stats: StandardizationStats,
+                T: int) -> SplitData:
     if windows:
         contexts = np.stack([w.context for w in windows])
         targets = np.array([w.fc_target for w in windows])
     else:
-        contexts = np.empty((0, CONTEXT_LEN))
+        contexts = np.empty((0, T))
         targets = np.empty(0)
     contexts_norm = stats.normalize(contexts)
     targets_norm = stats.normalize(targets)
@@ -353,7 +356,7 @@ def standardize(
     if sigma == 0.0:
         raise DegenerateScale("training contexts are constant (sigma = 0)")
     stats = StandardizationStats(mu=mu, sigma=sigma)
-    splits = {name: _split_data(ws, stats) for name, ws in by_split.items()}
+    splits = {name: _split_data(ws, stats, T) for name, ws in by_split.items()}
     dataset = WindowedDataset(splits, stats, assignment, theta=theta, T=T, H=H)
     return dataset, stats
 
@@ -466,7 +469,7 @@ def load_prepared(dataset_dir) -> WindowedDataset:
     by_split: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
     for w in windows:
         by_split[assignment.split_of(w.record_id)].append(w)
-    splits = {name: _split_data(ws, stats) for name, ws in by_split.items()}
+    splits = {name: _split_data(ws, stats, T) for name, ws in by_split.items()}
     return WindowedDataset(
         splits, stats, assignment, theta=float(sidecar["theta"]), T=T, H=int(sidecar["H"])
     )

@@ -1,10 +1,19 @@
-"""Evaluation metrics and record-grouped bootstrap confidence intervals."""
+"""Evaluation metrics and record-grouped bootstrap confidence intervals.
+
+Every metric takes an optional weight matrix of shape (n_rows, n_examples):
+row r counts example i `weights[r, i]` times. Given weights, a metric returns
+one value per row, NaN where it is undefined on that row. Without weights it
+is the unit-weight case of the same code and returns a float, raising
+UndefinedMetric where it is undefined. The bootstrap scores all its draws as
+the rows of one weight matrix.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,110 +22,130 @@ from .errors import CIUndefined, ContractViolation, UndefinedMetric
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _weight_rows(weights, n: int) -> np.ndarray:
+    if weights is None:
+        return np.ones((1, n))
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ContractViolation(f"weights of shape {w.shape} for {n} examples")
+    return w
 
 
-def auroc(probs, labels) -> float:
-    """Mann-Whitney statistic; tied scores contribute one half."""
+def _result(values: np.ndarray, weights, undefined: str = "metric undefined"):
+    """All rows when weighted; otherwise the single unit-weight row."""
+    if weights is not None:
+        return values
+    value = float(values[0])
+    if math.isnan(value):
+        raise UndefinedMetric(undefined)
+    return value
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den, NaN where den is 0."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=np.float64), den)
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0)
+
+
+def _tie_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values."""
+    last = np.ones(len(sorted_values), dtype=bool)
+    last[:-1] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(last)
+
+
+def weighted_mean(values, weights=None):
+    """Mean of `values`, each example counted as often as its weight says."""
+    values = np.asarray(values, dtype=np.float64)
+    w = _weight_rows(weights, len(values))
+    return _result(_ratio(w @ values, w.sum(axis=1)), weights, "mean of no examples")
+
+
+def auroc(probs, labels, weights=None):
+    """Mann-Whitney statistic; tied scores contribute one half.
+
+    With integer weights every count is exact, so the statistic is one
+    correctly rounded division whatever the weights.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetric("AUROC needs both classes")
-    ranks = _average_ranks(probs)
-    rank_sum = ranks[labels == 1].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    w = _weight_rows(weights, len(probs))
+    order = np.argsort(probs, kind="mergesort")
+    ends = _tie_ends(probs[order])
+    w = w[:, order]
+    # cumulative counts up to the end of each tie group, and per group
+    pos_cum = np.cumsum(w * (labels[order] == 1), axis=1)[:, ends]
+    neg_cum = np.cumsum(w * (labels[order] == 0), axis=1)[:, ends]
+    pos = np.diff(pos_cum, axis=1, prepend=0.0)
+    neg = np.diff(neg_cum, axis=1, prepend=0.0)
+    # each positive beats the negatives below its group and ties half of its own
+    u = (pos * (neg_cum - 0.5 * neg)).sum(axis=1)
+    values = _ratio(u, pos.sum(axis=1) * neg.sum(axis=1))
+    return _result(values, weights, "AUROC needs both classes")
 
 
-def auprc(probs, labels) -> float:
+def auprc(probs, labels, weights=None):
     """Average precision: recall-increment weighted precision over the PR curve."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0:
-        raise UndefinedMetric("AUPRC needs at least one positive")
+    w = _weight_rows(weights, len(probs))
     order = np.argsort(-probs, kind="mergesort")
-    sorted_probs = probs[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(probs)
-    while i < n:
-        # tied probabilities form a single PR-curve vertex
-        j = i
-        while j + 1 < n and sorted_probs[j + 1] == sorted_probs[i]:
-            j += 1
-        group_tp = int(sorted_labels[i : j + 1].sum())
-        tp += group_tp
-        seen += j - i + 1
-        if group_tp:
-            ap += (group_tp / n_pos) * (tp / seen)
-        i = j + 1
-    return float(ap)
+    # tied probabilities form a single PR-curve vertex
+    ends = _tie_ends(probs[order])
+    w = w[:, order]
+    tp_cum = np.cumsum(w * (labels[order] == 1), axis=1)[:, ends]
+    seen = np.cumsum(w, axis=1)[:, ends]
+    tp = np.diff(tp_cum, axis=1, prepend=0.0)
+    n_pos = tp.sum(axis=1)
+    # a vertex without new positives (or absent from a row) adds nothing
+    terms = np.where(tp > 0, _ratio(tp, n_pos[:, None]) * _ratio(tp_cum, seen), 0.0)
+    values = np.where(n_pos > 0, terms.sum(axis=1), np.nan)
+    return _result(values, weights, "AUPRC needs at least one positive")
 
 
-def brier(probs, labels) -> float:
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return float(np.mean((probs - labels) ** 2))
+def brier(probs, labels, weights=None):
+    sq_err = (np.asarray(probs, dtype=np.float64) - np.asarray(labels, dtype=np.float64)) ** 2
+    return weighted_mean(sq_err, weights)
 
 
-def ece(probs, labels, n_bins: int = 10) -> float:
+def ece(probs, labels, n_bins: int = 10, weights=None):
     """Expected calibration error over equal-width bins.
 
     Bins are left-closed/right-open with the last bin closed; empty bins
-    contribute nothing.
+    contribute nothing, and no examples at all give 0.
     """
     if n_bins < 1:
         raise ContractViolation("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    n = len(probs)
-    if n == 0:
-        return 0.0
+    w = _weight_rows(weights, len(probs))
     bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
-    total = 0.0
-    for b in range(n_bins):
-        member = bins == b
-        count = int(member.sum())
-        if count == 0:
-            continue
-        gap = abs(labels[member].mean() - probs[member].mean())
-        total += (count / n) * gap
-    return float(total)
+    member = (bins[:, None] == np.arange(n_bins)).astype(np.float64)
+    count = w @ member
+    gap = np.abs(_ratio(w @ (member * labels[:, None]), count)
+                 - _ratio(w @ (member * probs[:, None]), count))
+    total = count.sum(axis=1, keepdims=True)
+    values = np.where(count > 0, _ratio(count, total) * gap, 0.0).sum(axis=1)
+    return _result(values, weights)
 
 
-def f1_at_threshold(probs, labels, tau: float) -> float:
+def f1_at_threshold(probs, labels, tau: float, weights=None):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
+    w = _weight_rows(weights, len(probs))
     predicted = probs >= tau
-    tp = int((predicted & (labels == 1)).sum())
-    fp = int((predicted & (labels == 0)).sum())
-    fn = int((~predicted & (labels == 1)).sum())
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return float(2.0 * precision * recall / (precision + recall))
+    tp = w @ (predicted & (labels == 1))
+    fp = w @ (predicted & (labels == 0))
+    fn = w @ (~predicted & (labels == 1))
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    values = np.where(tp > 0, _ratio(2.0 * precision * recall, precision + recall), 0.0)
+    return _result(values, weights)
 
 
-def mae_rmse(mu_bpm, targets_bpm) -> tuple[float, float]:
+def mae_rmse(mu_bpm, targets_bpm, weights=None):
     err = np.asarray(mu_bpm, dtype=np.float64) - np.asarray(targets_bpm, dtype=np.float64)
-    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err**2)))
+    return weighted_mean(np.abs(err), weights), np.sqrt(weighted_mean(err**2, weights))
 
 
 def crps_gaussian(mu, sigma, y):
@@ -136,15 +165,22 @@ def crps_gaussian(mu, sigma, y):
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Aligned per-example columns plus the record each example came from."""
+    """Aligned per-example columns plus the record each example came from.
+
+    `weights`, if set, is an (n_rows, n_examples) multiplicity matrix that a
+    metric scores row by row; see the module docstring.
+    """
 
     record_ids: tuple[str, ...]
     arrays: dict[str, np.ndarray]
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         for name, arr in self.arrays.items():
             if len(arr) != len(self.record_ids):
                 raise ContractViolation(f"column {name!r} misaligned with record_ids")
+        if self.weights is not None:
+            _weight_rows(self.weights, len(self.record_ids))
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -156,6 +192,7 @@ class PredictionSet:
         return PredictionSet(
             record_ids=tuple(self.record_ids[i] for i in idx),
             arrays={k: v[idx] for k, v in self.arrays.items()},
+            weights=None if self.weights is None else self.weights[:, idx],
         )
 
     def groups(self) -> dict[str, np.ndarray]:
@@ -173,35 +210,52 @@ class BootstrapResult:
     n_valid_draws: int
 
 
+@functools.lru_cache(maxsize=16)
+def _draw_counts(seed: int, n_draws: int, n_records: int) -> np.ndarray:
+    """(n_draws, n_records): how often each draw picks each sorted record.
+
+    Draw d owns the RNG stream default_rng([seed, d]), so a draw does not
+    depend on how many draws precede it. Read-only, as the cache shares it.
+    """
+    counts = np.zeros((n_draws, n_records))
+    for draw in range(n_draws):
+        picks = np.random.default_rng([seed, draw]).integers(0, n_records, size=n_records)
+        counts[draw] = np.bincount(picks, minlength=n_records)
+    counts.flags.writeable = False
+    return counts
+
+
 def grouped_bootstrap(
     predictions: PredictionSet,
-    metric: Callable[[PredictionSet], float],
+    metric: Callable[[PredictionSet], np.ndarray],
     n_draws: int = 1000,
     seed: int = 0,
 ) -> BootstrapResult:
     """Resample record ids with replacement; CI from 2.5/97.5 percentiles.
 
-    Each draw owns an RNG stream keyed by (seed, draw index), so the result
-    does not depend on execution order. Draws where the metric is undefined
-    are skipped and only the remaining draws enter the percentiles.
+    Each draw becomes a row of per-example multiplicity weights (the number
+    of times it picked the example's record), under a unit-weight row for the
+    point estimate. `metric` is called once, on the predictions carrying that
+    weight matrix, and returns one value per row. Draws where the metric is
+    undefined (NaN) are skipped and only the remaining draws enter the
+    percentiles.
     """
     if len(predictions) == 0:
         raise ContractViolation("empty prediction set")
-    point = metric(predictions)
-    groups = predictions.groups()
-    records = sorted(groups)
-    values = []
-    for draw in range(n_draws):
-        rng = np.random.default_rng([seed, draw])
-        picks = rng.integers(0, len(records), size=len(records))
-        idx = np.concatenate([groups[records[p]] for p in picks])
-        try:
-            values.append(metric(predictions.take(idx)))
-        except UndefinedMetric:
-            continue
-    if not values:
+    records, example_record = np.unique(np.asarray(predictions.record_ids), return_inverse=True)
+    counts = _draw_counts(seed, n_draws, len(records))
+    weights = np.vstack([np.ones(len(predictions)), counts[:, example_record]])
+    values = np.asarray(metric(replace(predictions, weights=weights)), dtype=np.float64)
+    if values.shape != (n_draws + 1,):
+        raise ContractViolation(
+            f"metric returned shape {values.shape}, expected one value per weight row"
+        )
+    if np.isnan(values[0]):
+        raise UndefinedMetric("metric undefined on the full prediction set")
+    draws = values[1:][~np.isnan(values[1:])]
+    if not draws.size:
         raise CIUndefined("metric undefined on every bootstrap draw")
-    lo, hi = np.percentile(values, [2.5, 97.5], method="linear")
+    lo, hi = np.percentile(draws, [2.5, 97.5], method="linear")
     return BootstrapResult(
-        point=float(point), ci_low=float(lo), ci_high=float(hi), n_valid_draws=len(values)
+        point=float(values[0]), ci_low=float(lo), ci_high=float(hi), n_valid_draws=int(draws.size)
     )

@@ -310,13 +310,15 @@ def model_predictions(
     x_last_norm: np.ndarray,
     batch_size: int = 256,
 ) -> dict[str, np.ndarray]:
-    """Forward a whole split in chunks; returns plain numpy head outputs."""
+    """Forward a whole split in chunks, recording no graph; returns plain
+    numpy head outputs."""
     outs = {"cls_logit": [], "delta_mu": [], "sigma_n": [], "mu_tilde": []}
     n = len(contexts_norm)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        hidden = encoder_forward(model_kind, config, params, contexts_norm[start:stop])
-        heads = heads_forward(hidden, params, x_last_norm[start:stop])
+        with ad.no_grad():
+            hidden = encoder_forward(model_kind, config, params, contexts_norm[start:stop])
+            heads = heads_forward(hidden, params, x_last_norm[start:stop])
         outs["cls_logit"].append(heads.cls_logit.data)
         outs["delta_mu"].append(heads.delta_mu.data)
         outs["sigma_n"].append(heads.sigma_n.data)

@@ -240,12 +240,12 @@ def _classification_rows(run_id, manifest, split_val: SplitData, split_test: Spl
     draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
     bins = config.evaluation.ece_bins
     closures = {
-        "auroc": lambda p: met.auroc(p["probs"], p["labels"]),
-        "auprc": lambda p: met.auprc(p["probs"], p["labels"]),
-        "brier": lambda p: met.brier(p["probs"], p["labels"]),
-        "ece": lambda p: met.ece(p["probs"], p["labels"], bins),
-        "f1_at_threshold": lambda p: met.f1_at_threshold(p["probs"], p["labels"], tau),
-        "prevalence": lambda p: float(np.mean(p["labels"])),
+        "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
+        "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
+        "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
+        "ece": lambda p: met.ece(p["probs"], p["labels"], bins, p.weights),
+        "f1_at_threshold": lambda p: met.f1_at_threshold(p["probs"], p["labels"], tau, p.weights),
+        "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
     }
     rows = []
     task, model, seed = manifest["task"], manifest["model_kind"], manifest["seed"]
@@ -295,9 +295,9 @@ def _forecast_metric_rows(task, model_label, seed, split_test: SplitData,
     )
     draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
     closures = {
-        "mae": lambda p: float(np.mean(p["abs_err"])),
-        "rmse": lambda p: float(np.sqrt(np.mean(p["sq_err"]))),
-        "crps": lambda p: float(np.mean(p["crps"])),
+        "mae": lambda p: met.weighted_mean(p["abs_err"], p.weights),
+        "rmse": lambda p: np.sqrt(met.weighted_mean(p["sq_err"], p.weights)),
+        "crps": lambda p: met.weighted_mean(p["crps"], p.weights),
     }
     rows = []
     for name, closure in closures.items():
@@ -306,7 +306,9 @@ def _forecast_metric_rows(task, model_label, seed, split_test: SplitData,
     return rows
 
 
-def _baseline_rows(dataset: WindowedDataset, config: BenchConfig, seed: int) -> list[dict]:
+def _baseline_rows(dataset: WindowedDataset, config: BenchConfig) -> list[dict]:
+    """Rows of the non-learned baselines, which depend on no training seed:
+    their seed column is None until the caller fills it in."""
     rows = []
     test = dataset.split("test")
     # always-negative classifier: ECE and the operating point are meaningless
@@ -318,22 +320,22 @@ def _baseline_rows(dataset: WindowedDataset, config: BenchConfig, seed: int) -> 
     )
     draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
     closures = {
-        "auroc": lambda p: met.auroc(p["probs"], p["labels"]),
-        "auprc": lambda p: met.auprc(p["probs"], p["labels"]),
-        "brier": lambda p: met.brier(p["probs"], p["labels"]),
-        "prevalence": lambda p: float(np.mean(p["labels"])),
+        "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
+        "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
+        "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
+        "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
     }
     for name, closure in closures.items():
         result = met.grouped_bootstrap(pred, closure, draws, seed_b)
-        rows.append(_report_row("classification", "always_negative", seed, name, result))
+        rows.append(_report_row("classification", "always_negative", None, name, result))
     for name in ("ece", "f1_at_threshold"):
-        rows.append(_report_row("classification", "always_negative", seed, name, None))
+        rows.append(_report_row("classification", "always_negative", None, name, None))
 
     train = dataset.split("train")
     resid_std = float(np.std(train.fc_targets_bpm - train.contexts_bpm[:, -1]))
     mu_bpm, sigma_bpm = models.persistence_forecast(test.contexts_bpm, resid_std)
     rows.extend(
-        _forecast_metric_rows("forecasting", "persistence", seed, test, mu_bpm, sigma_bpm, config)
+        _forecast_metric_rows("forecasting", "persistence", None, test, mu_bpm, sigma_bpm, config)
     )
     return rows
 
@@ -367,8 +369,9 @@ def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
             rows.extend(
                 _forecast_rows(manifest["run_id"], manifest, dataset, test, out_test, config)
             )
+    baselines = _baseline_rows(dataset, config)
     for seed in config.train.seeds:
-        rows.extend(_baseline_rows(dataset, config, seed))
+        rows.extend({**row, "seed": seed} for row in baselines)
 
     _write_report(base, rows)
     return rows

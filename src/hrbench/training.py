@@ -194,13 +194,16 @@ def train_model(
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             ad.backward(loss)
+            # free this step's graph before the next forward builds another
+            del loss
             adamw_step(param_list, state, config.lr, config.weight_decay)
             batch_losses.append(value)
             step += 1
         val_loss = float("nan")
         if val.n:
-            val_loss = _batch_loss(task, model_kind, enc_config, params, val,
-                                   np.arange(val.n), alpha, config.target_mode).item()
+            with ad.no_grad():
+                val_loss = _batch_loss(task, model_kind, enc_config, params, val,
+                                       np.arange(val.n), alpha, config.target_mode).item()
         history.append(
             {"epoch": epoch, "train_loss": float(np.mean(batch_losses)), "val_loss": val_loss}
         )

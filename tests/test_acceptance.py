@@ -198,7 +198,7 @@ def test_c6_small_fixture_oracles():
 def test_c7_grouped_bootstrap_enumeration():
     values_a, values_b = [2.0, 4.0], [10.0]
     pred = PredictionSet(("a", "a", "b"), {"value": np.array(values_a + values_b)})
-    metric = lambda p: float(np.mean(p["value"]))
+    metric = lambda p: met.weighted_mean(p["value"], p.weights)
     result = grouped_bootstrap(pred, metric, n_draws=500, seed=9)
     outcomes = {np.mean(values_a), np.mean(values_b), np.mean(values_a + values_b)}
     groups = pred.groups()

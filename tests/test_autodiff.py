@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -197,3 +198,44 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert set(loaded) == {"w", "b"}
     for p in params:
         np.testing.assert_array_equal(loaded[p.name].data, p.data)
+
+
+def test_no_grad_records_no_graph():
+    w = Parameter("w", np.array([[2.0]]))
+    x = Tensor(np.array([[0.3]]))
+    taped = ad.tanh(x @ w) * 2.0
+    with ad.no_grad():
+        hidden = x @ w
+        ref = weakref.ref(hidden)
+        out = ad.tanh(hidden) * 2.0
+        del hidden
+    # out does not keep its input alive
+    assert ref() is None
+    assert not out.requires_grad
+    assert Tape(out).nodes == []
+    assert len(Tape(taped).nodes) == 4  # w, matmul, tanh, scale
+    np.testing.assert_array_equal(out.data, taped.data)
+
+
+def test_no_grad_restores_recording_on_exit_and_error():
+    w = Parameter("w", np.ones(2))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+            raise RuntimeError("inside")
+    out = ad.sum_(w * 2.0)
+    assert out.requires_grad
+    backward(out)
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
+
+def test_backward_drops_interior_gradients_and_keeps_leaves():
+    w = Parameter("w", np.array([2.0]))
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    hidden = w * x
+    backward(ad.sum_(hidden))
+    assert hidden.grad is None
+    np.testing.assert_array_equal(w.grad, [3.0])
+    np.testing.assert_array_equal(x.grad, [2.0])

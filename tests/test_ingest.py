@@ -8,6 +8,7 @@ from hrbench.ingest import (
     HrSeries,
     LabeledWindow,
     RPeakRecord,
+    SplitAssignment,
     StandardizationStats,
     build_windows,
     derive_hr,
@@ -43,6 +44,11 @@ class TestDeriveHr:
     def test_fewer_than_two_peaks(self):
         with pytest.raises(EmptySignal):
             derive_hr(RPeakRecord("r", (3.0,)))
+
+    def test_sub_nanosecond_interval_clips_without_overflow(self):
+        # 60 / 5e-324 overflows float64; the sample must still clip to 220
+        series = derive_hr(RPeakRecord("r", (0.0, 5e-324, 2.0)))
+        np.testing.assert_array_equal(series.hr, [220.0, 30.0])
 
     def test_non_integer_boundaries(self):
         # coverage [1.2, 3.7): seconds 2 and 3 only
@@ -272,6 +278,21 @@ class TestPreparedFiles:
             np.testing.assert_array_equal(a.cls_labels, b.cls_labels)
             np.testing.assert_array_equal(a.fc_targets_bpm, b.fc_targets_bpm)
             np.testing.assert_array_equal(a.contexts_norm, b.contexts_norm)
+
+    def test_empty_split_keeps_context_length(self, tmp_path):
+        T = 30
+        windows = [
+            _window("a", [60.0, 80.0] * 15, 80.0, label=1),
+            _window("b", [80.0, 60.0] * 15, 70.0),
+        ]
+        assignment = SplitAssignment({"a": "train", "b": "val", "c": "test"})
+        dataset, stats = standardize(windows, assignment, T=T)
+        save_prepared(tmp_path, windows, stats, assignment, theta=100.0, T=T)
+        for data in (dataset, load_prepared(tmp_path)):
+            empty = data.split("test")
+            assert empty.n == 0
+            assert empty.contexts_bpm.shape == (0, T)
+            assert empty.contexts_norm.shape == (0, T)
 
     def test_access_log_records_reads(self):
         dataset, _ = standardize(_toy_windows(), _toy_assignment())

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hrbench.metrics import (
     f1_at_threshold,
     grouped_bootstrap,
     mae_rmse,
+    weighted_mean,
 )
 
 
@@ -212,8 +214,8 @@ class TestCrpsGaussian:
             crps_gaussian(0.0, 0.0, 1.0)
 
 
-def mean_metric(pred: PredictionSet) -> float:
-    return float(np.mean(pred["value"]))
+def mean_metric(pred: PredictionSet):
+    return weighted_mean(pred["value"], pred.weights)
 
 
 class TestGroupedBootstrap:
@@ -265,19 +267,16 @@ class TestGroupedBootstrap:
             {"probs": np.array([0.2, 0.3, 0.8, 0.4]), "labels": np.array([0.0, 0.0, 1.0, 1.0])},
         )
         result = grouped_bootstrap(
-            pred, lambda p: auroc(p["probs"], p["labels"]), n_draws=200, seed=7
+            pred, lambda p: auroc(p["probs"], p["labels"], p.weights), n_draws=200, seed=7
         )
         assert result.n_valid_draws < 200
 
     def test_all_draws_undefined(self):
         pred = PredictionSet(("a", "b"), {"value": np.array([0.2, 0.3])})
-        calls = {"n": 0}
 
         def metric(p):
-            calls["n"] += 1
-            if calls["n"] == 1:  # the point estimate on the full set
-                return 0.5
-            raise UndefinedMetric("undefined on every resample")
+            # defined on the full set (the unit-weight first row) only
+            return np.r_[0.5, np.full(len(p.weights) - 1, np.nan)]
 
         with pytest.raises(CIUndefined):
             grouped_bootstrap(pred, metric, 10, 0)
@@ -305,3 +304,136 @@ def test_metrics_permutation_invariant(seed):
     assert auprc(probs, labels) == pytest.approx(auprc(probs[perm], labels[perm]), abs=1e-12)
     assert brier(probs, labels) == pytest.approx(brier(probs[perm], labels[perm]), abs=1e-15)
     assert ece(probs, labels, 10) == pytest.approx(ece(probs[perm], labels[perm], 10), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# weighted metrics and the one-pass bootstrap against per-draw references
+
+# name -> (metric on a PredictionSet, exact): exact metrics count integer
+# weights, so they must match their references bit for bit
+WEIGHTED = {
+    "auroc": (lambda p: auroc(p["probs"], p["labels"], p.weights), True),
+    "auprc": (lambda p: auprc(p["probs"], p["labels"], p.weights), False),
+    "brier": (lambda p: brier(p["probs"], p["labels"], p.weights), False),
+    "ece": (lambda p: ece(p["probs"], p["labels"], 10, p.weights), False),
+    "f1": (lambda p: f1_at_threshold(p["probs"], p["labels"], 0.5, p.weights), True),
+    "prevalence": (lambda p: weighted_mean(p["labels"], p.weights), False),
+    "mae": (lambda p: mae_rmse(p["mu"], p["y"], p.weights)[0], False),
+    "rmse": (lambda p: mae_rmse(p["mu"], p["y"], p.weights)[1], False),
+    "crps": (lambda p: weighted_mean(crps_gaussian(p["mu"], p["sigma"], p["y"]), p.weights),
+             False),
+}
+
+
+def random_predictions(rng, n_records: int, n: int) -> PredictionSet:
+    """Coarse probabilities, so tie groups are common."""
+    return PredictionSet(
+        tuple(f"r{rng.integers(n_records)}" for _ in range(n)),
+        {
+            "probs": rng.choice(np.linspace(0.0, 1.0, 7), size=n),
+            "labels": (rng.uniform(size=n) < 0.3).astype(np.float64),
+            "mu": rng.normal(70.0, 5.0, n),
+            "sigma": rng.uniform(0.5, 3.0, n),
+            "y": rng.normal(70.0, 5.0, n),
+        },
+    )
+
+
+def scalar_or_nan(metric, pred: PredictionSet) -> float:
+    try:
+        return float(metric(pred))
+    except UndefinedMetric:
+        return math.nan
+
+
+def assert_matches(value: float, reference: float, exact: bool) -> None:
+    if math.isnan(reference):
+        assert math.isnan(value)
+    elif exact:
+        assert value == reference
+    else:
+        assert value == pytest.approx(reference, abs=1e-12)
+
+
+class TestWeightedMetrics:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_row_equals_scalar_metric_on_expanded_set(self, seed, n, n_rows):
+        rng = np.random.default_rng(seed)
+        pred = random_predictions(rng, 4, n)
+        weights = rng.integers(0, 4, size=(n_rows, n)).astype(np.float64)
+        for name, (metric, exact) in WEIGHTED.items():
+            values = metric(replace(pred, weights=weights))
+            assert values.shape == (n_rows,), name
+            for row, value in zip(weights, values):
+                expanded = pred.take(np.repeat(np.arange(n), row.astype(int)))
+                assert_matches(value, scalar_or_nan(metric, expanded), exact)
+
+    def test_unit_weight_row_is_the_scalar_metric(self):
+        pred = random_predictions(np.random.default_rng(3), 4, 30)
+        unit = replace(pred, weights=np.ones((1, 30)))
+        for metric, _ in WEIGHTED.values():
+            assert metric(unit)[0] == metric(pred)
+
+    def test_weights_must_match_examples(self):
+        with pytest.raises(ContractViolation):
+            auroc([0.1, 0.9], [0, 1], np.ones((2, 3)))
+        with pytest.raises(ContractViolation):
+            PredictionSet(("a", "b"), {"value": np.zeros(2)}, weights=np.ones(2))
+
+
+def bootstrap_by_draws(pred: PredictionSet, metric, n_draws: int, seed: int):
+    """The draw-by-draw definition: per-draw RNG, `take`, scalar metric."""
+    point = scalar_or_nan(metric, pred)
+    groups = pred.groups()
+    records = sorted(groups)
+    values = []
+    for draw in range(n_draws):
+        rng = np.random.default_rng([seed, draw])
+        picks = rng.integers(0, len(records), size=len(records))
+        idx = np.concatenate([groups[records[p]] for p in picks])
+        value = scalar_or_nan(metric, pred.take(idx))
+        if not math.isnan(value):
+            values.append(value)
+    lo, hi = np.percentile(values, [2.5, 97.5], method="linear")
+    return point, lo, hi, len(values)
+
+
+class TestBootstrapAgainstDraws:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_draw_by_draw_reference(self, seed, n_records, n):
+        rng = np.random.default_rng(seed)
+        pred = random_predictions(rng, n_records, n)
+        # both classes on the full set, so every point estimate is defined
+        pred.arrays["labels"][:2] = [0.0, 1.0]
+        for metric, exact in WEIGHTED.values():
+            point, lo, hi, n_valid = bootstrap_by_draws(pred, metric, 60, seed % 97)
+            result = grouped_bootstrap(pred, metric, n_draws=60, seed=seed % 97)
+            assert result.n_valid_draws == n_valid
+            assert_matches(result.point, point, exact)
+            assert result.ci_low == pytest.approx(lo, abs=1e-12)
+            assert result.ci_high == pytest.approx(hi, abs=1e-12)
+
+    def test_metric_is_called_once(self):
+        pred = random_predictions(np.random.default_rng(1), 3, 20)
+        calls = []
+
+        def metric(p):
+            calls.append(p.weights.shape)
+            return weighted_mean(p["y"], p.weights)
+
+        grouped_bootstrap(pred, metric, n_draws=50, seed=2)
+        assert calls == [(51, 20)]
+
+    def test_scalar_metric_rejected(self):
+        pred = PredictionSet(("a", "b"), {"value": np.array([0.2, 0.3])})
+        with pytest.raises(ContractViolation):
+            grouped_bootstrap(pred, lambda p: float(np.mean(p["value"])), 10, 0)
+
+    def test_undefined_point_raises(self):
+        pred = PredictionSet(
+            ("a", "b"), {"probs": np.array([0.2, 0.3]), "labels": np.array([0.0, 0.0])}
+        )
+        with pytest.raises(UndefinedMetric):
+            grouped_bootstrap(pred, lambda p: auroc(p["probs"], p["labels"], p.weights), 10, 0)

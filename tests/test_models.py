@@ -353,3 +353,28 @@ class TestGradientChecks:
 
         bce_params = [p for n, p in params.items() if "head.mu" not in n and "head.sigma" not in n]
         assert check_gradients(closure, bce_params, epsilon=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["grud", "transformer"])
+def test_model_predictions_record_no_graph_and_match_taped_forward(kind):
+    rng = np.random.default_rng(4)
+    encoder = GrudConfig(hidden_dim=8) if kind == "grud" else TransformerConfig(
+        d_model=8, layers=1, heads=2, ffn_dim=16, max_len=20)
+    config, params = training._build_model(kind, 8, 20, 0, encoder)
+    for name, p in params.items():
+        if name.startswith("head."):
+            p.data[...] = rng.normal(size=p.shape)
+    contexts = rng.normal(size=(10, 20))
+    last = contexts[:, -1]
+
+    hidden = models.encoder_forward(kind, config, params, contexts)
+    taped = models.heads_forward(hidden, params, last)
+    assert taped.cls_logit.requires_grad
+    with ad.no_grad():
+        free = models.heads_forward(models.encoder_forward(kind, config, params, contexts),
+                                    params, last)
+    outs = models.model_predictions(kind, config, params, contexts, last)
+    for name in ("cls_logit", "delta_mu", "sigma_n", "mu_tilde"):
+        assert ad.Tape(getattr(free, name)).nodes == []
+        np.testing.assert_array_equal(getattr(free, name).data, getattr(taped, name).data)
+        np.testing.assert_array_equal(outs[name], getattr(taped, name).data)

@@ -149,6 +149,30 @@ class TestEvaluate:
                 sidecar = json.loads((run_dir / "calibration.json").read_text("utf-8"))
                 assert set(sidecar) == {"temperature", "threshold", "beta"}
 
+    def test_baselines_scored_once_for_all_seeds(self, prepared, monkeypatch):
+        config, _ = prepared
+        config = replace(config, train=replace(config.train, seeds=(0, 1, 2), epochs=1))
+        pipeline.run_train(config)
+        calls = []
+        bootstrap = pipeline.met.grouped_bootstrap
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:])
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.met, "grouped_bootstrap", counted)
+        rows = pipeline.run_evaluate(config)
+        # 6 classification runs x 6 metrics + 6 forecasting runs x 3, plus
+        # 4 always-negative and 3 persistence metrics once, not once per seed
+        assert len(calls) == 61
+        baselines = {
+            seed: [{k: v for k, v in r.items() if k != "seed"} for r in rows
+                   if r["model"] in ("always_negative", "persistence") and r["seed"] == seed]
+            for seed in (0, 1, 2)
+        }
+        assert len(baselines[0]) == 9
+        assert baselines[0] == baselines[1] == baselines[2]
+
     def test_no_calibration_flag_pins_temperature(self, prepared):
         config, _ = prepared
         pipeline.run_train(config)

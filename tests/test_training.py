@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from hrbench import autodiff as ad
+from hrbench import training
 from hrbench.autodiff import Parameter, Tensor, backward, zero_grads
 from hrbench.errors import TrainingDiverged
 from hrbench.ingest import build_windows, split_records, standardize
@@ -181,6 +183,21 @@ class TestTrainModel:
             run_res = train_model("forecasting", kind, dataset, residual, 0, encoder_config=enc)
             run_abs = train_model("forecasting", kind, dataset, absolute, 0, encoder_config=enc)
             assert run_res.history[-1]["val_loss"] <= run_abs.history[-1]["val_loss"]
+
+    def test_step_graph_freed_before_next_forward(self, monkeypatch):
+        losses = []
+        batch_loss = training._batch_loss
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in losses), "an earlier step's graph is alive"
+            loss = batch_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        monkeypatch.setattr(training, "_batch_loss", tracked)
+        train_model("classification", "grud", small_dataset(), TrainConfig(epochs=2), 0,
+                    encoder_config=GRUD_SMALL)
+        assert len(losses) > 3
 
     def test_epoch_batches_cover_exact_multiset(self):
         rng = np.random.default_rng(0)
