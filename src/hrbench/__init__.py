@@ -6,80 +6,4 @@ encoders trained from scratch on a built-in reverse-mode engine,
 calibration-aware evaluation, and record-grouped bootstrap uncertainty.
 """
 
-from .autodiff import Parameter, Tensor, backward, check_gradients
-from .calibration import apply_temperature, fit_temperature, select_threshold_fbeta
-from .ingest import (
-    HrSeries,
-    LabeledWindow,
-    RPeakRecord,
-    SplitAssignment,
-    StandardizationStats,
-    WindowedDataset,
-    build_windows,
-    derive_hr,
-    select_threshold,
-    split_records,
-    standardize,
-)
-from .metrics import (
-    PredictionSet,
-    auprc,
-    auroc,
-    brier,
-    crps_gaussian,
-    ece,
-    f1_at_threshold,
-    grouped_bootstrap,
-    mae_rmse,
-)
-from .models import (
-    GrudConfig,
-    TransformerConfig,
-    grud_forward,
-    heads_forward,
-    transformer_forward,
-)
-from .training import TrainConfig, adamw_step, gaussian_nll, train_model, weighted_bce
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Parameter",
-    "Tensor",
-    "backward",
-    "check_gradients",
-    "apply_temperature",
-    "fit_temperature",
-    "select_threshold_fbeta",
-    "HrSeries",
-    "LabeledWindow",
-    "RPeakRecord",
-    "SplitAssignment",
-    "StandardizationStats",
-    "WindowedDataset",
-    "build_windows",
-    "derive_hr",
-    "select_threshold",
-    "split_records",
-    "standardize",
-    "PredictionSet",
-    "auprc",
-    "auroc",
-    "brier",
-    "crps_gaussian",
-    "ece",
-    "f1_at_threshold",
-    "grouped_bootstrap",
-    "mae_rmse",
-    "GrudConfig",
-    "TransformerConfig",
-    "grud_forward",
-    "heads_forward",
-    "transformer_forward",
-    "TrainConfig",
-    "adamw_step",
-    "gaussian_nll",
-    "train_model",
-    "weighted_bce",
-    "__version__",
-]

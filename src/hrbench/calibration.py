@@ -20,13 +20,6 @@ class TemperatureFit:
     skipped: bool = False  # single-class validation leaves T at 1
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    temperature: float
-    threshold: float
-    beta: float
-
-
 def mean_bce(logits, labels, temperature: float = 1.0) -> float:
     """Mean binary cross-entropy of sigmoid(s/T); stable at any |s|."""
     s = np.asarray(logits, dtype=np.float64) / temperature

@@ -8,9 +8,10 @@ theta candidates 100/95/90/85, 1000 bootstrap draws, F-beta with beta 2).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .errors import DataError
 from .synth import SyntheticSpec
 from .training import TrainConfig
 
@@ -98,58 +99,45 @@ _TUPLE_KINDS = {
     "hidden_sweep": int,
 }
 
+# BenchConfig's own fields, kept under [train] in the INI file
+_TRAIN_EXTRAS = ("hidden_sweep", "runs_dir")
 
-def _load_section(parser: configparser.ConfigParser, section: str, cls, extra=()):
-    kwargs = {}
-    if parser.has_section(section):
-        names = {f.name: f for f in fields(cls)}
-        for key, raw in parser.items(section):
-            if key in extra:
-                continue
-            if key not in names:
-                raise ValueError(f"unknown key {key!r} in section [{section}]")
-            f = names[key]
-            if key in _TUPLE_KINDS:
-                kwargs[key] = _parse_tuple(raw, _TUPLE_KINDS[key])
-            else:
-                kwargs[key] = _parse_value(raw, f.type if isinstance(f.type, type) else type(getattr(cls(), key)))
-    return cls(**kwargs)
+
+def _parse_key(cls, key: str, raw: str):
+    if key in _TUPLE_KINDS:
+        return _parse_tuple(raw, _TUPLE_KINDS[key])
+    return _parse_value(raw, type(getattr(cls(), key)))
 
 
 def load_config(path) -> BenchConfig:
+    """Parse an INI file; a malformed key or value raises DataError naming
+    the file, section and key."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    train_extra = ("hidden_sweep", "runs_dir")
-    config = BenchConfig(
-        data=_load_section(parser, "data", DataConfig),
-        windows=_load_section(parser, "windows", WindowConfig),
-        split=_load_section(parser, "split", SplitConfig),
-        models=_load_section(parser, "models", ModelsConfig),
-        train=_load_section(parser, "train", TrainConfig, extra=train_extra),
-        calibration=_load_section(parser, "calibration", CalibrationConfig),
-        evaluation=_load_section(parser, "evaluation", EvaluationConfig),
-        synth=_load_section(parser, "synth", SyntheticSpec),
-    )
-    hidden_sweep: tuple[int, ...] = ()
-    runs_dir = config.runs_dir
-    if parser.has_option("train", "hidden_sweep"):
-        hidden_sweep = _parse_tuple(parser.get("train", "hidden_sweep"), int)
-    if parser.has_option("train", "runs_dir"):
-        runs_dir = parser.get("train", "runs_dir").strip()
-    return BenchConfig(
-        data=config.data,
-        windows=config.windows,
-        split=config.split,
-        models=config.models,
-        train=config.train,
-        hidden_sweep=hidden_sweep,
-        calibration=config.calibration,
-        evaluation=config.evaluation,
-        synth=config.synth,
-        runs_dir=runs_dir,
-    )
+    top: dict = {}
+    for section in fields(BenchConfig):
+        # each BenchConfig field built by a factory is the section of its name
+        cls = section.default_factory
+        if cls is MISSING:
+            continue
+        names = {f.name for f in fields(cls)}
+        values = {}
+        for key, raw in parser.items(section.name) if parser.has_section(section.name) else ():
+            owner = BenchConfig if section.name == "train" and key in _TRAIN_EXTRAS else cls
+            if owner is cls and key not in names:
+                raise DataError(f"{path}: unknown key {key!r} in section [{section.name}]")
+            try:
+                parsed = _parse_key(owner, key, raw)
+            except ValueError as exc:
+                raise DataError(f"{path}: [{section.name}] {key} = {raw.strip()!r}: {exc}") from None
+            (top if owner is BenchConfig else values)[key] = parsed
+        try:
+            top[section.name] = cls(**values)
+        except ValueError as exc:
+            raise DataError(f"{path}: [{section.name}]: {exc}") from None
+    return BenchConfig(**top)
 
 
 DEFAULT_CONFIG_TEXT = """\

@@ -19,7 +19,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
+from .errors import DataError, DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
 
 HR_MIN = 20.0
 HR_MAX = 220.0
@@ -136,6 +136,17 @@ def derive_hr(record: RPeakRecord) -> HrSeries:
     return HrSeries(record.record_id, hr)
 
 
+def _window_starts(n: int, T: int, H: int) -> range:
+    """Offsets of the windows whose context and horizon lie within n samples."""
+    return range(0, max(n - T - H, -1) + 1, T)
+
+
+def _horizon_means(hr: np.ndarray, T: int, H: int) -> np.ndarray:
+    """Mean over the H samples after each window's context, one per window."""
+    starts = np.array(_window_starts(len(hr), T, H), dtype=np.int64)
+    return hr[starts[:, None] + T + np.arange(H)].mean(axis=1)
+
+
 def build_windows(
     series: HrSeries,
     T: int = CONTEXT_LEN,
@@ -151,20 +162,17 @@ def build_windows(
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
     hr = series.hr
-    windows: list[LabeledWindow] = []
-    for start in range(0, max(len(hr) - T - H, -1) + 1, T):
-        context = hr[start : start + T]
-        horizon = hr[start + T : start + T + H]
-        windows.append(
-            LabeledWindow(
-                record_id=series.record_id,
-                start_index=start,
-                context=context.copy(),
-                cls_label=int(horizon.mean() >= theta),
-                fc_target=float(horizon[0]),
-            )
+    labels = _horizon_means(hr, T, H) >= theta
+    return [
+        LabeledWindow(
+            record_id=series.record_id,
+            start_index=start,
+            context=hr[start : start + T].copy(),
+            cls_label=int(label),
+            fc_target=float(hr[start + T]),
         )
-    return windows
+        for start, label in zip(_window_starts(len(hr), T, H), labels)
+    ]
 
 
 def select_threshold(
@@ -177,20 +185,17 @@ def select_threshold(
 
     The guard requires at least MIN_POSITIVE_RECORDS records holding a
     positive window and at least MIN_POSITIVE_WINDOWS positive windows
-    corpus-wide.
+    corpus-wide. Every candidate is counted from one pass of horizon means.
     """
     if not corpus:
         raise GuardUnsatisfied("empty corpus")
+    means = [_horizon_means(series.hr, T, H) for series in corpus]
     results = []
     for theta in candidates:
-        n_windows = 0
-        n_records = 0
-        for series in corpus:
-            pos = sum(w.cls_label for w in build_windows(series, T=T, H=H, theta=theta))
-            n_windows += pos
-            n_records += int(pos > 0)
-        result = ThresholdGuardResult(theta, n_windows, n_records)
-        if n_records >= MIN_POSITIVE_RECORDS and n_windows >= MIN_POSITIVE_WINDOWS:
+        positives = [int((m >= theta).sum()) for m in means]
+        result = ThresholdGuardResult(theta, sum(positives), sum(p > 0 for p in positives))
+        if (result.n_positive_records >= MIN_POSITIVE_RECORDS
+                and result.n_positive_windows >= MIN_POSITIVE_WINDOWS):
             return result
         results.append(result)
     best = max(results, key=lambda r: (r.n_positive_records, r.n_positive_windows))
@@ -332,6 +337,14 @@ def _split_data(windows: Sequence[LabeledWindow], stats: StandardizationStats,
     )
 
 
+def _by_split(windows: Sequence[LabeledWindow],
+              assignment: SplitAssignment) -> dict[str, list[LabeledWindow]]:
+    by_split: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
+    for w in windows:
+        by_split[assignment.split_of(w.record_id)].append(w)
+    return by_split
+
+
 def standardize(
     windows: Sequence[LabeledWindow],
     assignment: SplitAssignment,
@@ -344,9 +357,7 @@ def standardize(
     sigma is the population standard deviation; a constant training corpus
     raises DegenerateScale.
     """
-    by_split: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
-    for w in windows:
-        by_split[assignment.split_of(w.record_id)].append(w)
+    by_split = _by_split(windows, assignment)
     train = by_split["train"]
     if not train:
         raise DegenerateScale("training split contains no windows")
@@ -365,13 +376,27 @@ def standardize(
 # file formats
 
 
+def _peak_record(record_id: str, times, where: str) -> RPeakRecord:
+    try:
+        return RPeakRecord(record_id, tuple(times))
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def _not_a_number(text: str, where: str) -> DataError:
+    return DataError(f"{where}: {text.strip()!r} is not a number")
+
+
 def read_peak_file(path) -> tuple[float, ...]:
     times = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                times.append(float(line))
+                try:
+                    times.append(float(line))
+                except ValueError:
+                    raise _not_a_number(line, f"{path}:{lineno}") from None
     return tuple(times)
 
 
@@ -384,29 +409,34 @@ def read_manifest(manifest_path) -> list[RPeakRecord]:
         for row in reader:
             if not row or row[0] == "record_id":
                 continue
+            where = f"{manifest_path}:{reader.line_num}"
+            if len(row) < 2:
+                raise DataError(f"{where}: expected `record_id,path`, got {row}")
             record_id, rel = row[0].strip(), row[1].strip()
             path = Path(rel)
             if not path.is_absolute():
                 path = base / path
-            records.append(RPeakRecord(record_id, read_peak_file(path)))
+            records.append(_peak_record(record_id, read_peak_file(path), where))
     return records
 
 
 def read_combined_peaks(path) -> list[RPeakRecord]:
     """Single CSV `record_id,peak_time` sorted by (record_id, peak_time)."""
     times: dict[str, list[float]] = {}
-    order: list[str] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0] == "record_id":
                 continue
-            record_id = row[0].strip()
-            if record_id not in times:
-                times[record_id] = []
-                order.append(record_id)
-            times[record_id].append(float(row[1]))
-    return [RPeakRecord(r, tuple(times[r])) for r in order]
+            if len(row) < 2:
+                raise DataError(f"{path}:{reader.line_num}: expected `record_id,peak_time`, "
+                                f"got {row}")
+            try:
+                peak = float(row[1])
+            except ValueError:
+                raise _not_a_number(row[1], f"{path}:{reader.line_num}") from None
+            times.setdefault(row[0].strip(), []).append(peak)
+    return [_peak_record(r, t, str(path)) for r, t in times.items()]
 
 
 def save_prepared(
@@ -454,8 +484,10 @@ def load_prepared(dataset_dir) -> WindowedDataset:
     windows = []
     with open(base / "windows.csv", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        assert header[:4] == ["record_id", "start_index", "cls_label", "fc_target"]
+        header = next(reader, [])
+        if header[:4] != ["record_id", "start_index", "cls_label", "fc_target"]:
+            raise DataError(f"{base / 'windows.csv'}: not a prepared windows file "
+                            f"(header {header[:4]})")
         for row in reader:
             windows.append(
                 LabeledWindow(
@@ -466,10 +498,8 @@ def load_prepared(dataset_dir) -> WindowedDataset:
                     fc_target=float(row[3]),
                 )
             )
-    by_split: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
-    for w in windows:
-        by_split[assignment.split_of(w.record_id)].append(w)
-    splits = {name: _split_data(ws, stats, T) for name, ws in by_split.items()}
+    splits = {name: _split_data(ws, stats, T)
+              for name, ws in _by_split(windows, assignment).items()}
     return WindowedDataset(
         splits, stats, assignment, theta=float(sidecar["theta"]), T=T, H=int(sidecar["H"])
     )

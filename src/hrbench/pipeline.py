@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .config import BenchConfig
 from .errors import DataError, EvaluationError
 from .ingest import (
     SplitData,
-    WindowedDataset,
     build_windows,
     derive_hr,
     load_prepared,
@@ -33,8 +32,9 @@ from .ingest import (
     standardize,
 )
 
-CLS_METRICS = ("auroc", "auprc", "brier", "ece", "f1_at_threshold", "prevalence")
-FC_METRICS = ("mae", "rmse", "crps")
+TASKS = ("classification", "forecasting")
+# a report row's result columns, all None for a metric the model has no value for
+UNDEFINED = dict.fromkeys(("point", "ci_low", "ci_high", "n_valid_draws"))
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,56 @@ def run_prepare(config: BenchConfig) -> PrepareSummary:
     return summary
 
 
-def _run_id(task: str, model_kind: str, seed: int, hidden: int | None, target_mode: str) -> str:
-    parts = [task, model_kind]
-    if hidden is not None:
-        parts.append(f"h{hidden}")
-    if task == "forecasting" and target_mode != "residual":
-        parts.append(target_mode)
-    parts.append(f"seed{seed}")
-    return "_".join(parts)
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of the grid; `run_train` writes it into the run's manifest."""
+
+    task: str
+    model_kind: str
+    seed: int
+    hidden: int | None
+    target_mode: str
+
+    @property
+    def model_label(self) -> str:
+        """The report's model name: the model kind plus its variant tags."""
+        parts = [self.model_kind]
+        if self.hidden is not None:
+            parts.append(f"h{self.hidden}")
+        if self.task == "forecasting" and self.target_mode != "residual":
+            parts.append(self.target_mode)
+        return "_".join(parts)
+
+    @property
+    def run_id(self) -> str:
+        return f"{self.task}_{self.model_label}_seed{self.seed}"
 
 
-def _encoder_config(config: BenchConfig, model_kind: str, hidden: int | None):
+def _grid(config: BenchConfig) -> list[RunSpec]:
+    """The (model x task x seed) grid, plus capacity-sweep classification runs.
+
+    Sweep entries are one run per hidden size at the first seed: the sweep
+    compares capacities, not seed variance.
+    """
+    mode = config.train.target_mode
+    runs = [
+        RunSpec(task, model_kind, seed, None, mode)
+        for model_kind in config.models.kinds
+        for task in TASKS
+        for seed in config.train.seeds
+    ]
+    if "grud" in config.models.kinds:
+        runs += [
+            RunSpec("classification", "grud", config.train.seeds[0], hidden, mode)
+            for hidden in config.hidden_sweep
+        ]
+    return runs
+
+
+def _encoder_config(config: BenchConfig, spec: RunSpec):
     m = config.models
-    if model_kind == "grud":
-        return models.GrudConfig(hidden_dim=hidden or m.grud_hidden)
+    if spec.model_kind == "grud":
+        return models.GrudConfig(hidden_dim=spec.hidden or m.grud_hidden)
     return models.TransformerConfig(
         d_model=m.d_model,
         layers=m.layers,
@@ -131,26 +167,14 @@ def _encoder_config(config: BenchConfig, model_kind: str, hidden: int | None):
     )
 
 
-def _grid(config: BenchConfig) -> list[dict]:
-    """The (model x task x seed) grid, plus capacity-sweep classification runs.
-
-    Sweep entries are one run per hidden size at the first seed: the sweep
-    compares capacities, not seed variance.
-    """
-    runs = []
-    for model_kind in config.models.kinds:
-        for task in ("classification", "forecasting"):
-            for seed in config.train.seeds:
-                runs.append(
-                    {"task": task, "model_kind": model_kind, "seed": seed, "hidden": None}
-                )
-    if "grud" in config.models.kinds:
-        for hidden in config.hidden_sweep:
-            runs.append(
-                {"task": "classification", "model_kind": "grud",
-                 "seed": config.train.seeds[0], "hidden": hidden}
-            )
-    return runs
+def _encoder_from_blob(blob: dict):
+    """(model kind, encoder config) from a checkpoint's config blob, which
+    `run_train` writes as the model kind plus the encoder config's fields."""
+    kind = blob["model_kind"]
+    values = {k: v for k, v in blob.items() if k != "model_kind"}
+    if kind == "grud":
+        return kind, models.GrudConfig(**{**values, "train_mean": tuple(values["train_mean"])})
+    return kind, models.TransformerConfig(**values)
 
 
 def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
@@ -158,16 +182,11 @@ def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
     base = Path(runs_dir) if runs_dir else Path(config.runs_dir)
     base.mkdir(parents=True, exist_ok=True)
     run_ids = []
-    for entry in _grid(config):
-        run_id = _run_id(entry["task"], entry["model_kind"], entry["seed"],
-                         entry["hidden"], config.train.target_mode)
-        enc_config = _encoder_config(config, entry["model_kind"], entry["hidden"])
+    for spec in _grid(config):
+        run_id = spec.run_id
+        enc_config = _encoder_config(config, spec)
         trained = training.train_model(
-            entry["task"],
-            entry["model_kind"],
-            dataset,
-            config.train,
-            entry["seed"],
+            spec.task, spec.model_kind, dataset, config.train, spec.seed,
             encoder_config=enc_config,
         )
         run_dir = base / run_id
@@ -175,14 +194,11 @@ def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
         save_checkpoint(
             run_dir / "checkpoint.json",
             trained.params.values(),
-            config={"model_kind": entry["model_kind"], **asdict(trained.encoder_config)},
+            config={"model_kind": spec.model_kind, **asdict(enc_config)},
         )
         manifest = {
             "run_id": run_id,
-            "task": entry["task"],
-            "model_kind": entry["model_kind"],
-            "seed": entry["seed"],
-            "target_mode": config.train.target_mode,
+            **asdict(spec),
             "train": asdict(config.train),
             "dataset_dir": str(config.data.dataset_dir),
         }
@@ -202,142 +218,74 @@ def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
     return run_ids
 
 
-def _rebuild_encoder_config(blob: dict):
-    kind = blob.pop("model_kind")
-    if kind == "grud":
-        blob["train_mean"] = tuple(blob["train_mean"])
-        return kind, models.GrudConfig(**blob)
-    return kind, models.TransformerConfig(**blob)
+def _read_spec(run_dir: Path) -> RunSpec:
+    path = run_dir / "manifest.json"
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    try:
+        return RunSpec(**{f.name: manifest[f.name] for f in fields(RunSpec)})
+    except KeyError as exc:
+        raise EvaluationError(f"{path}: the run spec has no {exc.args[0]!r}") from None
 
 
-def _report_row(task, model, seed, metric, result, n_draws=None):
-    if result is None:
-        return {"task": task, "model": model, "seed": seed, "metric": metric,
-                "point": None, "ci_low": None, "ci_high": None, "n_valid_draws": None}
-    return {"task": task, "model": model, "seed": seed, "metric": metric,
-            "point": result.point, "ci_low": result.ci_low, "ci_high": result.ci_high,
-            "n_valid_draws": result.n_valid_draws}
+def metric_table(task: str, ece_bins: int | None = None, threshold: float | None = None) -> dict:
+    """The report's metrics for `task`, in column order: name -> metric of a
+    PredictionSet, or None where the model has no value for it.
+
+    Classification predictions are the columns `probs` and `labels`;
+    forecasting predictions are `mu`, `sigma` and `target` in bpm. ECE (over
+    `ece_bins` bins) and F1 (at the F-beta `threshold`) score a calibration
+    step's output, so a model without one (no threshold), such as
+    always-negative, gets them undefined.
+    """
+    if task == "forecasting":
+        return {
+            "mae": lambda p: met.weighted_mean(np.abs(p["mu"] - p["target"]), p.weights),
+            "rmse": lambda p: np.sqrt(met.weighted_mean((p["mu"] - p["target"]) ** 2, p.weights)),
+            "crps": lambda p: met.weighted_mean(
+                met.crps_gaussian(p["mu"], p["sigma"], p["target"]), p.weights),
+        }
+
+    def calibrated(metric):
+        return None if threshold is None else metric
+
+    return {
+        "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
+        "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
+        "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
+        "ece": calibrated(lambda p: met.ece(p["probs"], p["labels"], ece_bins, p.weights)),
+        "f1_at_threshold": calibrated(
+            lambda p: met.f1_at_threshold(p["probs"], p["labels"], threshold, p.weights)),
+        "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
+    }
 
 
-def _classification_rows(run_id, manifest, split_val: SplitData, split_test: SplitData,
-                         logits_val, logits_test, config: BenchConfig, run_dir) -> list[dict]:
+def _scored_rows(task, model, seed, split: SplitData, columns: dict, table: dict,
+                 config: BenchConfig) -> list[dict]:
+    """One report row per metric in `table`, bootstrapped over the test records."""
+    pred = met.PredictionSet(record_ids=split.record_ids, arrays=columns)
+    draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
+    rows = []
+    for name, metric in table.items():
+        result = UNDEFINED if metric is None else asdict(
+            met.grouped_bootstrap(pred, metric, draws, seed_b))
+        rows.append({"task": task, "model": model, "seed": seed, "metric": name, **result})
+    return rows
+
+
+def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
+    """Temperature and F-beta threshold from the validation logits, written to
+    the run's calibration.json."""
     if config.calibration.enabled:
-        fit = cal.fit_temperature(logits_val, split_val.cls_labels)
+        fit = cal.fit_temperature(logits_val, val.cls_labels)
     else:
         fit = cal.TemperatureFit(temperature=1.0, skipped=True)
     probs_val = cal.apply_temperature(logits_val, fit.temperature)
-    tau = cal.select_threshold_fbeta(probs_val, split_val.cls_labels, config.calibration.beta)
-    probs_test = cal.apply_temperature(logits_test, fit.temperature)
-
+    tau = cal.select_threshold_fbeta(probs_val, val.cls_labels, config.calibration.beta)
     sidecar = {"temperature": fit.temperature, "threshold": tau, "beta": config.calibration.beta}
-    with open(Path(run_dir) / "calibration.json", "w", encoding="utf-8") as fh:
+    with open(run_dir / "calibration.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
-
-    pred = met.PredictionSet(
-        record_ids=split_test.record_ids,
-        arrays={"probs": probs_test, "labels": split_test.cls_labels.astype(np.float64)},
-    )
-    draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
-    bins = config.evaluation.ece_bins
-    closures = {
-        "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
-        "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
-        "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
-        "ece": lambda p: met.ece(p["probs"], p["labels"], bins, p.weights),
-        "f1_at_threshold": lambda p: met.f1_at_threshold(p["probs"], p["labels"], tau, p.weights),
-        "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
-    }
-    rows = []
-    task, model, seed = manifest["task"], manifest["model_kind"], manifest["seed"]
-    model_label = _model_label(run_id, manifest)
-    for name, closure in closures.items():
-        result = met.grouped_bootstrap(pred, closure, draws, seed_b)
-        rows.append(_report_row(task, model_label, seed, name, result))
-    return rows
-
-
-def _model_label(run_id: str, manifest: dict) -> str:
-    # strip the task prefix and seed suffix: the model plus its variant tags
-    label = run_id
-    prefix = manifest["task"] + "_"
-    if label.startswith(prefix):
-        label = label[len(prefix):]
-    suffix = f"_seed{manifest['seed']}"
-    if label.endswith(suffix):
-        label = label[: -len(suffix)]
-    return label
-
-
-def _forecast_rows(run_id, manifest, dataset: WindowedDataset, split_test: SplitData,
-                   outputs, config: BenchConfig) -> list[dict]:
-    stats = dataset.stats
-    if manifest["target_mode"] == "residual":
-        mu_tilde = outputs["mu_tilde"]
-    else:
-        mu_tilde = outputs["delta_mu"]
-    mu_bpm = stats.denormalize(mu_tilde)
-    sigma_bpm = stats.scale_to_bpm(outputs["sigma_n"])
-    return _forecast_metric_rows(
-        manifest["task"], _model_label(run_id, manifest), manifest["seed"],
-        split_test, mu_bpm, sigma_bpm, config,
-    )
-
-
-def _forecast_metric_rows(task, model_label, seed, split_test: SplitData,
-                          mu_bpm, sigma_bpm, config: BenchConfig) -> list[dict]:
-    targets = split_test.fc_targets_bpm
-    abs_err = np.abs(mu_bpm - targets)
-    sq_err = (mu_bpm - targets) ** 2
-    crps_vals = met.crps_gaussian(mu_bpm, sigma_bpm, targets)
-    pred = met.PredictionSet(
-        record_ids=split_test.record_ids,
-        arrays={"abs_err": abs_err, "sq_err": sq_err, "crps": crps_vals},
-    )
-    draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
-    closures = {
-        "mae": lambda p: met.weighted_mean(p["abs_err"], p.weights),
-        "rmse": lambda p: np.sqrt(met.weighted_mean(p["sq_err"], p.weights)),
-        "crps": lambda p: met.weighted_mean(p["crps"], p.weights),
-    }
-    rows = []
-    for name, closure in closures.items():
-        result = met.grouped_bootstrap(pred, closure, draws, seed_b)
-        rows.append(_report_row(task, model_label, seed, name, result))
-    return rows
-
-
-def _baseline_rows(dataset: WindowedDataset, config: BenchConfig) -> list[dict]:
-    """Rows of the non-learned baselines, which depend on no training seed:
-    their seed column is None until the caller fills it in."""
-    rows = []
-    test = dataset.split("test")
-    # always-negative classifier: ECE and the operating point are meaningless
-    # for a constant rule, so those rows are emitted as undefined
-    probs = models.always_negative_probs(test.n)
-    pred = met.PredictionSet(
-        record_ids=test.record_ids,
-        arrays={"probs": probs, "labels": test.cls_labels.astype(np.float64)},
-    )
-    draws, seed_b = config.evaluation.bootstrap_draws, config.evaluation.bootstrap_seed
-    closures = {
-        "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
-        "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
-        "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
-        "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
-    }
-    for name, closure in closures.items():
-        result = met.grouped_bootstrap(pred, closure, draws, seed_b)
-        rows.append(_report_row("classification", "always_negative", None, name, result))
-    for name in ("ece", "f1_at_threshold"):
-        rows.append(_report_row("classification", "always_negative", None, name, None))
-
-    train = dataset.split("train")
-    resid_std = float(np.std(train.fc_targets_bpm - train.contexts_bpm[:, -1]))
-    mu_bpm, sigma_bpm = models.persistence_forecast(test.contexts_bpm, resid_std)
-    rows.extend(
-        _forecast_metric_rows("forecasting", "persistence", None, test, mu_bpm, sigma_bpm, config)
-    )
-    return rows
+    return fit.temperature, tau
 
 
 def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
@@ -347,29 +295,47 @@ def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
     if not run_dirs:
         raise EvaluationError(f"no trained runs under {base}")
     dataset = load_prepared(config.data.dataset_dir)
+    val, test = dataset.split("val"), dataset.split("test")
+    labels = test.cls_labels.astype(np.float64)
     rows: list[dict] = []
     for run_dir in run_dirs:
-        with open(run_dir / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        spec = _read_spec(run_dir)
         params, blob = load_checkpoint(run_dir / "checkpoint.json")
-        kind, enc_config = _rebuild_encoder_config(blob)
-        val = dataset.split("val")
-        test = dataset.split("test")
-        out_val = models.model_predictions(kind, enc_config, params,
-                                           val.contexts_norm, val.last_context_norm)
-        out_test = models.model_predictions(kind, enc_config, params,
-                                            test.contexts_norm, test.last_context_norm)
-        if manifest["task"] == "classification":
-            rows.extend(
-                _classification_rows(manifest["run_id"], manifest, val, test,
-                                     out_val["cls_logit"], out_test["cls_logit"],
-                                     config, run_dir)
-            )
+        kind, enc_config = _encoder_from_blob(blob)
+
+        def predict(split: SplitData):
+            return models.model_predictions(kind, enc_config, params,
+                                            split.contexts_norm, split.last_context_norm)
+
+        out = predict(test)
+        if spec.task == "classification":
+            temperature, tau = _calibrate(run_dir, val, predict(val)["cls_logit"], config)
+            columns = {"probs": cal.apply_temperature(out["cls_logit"], temperature),
+                       "labels": labels}
+            table = metric_table(spec.task, config.evaluation.ece_bins, tau)
         else:
-            rows.extend(
-                _forecast_rows(manifest["run_id"], manifest, dataset, test, out_test, config)
-            )
-    baselines = _baseline_rows(dataset, config)
+            mu = out["mu_tilde"] if spec.target_mode == "residual" else out["delta_mu"]
+            columns = {"mu": dataset.stats.denormalize(mu),
+                       "sigma": dataset.stats.scale_to_bpm(out["sigma_n"]),
+                       "target": test.fc_targets_bpm}
+            table = metric_table(spec.task)
+        rows.extend(_scored_rows(spec.task, spec.model_label, spec.seed, test, columns,
+                                 table, config))
+
+    # the non-learned baselines depend on no training seed: scored once,
+    # reported under each seed
+    train = dataset.split("train")
+    resid_std = float(np.std(train.fc_targets_bpm - train.contexts_bpm[:, -1]))
+    mu_bpm, sigma_bpm = models.persistence_forecast(test.contexts_bpm, resid_std)
+    baselines = _scored_rows(
+        "classification", "always_negative", None, test,
+        {"probs": models.always_negative_probs(test.n), "labels": labels},
+        metric_table("classification"), config,
+    ) + _scored_rows(
+        "forecasting", "persistence", None, test,
+        {"mu": mu_bpm, "sigma": sigma_bpm, "target": test.fc_targets_bpm},
+        metric_table("forecasting"), config,
+    )
     for seed in config.train.seeds:
         rows.extend({**row, "seed": seed} for row in baselines)
 
@@ -377,19 +343,12 @@ def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
     return rows
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(value)
-
-
 def _write_report(base: Path, rows: list[dict]) -> None:
+    # csv writes None as an empty field and a float as its repr()
     with open(base / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "model", "seed", "metric", "point", "ci_low",
-                         "ci_high", "n_valid_draws"])
-        for r in rows:
-            writer.writerow([r["task"], r["model"], r["seed"], r["metric"],
-                             _fmt(r["point"]), _fmt(r["ci_low"]), _fmt(r["ci_high"]),
-                             "" if r["n_valid_draws"] is None else r["n_valid_draws"]])
+        writer = csv.DictWriter(fh, ["task", "model", "seed", "metric", *UNDEFINED])
+        writer.writeheader()
+        writer.writerows(rows)
     with open(base / "report.json", "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
 
@@ -434,24 +393,20 @@ def run_report(runs_dir) -> list[dict]:
         for r in aggregated:
             writer.writerow([r["task"], r["model"], r["metric"],
                              repr(r["mean"]), repr(r["std"]), r["n_seeds"]])
-    for task, metric_names in (("classification", CLS_METRICS), ("forecasting", FC_METRICS)):
-        models_seen = sorted({r["model"] for r in aggregated if r["task"] == task})
-        path = base / f"summary_{task}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    for task in TASKS:
+        metric_names = metric_table(task)
+        found = {(r["model"], r["metric"]): r for r in aggregated if r["task"] == task}
+        with open(base / f"summary_{task}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             header = ["model"]
             for m in metric_names:
                 header += [m, f"{m}_std"]
             writer.writerow(header)
-            for model in models_seen:
+            for model in sorted({model for model, _ in found}):
                 row = [model]
                 for m in metric_names:
-                    match = [r for r in aggregated
-                             if r["task"] == task and r["model"] == model and r["metric"] == m]
-                    if match:
-                        row += [repr(match[0]["mean"]), repr(match[0]["std"])]
-                    else:
-                        row += ["", ""]
+                    r = found.get((model, m))
+                    row += [repr(r["mean"]), repr(r["std"])] if r else ["", ""]
                 writer.writerow(row)
     print(f"wrote {base / 'summary.csv'}")
     return aggregated

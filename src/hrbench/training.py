@@ -103,30 +103,22 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.
 
 @dataclass(frozen=True, eq=False)
 class TrainedRun:
-    task: str
-    model_kind: str
-    seed: int
-    target_mode: str
-    encoder_config: object
     params: models.ModelParams
     history: list[dict]  # one row per epoch: train/val losses
 
 
-def _build_model(model_kind: str, hidden_dim: int, context_len: int, seed: int,
-                 encoder_config=None):
+def _build_model(model_kind: str, encoder_config, seed: int) -> models.ModelParams:
     rng = np.random.default_rng(seed)
     if model_kind == "grud":
-        config = encoder_config or models.GrudConfig(hidden_dim=hidden_dim)
-        params = models.init_grud_params(config, rng)
-        head_dim = config.hidden_dim
+        params = models.init_grud_params(encoder_config, rng)
+        head_dim = encoder_config.hidden_dim
     elif model_kind == "transformer":
-        config = encoder_config or models.TransformerConfig(max_len=context_len)
-        params = models.init_transformer_params(config, rng)
-        head_dim = config.d_model
+        params = models.init_transformer_params(encoder_config, rng)
+        head_dim = encoder_config.d_model
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
     params.update(models.init_head_params(head_dim, rng))
-    return config, params
+    return params
 
 
 def _inverse_softplus(y: float) -> float:
@@ -159,11 +151,11 @@ def train_model(
     dataset: WindowedDataset,
     config: TrainConfig,
     seed: int,
-    hidden_dim: int = 64,
-    encoder_config=None,
+    encoder_config,
 ) -> TrainedRun:
     """Train one (task, model, seed) run; deterministic given the seed.
 
+    `encoder_config` is the GrudConfig or TransformerConfig of `model_kind`.
     Batches are reshuffled across records each epoch; the final-epoch weights
     are returned without any validation-based selection.
     """
@@ -174,7 +166,7 @@ def train_model(
     if train.n == 0:
         raise TrainingDiverged("empty training split")
 
-    enc_config, params = _build_model(model_kind, hidden_dim, dataset.T, seed, encoder_config)
+    params = _build_model(model_kind, encoder_config, seed)
     if task == "forecasting":
         _seed_scale_head(params, train, config.target_mode)
     param_list = list(params.values())
@@ -188,7 +180,7 @@ def train_model(
         batch_losses = []
         for idx in epoch_batches(train.n, config.batch_size, rng):
             ad.zero_grads(param_list)
-            loss = _batch_loss(task, model_kind, enc_config, params, train, idx,
+            loss = _batch_loss(task, model_kind, encoder_config, params, train, idx,
                                alpha, config.target_mode)
             value = loss.item()
             if not np.isfinite(value):
@@ -202,17 +194,9 @@ def train_model(
         val_loss = float("nan")
         if val.n:
             with ad.no_grad():
-                val_loss = _batch_loss(task, model_kind, enc_config, params, val,
+                val_loss = _batch_loss(task, model_kind, encoder_config, params, val,
                                        np.arange(val.n), alpha, config.target_mode).item()
         history.append(
             {"epoch": epoch, "train_loss": float(np.mean(batch_losses)), "val_loss": val_loss}
         )
-    return TrainedRun(
-        task=task,
-        model_kind=model_kind,
-        seed=seed,
-        target_mode=config.target_mode,
-        encoder_config=enc_config,
-        params=params,
-        history=history,
-    )
+    return TrainedRun(params=params, history=history)

@@ -120,6 +120,20 @@ class TestBuildWindows:
         ]
         assert counts == sorted(counts)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.floats(60.0, 140.0))
+    @settings(max_examples=50, deadline=None)
+    def test_labels_match_the_per_window_horizon_mean(self, seed, length, theta):
+        hr = np.random.default_rng(seed).uniform(40.0, 160.0, length)
+        windows = build_windows(HrSeries("r", hr), T=20, H=5, theta=theta)
+        assert [w.cls_label for w in windows] == [
+            int(hr[w.start_index + 20 : w.start_index + 25].mean() >= theta) for w in windows
+        ]
+        positives = sum(w.cls_label for w in windows)
+        if positives:
+            # 40 copies of the record meet the guard whatever the positive count
+            guard = select_threshold([HrSeries("r", hr)] * 40, (theta,), T=20, H=5)
+            assert (guard.n_positive_windows, guard.n_positive_records) == (40 * positives, 40)
+
 
 class TestSelectThreshold:
     def test_first_candidate_satisfying_guard(self):

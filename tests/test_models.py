@@ -360,20 +360,20 @@ def test_model_predictions_record_no_graph_and_match_taped_forward(kind):
     rng = np.random.default_rng(4)
     encoder = GrudConfig(hidden_dim=8) if kind == "grud" else TransformerConfig(
         d_model=8, layers=1, heads=2, ffn_dim=16, max_len=20)
-    config, params = training._build_model(kind, 8, 20, 0, encoder)
+    params = training._build_model(kind, encoder, 0)
     for name, p in params.items():
         if name.startswith("head."):
             p.data[...] = rng.normal(size=p.shape)
     contexts = rng.normal(size=(10, 20))
     last = contexts[:, -1]
 
-    hidden = models.encoder_forward(kind, config, params, contexts)
+    hidden = models.encoder_forward(kind, encoder, params, contexts)
     taped = models.heads_forward(hidden, params, last)
     assert taped.cls_logit.requires_grad
     with ad.no_grad():
-        free = models.heads_forward(models.encoder_forward(kind, config, params, contexts),
+        free = models.heads_forward(models.encoder_forward(kind, encoder, params, contexts),
                                     params, last)
-    outs = models.model_predictions(kind, config, params, contexts, last)
+    outs = models.model_predictions(kind, encoder, params, contexts, last)
     for name in ("cls_logit", "delta_mu", "sigma_n", "mu_tilde"):
         assert ad.Tape(getattr(free, name)).nodes == []
         np.testing.assert_array_equal(getattr(free, name).data, getattr(taped, name).data)

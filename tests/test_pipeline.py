@@ -109,6 +109,22 @@ class TestTrain:
             b = (b_dir / run_id / "checkpoint.json").read_bytes()
             assert a == b
 
+    def test_sweep_and_absolute_runs_evaluate_under_their_labels(self, prepared):
+        config, _ = prepared
+        config = replace(config, hidden_sweep=(4,),
+                         train=replace(config.train, target_mode="absolute"))
+        run_ids = pipeline.run_train(config)
+        assert "classification_grud_h4_seed0" in run_ids
+        assert "forecasting_grud_absolute_seed0" in run_ids
+        manifest = json.loads((Path(config.runs_dir) / "classification_grud_h4_seed0"
+                               / "manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["hidden"], manifest["target_mode"]) == (4, "absolute")
+        rows = pipeline.run_evaluate(config)
+        labels = {(r["task"], r["model"]) for r in rows}
+        assert ("classification", "grud_h4") in labels
+        assert ("forecasting", "grud_absolute") in labels
+        assert ("classification", "grud") in labels  # classification ignores target_mode
+
     def test_training_never_reads_test_split(self, prepared):
         config, _ = prepared
         dataset = load_prepared(config.data.dataset_dir)
@@ -323,6 +339,56 @@ class TestCli:
         assert manifest["target_mode"] == "absolute"
 
 
+def _peak_manifest(tmp_path, peaks: str, row: str = "r1,r1.txt") -> str:
+    (tmp_path / "r1.txt").write_text(peaks, encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"record_id,path\n{row}\n", encoding="utf-8")
+    return f"[data]\npeaks_manifest = {manifest}\n"
+
+
+def _combined(tmp_path, body: str) -> str:
+    combined = tmp_path / "peaks.csv"
+    combined.write_text("record_id,peak_time\n" + body, encoding="utf-8")
+    return f"[data]\npeaks_combined = {combined}\n"
+
+
+def _bad_windows_header(tmp_path) -> str:
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "dataset.json").write_text(json.dumps(
+        {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {}}),
+        encoding="utf-8")
+    (dataset / "windows.csv").write_text("id,start\n", encoding="utf-8")
+    return f"[data]\ndataset_dir = {dataset}\n"
+
+
+MALFORMED = {
+    # case -> (command, INI text from tmp_path, text the error must name)
+    "one_column_manifest_row": ("prepare", lambda t: _peak_manifest(t, "1\n2\n", row="r1"),
+                                "manifest.csv:2"),
+    "non_numeric_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\nabc\n"), "r1.txt:2"),
+    "non_increasing_peaks": ("prepare", lambda t: _peak_manifest(t, "1.0\n0.5\n"),
+                             "manifest.csv:2"),
+    "non_numeric_combined": ("prepare", lambda t: _combined(t, "r1,1.0\nr1,x\n"),
+                             "peaks.csv:3"),
+    "unknown_key": ("prepare", lambda t: "[train]\nbogus = 1\n", "bogus"),
+    "unparsable_value": ("prepare", lambda t: "[train]\nepochs = six\n", "[train] epochs"),
+    "zero_epochs": ("prepare", lambda t: "[train]\nepochs = 0\n", "[train]"),
+    "windows_header": ("train", _bad_windows_header, "windows.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_data_error(case, tmp_path, capsys):
+    command, ini_text, where = MALFORMED[case]
+    ini = tmp_path / "bench.ini"
+    ini.write_text(ini_text(tmp_path), encoding="utf-8")
+    assert cli.main([command, "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert where in err[0]
+
+
 class TestGrid:
     def test_default_grid_is_twelve_runs(self):
         grid = pipeline._grid(BenchConfig())
@@ -332,6 +398,6 @@ class TestGrid:
         config = replace(BenchConfig(), hidden_sweep=(32, 64, 128))
         grid = pipeline._grid(config)
         assert len(grid) == 15
-        sweep = [g for g in grid if g["hidden"] is not None]
-        assert [g["hidden"] for g in sweep] == [32, 64, 128]
-        assert all(g["task"] == "classification" and g["model_kind"] == "grud" for g in sweep)
+        sweep = [g for g in grid if g.hidden is not None]
+        assert [g.hidden for g in sweep] == [32, 64, 128]
+        assert all(g.task == "classification" and g.model_kind == "grud" for g in sweep)

@@ -218,4 +218,5 @@ class TestTrainModel:
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
-            train_model("regression", "grud", small_dataset(), TrainConfig(), 0)
+            train_model("regression", "grud", small_dataset(), TrainConfig(), 0,
+                        encoder_config=GRUD_SMALL)
