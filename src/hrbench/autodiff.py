@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -252,8 +251,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def _bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     out._backward = _bw
     return out
@@ -271,8 +272,10 @@ def div(a, b) -> Tensor:
     # closures capture plain arrays, never the output tensor itself: a node
     # referencing itself would form a cycle and defer graph teardown to the gc
     def _bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * quotient / b.data)
+        if a.requires_grad:
+            _accum(a, g / b.data)
+        if b.requires_grad:
+            _accum(b, -g * quotient / b.data)
 
     out._backward = _bw
     return out
@@ -290,8 +293,10 @@ def matmul(a, b) -> Tensor:
         out = Tensor(a.data @ b.data, (a, b))
 
         def _bw(g):
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            if a.requires_grad:
+                _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            if b.requires_grad:
+                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     elif b.ndim == 2:
         # stacked left operand against one shared weight matrix
@@ -299,8 +304,10 @@ def matmul(a, b) -> Tensor:
         m, k = b.shape
 
         def _bw(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.reshape(-1, m).T @ g.reshape(-1, k))
+            if a.requires_grad:
+                _accum(a, g @ b.data.T)
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, m).T @ g.reshape(-1, k))
 
     else:
         raise ShapeError(f"matmul: unsupported shapes {a.shape} and {b.shape}")
@@ -465,6 +472,106 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv * (dxhat - m1 - xhat * m2))
+
+    out._backward = _bw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
+    """A GRU recurrence over precomputed input gates, as one node; returns h_T.
+
+    Inputs are time-major: gates_i (T, B, 3H) holds the input side of the
+    reset, update and candidate gates, and gamma_h (T, B, H) decays the
+    previous hidden state before each step (h before step 0 is zero):
+
+        h' = gamma_h[t] * h
+        g  = h' @ w_hh + b_hh
+        r  = sigmoid(gates_i[t, :H] + g[:H]);  u = sigmoid(gates_i[t, H:2H] + g[H:2H])
+        n  = tanh(gates_i[t, 2H:] + r * g[2H:]);  h = (1 - u) * n + u * h'
+
+    Only the gate recurrence runs step by step. Backward runs back through
+    time over the per-step states the forward saved in time-major buffers,
+    and forms dw_hh as one product over all steps.
+    """
+    gates_i, gamma_h, w_hh, b_hh = (_coerce(t) for t in (gates_i, gamma_h, w_hh, b_hh))
+    if gates_i.ndim != 3 or gates_i.shape[-1] % 3:
+        raise ShapeError(f"gru_scan: gates_i must be (T, B, 3H), got {gates_i.shape}")
+    steps, batch, three_h = gates_i.shape
+    h_dim = three_h // 3
+    if gamma_h.shape != (steps, batch, h_dim) or w_hh.shape != (h_dim, three_h) \
+            or b_hh.shape != (three_h,):
+        raise ShapeError(
+            f"gru_scan: gates_i {gates_i.shape} needs gamma_h {(steps, batch, h_dim)}, "
+            f"w_hh {(h_dim, three_h)} and b_hh {(three_h,)}; got {gamma_h.shape}, "
+            f"{w_hh.shape} and {b_hh.shape}"
+        )
+    parents = (gates_i, gamma_h, w_hh, b_hh)
+    record = _recording and any(p.requires_grad for p in parents)
+    gi, gamma, w, b = gates_i.data, gamma_h.data, w_hh.data, b_hh.data
+    # per-step states for the backward pass, or one step's working space
+    saved = steps if record else 1
+    h_prev = np.empty((saved, batch, h_dim))  # the decayed state h'
+    act = np.empty((saved, batch, three_h))  # r, u, n
+    g_n = np.empty((saved, batch, h_dim))  # hidden side of the candidate gate
+    g = np.empty((batch, three_h))
+    h = np.zeros((batch, h_dim))
+    for t in range(steps):
+        s = t if record else 0
+        np.multiply(gamma[t], h, out=h_prev[s])
+        np.matmul(h_prev[s], w, out=g)
+        g += b
+        # r and u in the tanh form `sigmoid` uses
+        ru = np.add(gi[t, :, : 2 * h_dim], g[:, : 2 * h_dim], out=act[s, :, : 2 * h_dim])
+        ru *= 0.5
+        np.tanh(ru, out=ru)
+        ru += 1.0
+        ru *= 0.5
+        g_n[s] = g[:, 2 * h_dim :]
+        n = np.multiply(act[s, :, :h_dim], g_n[s], out=act[s, :, 2 * h_dim :])
+        n += gi[t, :, 2 * h_dim :]
+        np.tanh(n, out=n)
+        u = act[s, :, h_dim : 2 * h_dim]
+        h = (1.0 - u) * n + u * h_prev[s]
+    out = Tensor(h, parents)
+    if not record:
+        return out
+
+    def _bw(dh):
+        # dh is d(loss)/d(h after step t), walking t back from the last step
+        d_gi = np.empty((steps, batch, three_h))  # d(loss)/d(gates_i)
+        d_g = np.empty((steps, batch, three_h))  # d(loss)/d(g)
+        # d(loss)/d(h') of every step, for the gradient of the decay
+        d_hps = np.empty((steps, batch, h_dim)) if gamma_h.requires_grad else None
+        w_t = np.ascontiguousarray(w.T)
+        for t in reversed(range(steps)):
+            r, u, n = act[t, :, :h_dim], act[t, :, h_dim : 2 * h_dim], act[t, :, 2 * h_dim :]
+            keep = 1.0 - u
+            d_n = np.multiply(dh * keep, 1.0 - n * n, out=d_gi[t, :, 2 * h_dim :])
+            d_r = np.multiply(d_n * r, g_n[t], out=d_gi[t, :, :h_dim])
+            d_r *= 1.0 - r
+            d_u = np.multiply(dh * (h_prev[t] - n), u, out=d_gi[t, :, h_dim : 2 * h_dim])
+            d_u *= keep
+            d_g[t, :, : 2 * h_dim] = d_gi[t, :, : 2 * h_dim]
+            np.multiply(d_n, r, out=d_g[t, :, 2 * h_dim :])
+            d_hp = d_g[t] @ w_t
+            d_hp += dh * u
+            if d_hps is not None:
+                d_hps[t] = d_hp
+            dh = d_hp * gamma[t]
+        flat_g = d_g.reshape(-1, three_h)
+        _accum(w_hh, h_prev.reshape(-1, h_dim).T @ flat_g)
+        _accum(b_hh, flat_g.sum(axis=0))
+        _accum(gates_i, d_gi)
+        if d_hps is not None:
+            # h' = gamma * (output of the step before), zero before step 0
+            u, n = act[:, :, h_dim : 2 * h_dim], act[:, :, 2 * h_dim :]
+            undecayed = np.zeros_like(h_prev)
+            undecayed[1:] = (1.0 - u[:-1]) * n[:-1] + u[:-1] * h_prev[:-1]
+            _accum(gamma_h, d_hps * undecayed)
 
     out._backward = _bw
     return out

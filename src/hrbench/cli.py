@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from . import pipeline
 from .config import BenchConfig, load_config, write_default_config
-from .errors import BenchError
+from .errors import BenchError, DataError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,14 +31,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("prepare", "derive HR, select theta, window, split, standardize")
 
-    p = add("train", "train the (model x task x seed) grid")
-    p.add_argument("--runs", help="runs directory (default: train.runs_dir)")
-    p.add_argument("--hidden-sweep", help="comma list of extra GRU-D hidden sizes (A3)")
-    p.add_argument("--target-mode", choices=["residual", "absolute"],
-                   help="forecast target space (A4)")
+    def add_grid_flags(p):
+        p.add_argument("--runs", help="runs directory (default: train.runs_dir)")
+        p.add_argument("--hidden-sweep", help="comma list of extra GRU-D hidden sizes (A3)")
+        p.add_argument("--target-mode", choices=["residual", "absolute"],
+                       help="forecast target space (A4)")
 
-    p = add("evaluate", "score trained runs with grouped-bootstrap CIs")
-    p.add_argument("--runs", help="runs directory (default: train.runs_dir)")
+    add_grid_flags(add("train", "train the (model x task x seed) grid"))
+
+    p = add("evaluate", "score the grid's trained runs with grouped-bootstrap CIs")
+    add_grid_flags(p)
     p.add_argument("--no-calibration", action="store_true",
                    help="evaluate with temperature fixed to 1 (A1)")
     p.add_argument("--beta", type=float, help="F-beta for threshold selection (A2)")
@@ -50,6 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> BenchConfig:
     return load_config(args.config) if args.config else BenchConfig()
+
+
+def _with_grid_flags(config: BenchConfig, args) -> BenchConfig:
+    """Apply --hidden-sweep and --target-mode, which name the runs of the grid."""
+    if args.hidden_sweep:
+        try:
+            sweep = tuple(int(v) for v in args.hidden_sweep.split(","))
+            config = replace(config, hidden_sweep=sweep)
+        except ValueError as exc:
+            raise DataError(f"--hidden-sweep {args.hidden_sweep!r}: {exc}") from None
+    if args.target_mode:
+        config = replace(config, train=replace(config.train, target_mode=args.target_mode))
+    return config
 
 
 def main(argv=None) -> int:
@@ -65,13 +80,9 @@ def main(argv=None) -> int:
         elif args.command == "prepare":
             pipeline.run_prepare(config)
         elif args.command == "train":
-            if args.hidden_sweep:
-                sweep = tuple(int(v) for v in args.hidden_sweep.split(","))
-                config = replace(config, hidden_sweep=sweep)
-            if args.target_mode:
-                config = replace(config, train=replace(config.train, target_mode=args.target_mode))
-            pipeline.run_train(config, args.runs)
+            pipeline.run_train(_with_grid_flags(config, args), args.runs)
         elif args.command == "evaluate":
+            config = _with_grid_flags(config, args)
             if args.no_calibration:
                 config = replace(config, calibration=replace(config.calibration, enabled=False))
             if args.beta is not None:

@@ -12,6 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import DataError
+from .models import GrudConfig, TransformerConfig
 from .synth import SyntheticSpec
 from .training import TrainConfig
 
@@ -75,11 +76,45 @@ class BenchConfig:
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
     runs_dir: str = "out/runs"
 
+    def __post_init__(self):
+        # every encoder the grid names is built here, so that the encoder
+        # configs' own checks fail when the config is made, not in training
+        named = [("[models]", kind, None) for kind in self.models.kinds]
+        named += [("[train] hidden_sweep", "grud", hidden) for hidden in self.hidden_sweep]
+        for where, kind, hidden in named:
+            try:
+                self.encoder_config(kind, hidden)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+
+    def encoder_config(self, model_kind: str, hidden: int | None = None):
+        """The encoder config of a run of `model_kind`; `hidden`, if given,
+        replaces the GRU-D hidden size (the capacity sweep)."""
+        m = self.models
+        if model_kind == "grud":
+            return GrudConfig(hidden_dim=m.grud_hidden if hidden is None else hidden)
+        if model_kind == "transformer":
+            return TransformerConfig(
+                d_model=m.d_model,
+                layers=m.layers,
+                heads=m.heads,
+                ffn_dim=m.ffn_dim,
+                max_len=self.windows.context_seconds,
+                use_layer_norm=m.layer_norm,
+            )
+        raise ValueError(f"unknown model kind {model_kind!r}")
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
 
 def _parse_value(raw: str, kind):
     raw = raw.strip()
     if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean (one of {', '.join(_BOOLEANS)})")
+        return _BOOLEANS[raw.lower()]
     if kind in (int, float, str):
         return kind(raw)
     raise TypeError(f"unsupported config field type {kind}")
@@ -116,6 +151,10 @@ def load_config(path) -> BenchConfig:
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    known = {f.name for f in fields(BenchConfig) if f.default_factory is not MISSING}
+    for name in parser.sections():
+        if name not in known:
+            raise DataError(f"{path}: unknown section [{name}]")
     top: dict = {}
     for section in fields(BenchConfig):
         # each BenchConfig field built by a factory is the section of its name
@@ -137,7 +176,10 @@ def load_config(path) -> BenchConfig:
             top[section.name] = cls(**values)
         except ValueError as exc:
             raise DataError(f"{path}: [{section.name}]: {exc}") from None
-    return BenchConfig(**top)
+    try:
+        return BenchConfig(**top)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 DEFAULT_CONFIG_TEXT = """\

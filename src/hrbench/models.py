@@ -44,8 +44,8 @@ class TransformerConfig:
     use_layer_norm: bool = True
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ValueError("d_model must be divisible by heads")
+        if self.heads <= 0 or self.d_model % self.heads != 0:
+            raise ValueError("heads must be positive and divide d_model")
         if self.ffn_dim <= 0:
             raise ValueError("ffn_dim must be positive")
 
@@ -105,42 +105,34 @@ def grud_forward(
     the training mean; the previous hidden state is decayed by the elapsed
     time since the last observation. With mask all-ones and delta all-zeros
     both decays are exactly 1 and the cell is a plain GRU over the projected
-    inputs.
+    inputs. Everything but the gate recurrence is computed for all timesteps
+    at once; the recurrence is one `autodiff.gru_scan` node.
     """
     x = _normalize_context(context, config.input_dim)
-    batch, steps, d = x.shape
-    h_dim = config.hidden_dim
-    mask = np.ones_like(x) if mask is None else np.broadcast_to(
-        np.asarray(mask, dtype=np.float64).reshape(x.shape), x.shape
-    )
-    delta = np.zeros_like(x) if delta is None else np.broadcast_to(
-        np.asarray(delta, dtype=np.float64).reshape(x.shape), x.shape
-    )
+
+    def time_major(a):
+        """(B, T, ·) to (T, B, ·), the layout of the recurrence."""
+        return np.broadcast_to(np.asarray(a, dtype=np.float64).reshape(x.shape),
+                               x.shape).transpose(1, 0, 2)
+
+    mask = time_major(np.ones_like(x) if mask is None else mask)
+    delta = time_major(np.zeros_like(x) if delta is None else delta)
     if np.any(delta < 0):
         raise ContractViolation("delta must be elementwise >= 0")
-
-    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), (batch, d))
+    x = x.transpose(1, 0, 2)
+    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), x.shape)
     w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
     w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
     w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
-    w_hh, b_hh = params["grud.gru.w_hh"], params["grud.gru.b_hh"]
 
-    h = Tensor(np.zeros((batch, h_dim)))
-    for t in range(steps):
-        x_t, m_t, d_t = x[:, t, :], mask[:, t, :], delta[:, t, :]
-        gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gx))))
-        gamma_h = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gh))))
-        decayed = gamma_x * Tensor(x_t) + (1.0 - gamma_x) * Tensor(xbar)
-        x_hat = Tensor(m_t * x_t) + Tensor(1.0 - m_t) * decayed
-        z_t = ad.tanh(ad.concat([x_hat, Tensor(m_t)], axis=-1) @ w_z + b_z)
-        h_prev = gamma_h * h
-        gates_i = z_t @ w_ih + b_ih
-        gates_h = h_prev @ w_hh + b_hh
-        r = ad.sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
-        u = ad.sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
-        n = ad.tanh(gates_i[:, 2 * h_dim :] + r * gates_h[:, 2 * h_dim :])
-        h = (1.0 - u) * n + u * h_prev
-    return h
+    # the input side of every timestep at once
+    gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(delta), w_gx))))
+    gamma_h = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(delta), w_gh))))
+    decayed = gamma_x * Tensor(x) + (1.0 - gamma_x) * Tensor(xbar)
+    x_hat = Tensor(mask * x) + Tensor(1.0 - mask) * decayed
+    z = ad.tanh(ad.concat([x_hat, Tensor(mask)], axis=-1) @ w_z + b_z)
+    gates_i = z @ w_ih + b_ih
+    return ad.gru_scan(gates_i, gamma_h, params["grud.gru.w_hh"], params["grud.gru.b_hh"])
 
 
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
@@ -188,7 +180,13 @@ def transformer_forward(
     """Self-attention encoder with last-token pooling; h_T has shape (B, d_model).
 
     Every context sample precedes the prediction time, so full attention over
-    the window is causal with respect to the targets.
+    the window is causal with respect to the targets. Pooling reads only the
+    last position, so the final layer computes keys and values for every
+    position but everything else (queries, attention, out-projection,
+    residual, layer norms, FFN) for the last row only. With
+    `return_attention`, the attention maps come back as a list with one
+    entry per layer: (B, heads, T, T) for each earlier layer and
+    (B, heads, 1, T) for the final one.
     """
     x = _normalize_context(context, 1)
     batch, steps, _ = x.shape
@@ -205,23 +203,25 @@ def transformer_forward(
     attentions = []
     for layer in range(config.layers):
         p = f"tf.layer{layer}"
+        # the rows this layer's output keeps: all of them, or the pooled one
+        rows = hidden[:, -1:, :] if layer == config.layers - 1 else hidden
 
-        def _heads(name):
-            proj = hidden @ params[f"{p}.attn.{name}_w"]
+        def _heads(name, source):
+            proj = source @ params[f"{p}.attn.{name}_w"]
             if name != "k":
                 proj = proj + params[f"{p}.attn.{name}_b"]
-            split = ad.reshape(proj, (batch, steps, n_heads, d_head))
-            return ad.transpose(split, (0, 2, 1, 3))  # (B, heads, T, d_head)
+            split = ad.reshape(proj, (batch, source.shape[1], n_heads, d_head))
+            return ad.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, d_head)
 
-        q, k, v = _heads("q"), _heads("k"), _heads("v")
+        q, k, v = _heads("q", rows), _heads("k", hidden), _heads("v", hidden)
         scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head))
         attn = ad.softmax(scores)
         if return_attention:
             attentions.append(attn.data.copy())
         mixed = ad.transpose(attn @ v, (0, 2, 1, 3))
-        mixed = ad.reshape(mixed, (batch, steps, d))
+        mixed = ad.reshape(mixed, (batch, rows.shape[1], d))
         mha = mixed @ params[f"{p}.attn.out_w"] + params[f"{p}.attn.out_b"]
-        hidden = hidden + mha
+        hidden = rows + mha
         if config.use_layer_norm:
             hidden = ad.layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
         ffn = ad.relu(hidden @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"])

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,20 +154,6 @@ def _grid(config: BenchConfig) -> list[RunSpec]:
     return runs
 
 
-def _encoder_config(config: BenchConfig, spec: RunSpec):
-    m = config.models
-    if spec.model_kind == "grud":
-        return models.GrudConfig(hidden_dim=spec.hidden or m.grud_hidden)
-    return models.TransformerConfig(
-        d_model=m.d_model,
-        layers=m.layers,
-        heads=m.heads,
-        ffn_dim=m.ffn_dim,
-        max_len=config.windows.context_seconds,
-        use_layer_norm=m.layer_norm,
-    )
-
-
 def _encoder_from_blob(blob: dict):
     """(model kind, encoder config) from a checkpoint's config blob, which
     `run_train` writes as the model kind plus the encoder config's fields."""
@@ -184,7 +171,7 @@ def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
     run_ids = []
     for spec in _grid(config):
         run_id = spec.run_id
-        enc_config = _encoder_config(config, spec)
+        enc_config = config.encoder_config(spec.model_kind, spec.hidden)
         trained = training.train_model(
             spec.task, spec.model_kind, dataset, config.train, spec.seed,
             encoder_config=enc_config,
@@ -216,16 +203,6 @@ def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
         if "test" in dataset.access_log:
             raise EvaluationError("training touched the test split")
     return run_ids
-
-
-def _read_spec(run_dir: Path) -> RunSpec:
-    path = run_dir / "manifest.json"
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    try:
-        return RunSpec(**{f.name: manifest[f.name] for f in fields(RunSpec)})
-    except KeyError as exc:
-        raise EvaluationError(f"{path}: the run spec has no {exc.args[0]!r}") from None
 
 
 def metric_table(task: str, ece_bins: int | None = None, threshold: float | None = None) -> dict:
@@ -289,17 +266,27 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
 
 
 def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
-    """Score every trained run plus the non-learned baselines; write reports."""
+    """Score the runs of the config's grid plus the non-learned baselines;
+    write reports. Run directories outside the grid are not read; those that
+    hold a checkpoint (other seeds, a capacity sweep the config leaves out)
+    are named in a warning on stderr."""
     base = Path(runs_dir) if runs_dir else Path(config.runs_dir)
-    run_dirs = sorted(p for p in base.iterdir() if (p / "manifest.json").exists())
-    if not run_dirs:
-        raise EvaluationError(f"no trained runs under {base}")
+    specs = sorted(_grid(config), key=lambda spec: spec.run_id)
+    for spec in specs:
+        if not (base / spec.run_id / "checkpoint.json").exists():
+            raise EvaluationError(f"grid run {spec.run_id} has no checkpoint under {base}")
+    in_grid = {spec.run_id for spec in specs}
+    outside = sorted(path.parent.name for path in base.glob("*/checkpoint.json")
+                     if path.parent.name not in in_grid)
+    if outside:
+        print(f"warning: not scoring {len(outside)} trained run(s) under {base} outside "
+              f"the config's grid: {', '.join(outside)}", file=sys.stderr)
     dataset = load_prepared(config.data.dataset_dir)
     val, test = dataset.split("val"), dataset.split("test")
     labels = test.cls_labels.astype(np.float64)
     rows: list[dict] = []
-    for run_dir in run_dirs:
-        spec = _read_spec(run_dir)
+    for spec in specs:
+        run_dir = base / spec.run_id
         params, blob = load_checkpoint(run_dir / "checkpoint.json")
         kind, enc_config = _encoder_from_blob(blob)
 

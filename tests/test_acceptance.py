@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-7 are exact-identity and oracle checks; 8-11 run the full
-synthetic desk-scale benchmark (20 records x 1800 s, default config); 12-13
+synthetic desk-scale benchmark (20 records x 1800 s, default config) and are
+marked `slow`, as is 13, which trains the grid on MIT-BIH; 12-13
 require a user-supplied MIT-BIH R-peak export (set BENCH_MITBIH_MANIFEST to
 its manifest CSV) and are skipped without one.
 """
@@ -272,6 +273,7 @@ def desk(tmp_path_factory):
     }
 
 
+@pytest.mark.slow
 def test_c8_classifiers_beat_always_negative(desk):
     per = desk["per"]
     details = []
@@ -287,6 +289,7 @@ def test_c8_classifiers_beat_always_negative(desk):
                      f"({'; '.join(details)}); pipeline took {desk['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_c9_forecasters_beat_persistence(desk):
     per = desk["per"]
     ok = True
@@ -302,6 +305,7 @@ def test_c9_forecasters_beat_persistence(desk):
                      f"(worst relative margin {worst_margin:+.1%})")
 
 
+@pytest.mark.slow
 def test_c10_calibration_lowers_ece(desk):
     per, raw = desk["per"], desk["raw_ece"]
     ok = True
@@ -314,6 +318,7 @@ def test_c10_calibration_lowers_ece(desk):
     report("C10", ok, "calibrated ECE <= uncalibrated ECE: " + "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c11_residual_targets_win(desk):
     val_nll = desk["val_nll"]
     ok = True
@@ -381,6 +386,7 @@ def test_c12_mitbih_window_counts(mitbih):
 
 
 @needs_mitbih
+@pytest.mark.slow
 @pytest.mark.xfail(strict=False, reason="soft target: training-stack differences move these")
 def test_c13_mitbih_headline_numbers(mitbih):
     config, _ = mitbih

@@ -176,6 +176,37 @@ def test_every_op_matches_finite_differences(seed):
         assert err < tol, f"{name}: relative error {err:.2e} >= {tol}"
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_gru_scan_matches_finite_differences(seed):
+    # decays strictly below 1, so the gradient into gamma_h is exercised
+    rng = np.random.default_rng(seed)
+    steps, batch, h = 5, 3, 4
+    gates = Parameter("gates", rng.uniform(-2, 2, (steps, batch, 3 * h)))
+    gamma = Parameter("gamma", rng.uniform(0.2, 0.9, (steps, batch, h)))
+    w_hh = Parameter("w_hh", rng.uniform(-1, 1, (h, 3 * h)))
+    b_hh = Parameter("b_hh", rng.uniform(-0.5, 0.5, 3 * h))
+    weights = Tensor(rng.uniform(-1, 1, (batch, h)))
+
+    def closure():
+        return ad.sum_(ad.gru_scan(gates, gamma, w_hh, b_hh) * weights)
+
+    assert check_gradients(closure, [gates, gamma, w_hh, b_hh], epsilon=1e-4) < 1e-5
+
+
+def test_gru_scan_is_one_node_and_rejects_mismatched_shapes():
+    rng = np.random.default_rng(3)
+    gates = Parameter("gates", rng.normal(size=(6, 2, 9)))
+    w_hh, b_hh = Parameter("w_hh", rng.normal(size=(3, 9))), Parameter("b_hh", np.zeros(9))
+    h = ad.gru_scan(gates, np.ones((6, 2, 3)), w_hh, b_hh)
+    assert h.shape == (2, 3)
+    nodes = Tape(h).nodes
+    assert nodes[-1] is h and {id(n) for n in nodes[:-1]} == {id(gates), id(w_hh), id(b_hh)}
+    with pytest.raises(ShapeError):
+        ad.gru_scan(gates, np.ones((6, 2, 4)), w_hh, b_hh)
+    with pytest.raises(ShapeError):
+        ad.gru_scan(Tensor(np.zeros((6, 2, 8))), np.ones((6, 2, 3)), w_hh, b_hh)
+
+
 def test_check_gradients_linear_model_near_exact():
     rng = np.random.default_rng(11)
     w = Parameter("w", rng.normal(size=(4, 1)))

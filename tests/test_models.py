@@ -56,6 +56,151 @@ def project_inputs(params, context):
     return z
 
 
+def grud_forward_reference(config, params, context, mask=None, delta=None):
+    """GRU-D as a recorded op per timestep (about 30 nodes a step): the
+    op-by-op form `grud_forward` must agree with."""
+    x = models._normalize_context(context, config.input_dim)
+    batch, steps, d = x.shape
+    h_dim = config.hidden_dim
+    mask = np.ones_like(x) if mask is None else np.broadcast_to(mask, x.shape)
+    delta = np.zeros_like(x) if delta is None else np.broadcast_to(delta, x.shape)
+    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), (batch, d))
+    w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
+    w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
+    w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
+    w_hh, b_hh = params["grud.gru.w_hh"], params["grud.gru.b_hh"]
+    h = Tensor(np.zeros((batch, h_dim)))
+    for t in range(steps):
+        x_t, m_t, d_t = x[:, t, :], mask[:, t, :], delta[:, t, :]
+        gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gx))))
+        gamma_h = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gh))))
+        decayed = gamma_x * Tensor(x_t) + (1.0 - gamma_x) * Tensor(xbar)
+        x_hat = Tensor(m_t * x_t) + Tensor(1.0 - m_t) * decayed
+        z_t = ad.tanh(ad.concat([x_hat, Tensor(m_t)], axis=-1) @ w_z + b_z)
+        h_prev = gamma_h * h
+        gates_i = z_t @ w_ih + b_ih
+        gates_h = h_prev @ w_hh + b_hh
+        r = ad.sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
+        u = ad.sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
+        n = ad.tanh(gates_i[:, 2 * h_dim :] + r * gates_h[:, 2 * h_dim :])
+        h = (1.0 - u) * n + u * h_prev
+    return h
+
+
+def transformer_forward_reference(config, params, context):
+    """The Transformer with every layer computed for every position, pooled at
+    the last one: what `transformer_forward` must agree with."""
+    x = models._normalize_context(context, 1)
+    batch, steps, _ = x.shape
+    d, n_heads = config.d_model, config.heads
+    d_head = d // n_heads
+    pos = sinusoidal_positions(steps, d)
+    hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
+        np.broadcast_to(pos, (batch, steps, d)).copy())
+    for layer in range(config.layers):
+        p = f"tf.layer{layer}"
+
+        def _heads(name):
+            proj = hidden @ params[f"{p}.attn.{name}_w"]
+            if name != "k":
+                proj = proj + params[f"{p}.attn.{name}_b"]
+            return ad.transpose(ad.reshape(proj, (batch, steps, n_heads, d_head)), (0, 2, 1, 3))
+
+        q, k, v = _heads("q"), _heads("k"), _heads("v")
+        attn = ad.softmax((q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head)))
+        mixed = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, steps, d))
+        hidden = hidden + (mixed @ params[f"{p}.attn.out_w"] + params[f"{p}.attn.out_b"])
+        if config.use_layer_norm:
+            hidden = ad.layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
+        ffn = ad.relu(hidden @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"])
+        hidden = hidden + (ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"])
+        if config.use_layer_norm:
+            hidden = ad.layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
+    return hidden[:, -1, :]
+
+
+def _output_and_gradients(encode, params, last, rng):
+    """h_T and every parameter's gradient of a loss that reads all three heads."""
+    h = encode()
+    out = heads_forward(h, params, last)
+    batch = h.shape[0]
+    loss = training.weighted_bce(out.cls_logit, rng.integers(0, 2, batch), 2.0) + \
+        training.gaussian_nll(out.mu_tilde, out.sigma_n, rng.normal(size=batch))
+    ad.zero_grads(params.values())
+    ad.backward(loss)
+    return h.data, {name: p.grad.copy() for name, p in params.items()}
+
+
+def _assert_agree(actual, reference):
+    """Within 1e-12, relative to the reference's largest magnitude when that
+    exceeds 1."""
+    outputs, grads = actual
+    ref_outputs, ref_grads = reference
+    for name, a, b in [("h_T", outputs, ref_outputs),
+                       *((n, grads[n], ref_grads[n]) for n in ref_grads)]:
+        scale = max(1.0, float(np.abs(b).max()))
+        assert np.abs(a - b).max() <= 1e-12 * scale, name
+
+
+def _random_model(params, hidden_dim, rng):
+    params.update(init_head_params(hidden_dim, rng))
+    for p in params.values():
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    return params
+
+
+class TestAgainstOpByOpReferences:
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_grud_matches_the_per_timestep_loop(self, observed):
+        rng = np.random.default_rng(30)
+        d = 1 if observed else 2
+        config = GrudConfig(input_dim=d, hidden_dim=7, train_mean=(0.3, -0.1)[:d])
+        params = _random_model(init_grud_params(config, rng), 7, rng)
+        context = rng.normal(size=(5, 12, d))
+        mask = delta = None
+        if not observed:
+            mask = (rng.uniform(size=context.shape) > 0.3).astype(float)
+            delta = rng.uniform(0.0, 2.0, context.shape)
+        last = context[:, -1, 0]
+        fused = _output_and_gradients(
+            lambda: grud_forward(config, params, context, mask, delta), params, last,
+            np.random.default_rng(1))
+        ref = _output_and_gradients(
+            lambda: grud_forward_reference(config, params, context, mask, delta), params, last,
+            np.random.default_rng(1))
+        _assert_agree(fused, ref)
+        if not observed:
+            assert np.abs(ref[1]["grud.decay_h.w"]).max() > 1e-3  # the decay path is live
+
+    @pytest.mark.parametrize("layer_norm", [True, False])
+    def test_transformer_matches_the_full_sequence_layers(self, layer_norm):
+        rng = np.random.default_rng(31)
+        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=15,
+                                   use_layer_norm=layer_norm)
+        params = _random_model(init_transformer_params(config, rng), 8, rng)
+        context = rng.normal(size=(4, 15))
+        last = context[:, -1]
+        pooled = _output_and_gradients(
+            lambda: transformer_forward(config, params, context), params, last,
+            np.random.default_rng(2))
+        ref = _output_and_gradients(
+            lambda: transformer_forward_reference(config, params, context), params, last,
+            np.random.default_rng(2))
+        _assert_agree(pooled, ref)
+
+    def test_grud_tape_does_not_grow_with_steps(self):
+        config = GrudConfig(hidden_dim=6)
+        params = _random_model(init_grud_params(config, np.random.default_rng(32)), 6,
+                               np.random.default_rng(33))
+
+        def nodes(steps):
+            context = np.random.default_rng(34).normal(size=(4, steps))
+            out = heads_forward(grud_forward(config, params, context), params, context[:, -1])
+            return len(ad.Tape(training.weighted_bce(out.cls_logit, np.ones(4), 1.0)).nodes)
+
+        assert nodes(10) == nodes(60) < 60
+
+
 class TestGrud:
     def test_reduces_to_plain_gru_when_fully_observed(self):
         rng = np.random.default_rng(0)
@@ -142,6 +287,15 @@ class TestTransformer:
             config, params, rng.uniform(-1, 1, (3, 10)), return_attention=True
         )
         np.testing.assert_allclose(attentions[0], 1.0 / 10.0, atol=1e-12)
+
+    def test_final_layer_attends_from_the_pooled_row_only(self):
+        rng = np.random.default_rng(22)
+        config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16, max_len=16)
+        params = init_transformer_params(config, rng)
+        _, attentions = transformer_forward(
+            config, params, rng.uniform(-2, 2, (3, 13)), return_attention=True
+        )
+        assert [a.shape for a in attentions] == [(3, 4, 13, 13), (3, 4, 1, 13)]
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(8)

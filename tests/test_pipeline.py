@@ -17,6 +17,7 @@ from hrbench.config import (
     load_config,
     write_default_config,
 )
+from hrbench.errors import EvaluationError
 from hrbench.ingest import load_prepared
 from hrbench.synth import SyntheticSpec
 from hrbench.training import TrainConfig
@@ -199,6 +200,30 @@ class TestEvaluate:
                 sidecar = json.loads((run_dir / "calibration.json").read_text("utf-8"))
                 assert sidecar["temperature"] == 1.0
 
+    def test_scores_exactly_the_grid(self, prepared, capsys):
+        config, _ = prepared
+        config = replace(config, train=replace(config.train, seeds=(0, 1, 2), epochs=1))
+        pipeline.run_train(config)
+        # a directory outside the grid is never read, however broken
+        stray = Path(config.runs_dir) / "classification_grud_seed9"
+        stray.mkdir()
+        (stray / "manifest.json").write_text("{", encoding="utf-8")
+        only_seed0 = replace(config, train=replace(config.train, seeds=(0,)))
+        capsys.readouterr()
+        rows = pipeline.run_evaluate(only_seed0)
+        assert {r["seed"] for r in rows} == {0}
+        # the trained runs left out are named; the stray one holds no checkpoint
+        warning = capsys.readouterr().err
+        assert "8 trained run(s)" in warning and "forecasting_transformer_seed2" in warning
+        assert "seed9" not in warning
+        learned = {(r["task"], r["model"]) for r in rows
+                   if r["model"] not in ("always_negative", "persistence")}
+        assert learned == {(task, kind) for task in ("classification", "forecasting")
+                           for kind in ("grud", "transformer")}
+        (Path(config.runs_dir) / "forecasting_transformer_seed2" / "checkpoint.json").unlink()
+        with pytest.raises(EvaluationError, match="forecasting_transformer_seed2"):
+            pipeline.run_evaluate(config)
+
     def test_evaluate_without_runs_fails(self, prepared):
         config, _ = prepared
         Path(config.runs_dir).mkdir(parents=True, exist_ok=True)
@@ -312,9 +337,10 @@ class TestCli:
         assert cli.main(["report", "--config", str(ini)]) == 0
         assert (tmp_path / "runs" / "summary.csv").exists()
 
-    def test_target_mode_flag(self, prepared):
-        config, _ = prepared
-        ini = Path(config.runs_dir).parent / "abs.ini"
+    @staticmethod
+    def _grud_ini(config, suffix) -> Path:
+        """A one-epoch, seed-0, GRU-D-only config on the prepared dataset."""
+        ini = Path(config.runs_dir).parent / f"{suffix}.ini"
         ini.write_text(
             "\n".join(
                 [
@@ -326,17 +352,47 @@ class TestCli:
                     "[train]",
                     "epochs = 1",
                     "seeds = 0",
-                    f"runs_dir = {config.runs_dir}_abs",
+                    f"runs_dir = {config.runs_dir}_{suffix}",
                 ]
             ),
             encoding="utf-8",
         )
+        return ini
+
+    def test_target_mode_flag(self, prepared):
+        config, _ = prepared
+        ini = self._grud_ini(config, "abs")
         assert cli.main(["train", "--config", str(ini), "--target-mode", "absolute"]) == 0
         manifest = json.loads(
             (Path(f"{config.runs_dir}_abs") / "forecasting_grud_absolute_seed0" / "manifest.json")
             .read_text(encoding="utf-8")
         )
         assert manifest["target_mode"] == "absolute"
+        # evaluate names the same grid with the same flag; without it the
+        # residual forecasting runs it expects are missing
+        assert cli.main(["evaluate", "--config", str(ini), "--target-mode", "absolute"]) == 0
+        assert cli.main(["evaluate", "--config", str(ini)]) == EvaluationError.exit_code
+
+    def test_hidden_sweep_flag(self, prepared, capsys):
+        config, _ = prepared
+        ini = self._grud_ini(config, "sweep")
+        assert cli.main(["train", "--config", str(ini), "--hidden-sweep", "4,6"]) == 0
+        capsys.readouterr()
+
+        def swept_models():
+            report = pipeline.read_report(f"{config.runs_dir}_sweep")
+            return {r["model"] for r in report if r["model"].startswith("grud_h")}
+
+        # without the flag the sweep runs are outside the grid: not scored,
+        # but named on stderr
+        assert cli.main(["evaluate", "--config", str(ini)]) == 0
+        warning = capsys.readouterr().err
+        assert "classification_grud_h4_seed0" in warning
+        assert "classification_grud_h6_seed0" in warning
+        assert swept_models() == set()
+        assert cli.main(["evaluate", "--config", str(ini), "--hidden-sweep", "4,6"]) == 0
+        assert capsys.readouterr().err == ""
+        assert swept_models() == {"grud_h4", "grud_h6"}
 
 
 def _peak_manifest(tmp_path, peaks: str, row: str = "r1,r1.txt") -> str:
@@ -375,6 +431,14 @@ MALFORMED = {
     "unparsable_value": ("prepare", lambda t: "[train]\nepochs = six\n", "[train] epochs"),
     "zero_epochs": ("prepare", lambda t: "[train]\nepochs = 0\n", "[train]"),
     "windows_header": ("train", _bad_windows_header, "windows.csv"),
+    "unknown_section": ("prepare", lambda t: "[trian]\nepochs = 1\n", "[trian]"),
+    "misspelt_boolean": ("prepare", lambda t: "[models]\nlayer_norm = ture\n",
+                         "[models] layer_norm"),
+    "heads_not_dividing_d_model": ("prepare", lambda t: "[models]\nheads = 3\n", "[models]"),
+    "unknown_model_kind": ("prepare", lambda t: "[models]\nkinds = gru\n", "'gru'"),
+    "non_integer_sweep": ("train --hidden-sweep x", lambda t: "[train]\n", "--hidden-sweep"),
+    "zero_sweep_flag": ("train --hidden-sweep 32,0", lambda t: "[train]\n", "--hidden-sweep"),
+    "zero_sweep_key": ("prepare", lambda t: "[train]\nhidden_sweep = 0\n", "hidden_sweep"),
 }
 
 
@@ -383,7 +447,7 @@ def test_malformed_input_is_a_data_error(case, tmp_path, capsys):
     command, ini_text, where = MALFORMED[case]
     ini = tmp_path / "bench.ini"
     ini.write_text(ini_text(tmp_path), encoding="utf-8")
-    assert cli.main([command, "--config", str(ini)]) == 2
+    assert cli.main([*command.split(), "--config", str(ini)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert where in err[0]
