@@ -3,16 +3,22 @@
 Define-by-run: every operation eagerly computes its value and records the
 backward rule on the produced node, so the graph is rebuilt on each forward
 pass. Only the operations the two encoders and their losses need are
-provided. Broadcasting is deliberately restricted to adding a last-axis bias
-vector; all other elementwise operands must match shapes exactly, which turns
-most wiring mistakes into immediate ShapeErrors instead of silent ones.
-Inside `no_grad()` nothing is recorded, for inference.
+provided. The blocks that do most of a training step's work are fused nodes
+with hand-written backward rules: the GRU recurrence (`gru_scan`) and the
+Transformer layer's multi-head attention (`attention`), feed-forward block
+(`ffn`) and residual layer norm (`add_layer_norm`). Each records one node
+and keeps only the arrays its backward reads. Broadcasting is deliberately
+restricted to adding a last-axis bias vector; all other elementwise operands
+must match shapes exactly, which turns most wiring mistakes into immediate
+ShapeErrors instead of silent ones. Inside `no_grad()` nothing is recorded,
+for inference.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -366,21 +372,6 @@ def softplus(a) -> Tensor:
     return out
 
 
-def softmax(a) -> Tensor:
-    """Softmax over the last axis."""
-    a = _coerce(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s, (a,))
-
-    def _bw(g):
-        _accum(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
-
-    out._backward = _bw
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation and reductions
 
@@ -425,16 +416,6 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = _coerce(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    inverse = np.argsort(axes)
-    out = Tensor(np.transpose(a.data, axes), (a,))
-    out._backward = lambda g: _accum(a, np.transpose(g, inverse))
-    return out
-
-
 def mean(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(a.data.mean(), (a,))
@@ -447,33 +428,6 @@ def sum_(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(a.data.sum(), (a,))
     out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
-    return out
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, (x, gain, bias))
-
-    def _bw(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
-
-    out._backward = _bw
     return out
 
 
@@ -572,6 +526,164 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
             undecayed = np.zeros_like(h_prev)
             undecayed[1:] = (1.0 - u[:-1]) * n[:-1] + u[:-1] * h_prev[:-1]
             _accum(gamma_h, d_hps * undecayed)
+
+    out._backward = _bw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Transformer layer
+
+
+def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
+    """Multi-head attention of the rows of x_q over the rows of x_kv, as one node.
+
+    x_q is (B, R, d) and x_kv is (B, T, d); the output is (B, R, d):
+
+        q = x_q @ w_q + b_q;  k = x_kv @ w_k;  v = x_kv @ w_v + b_v
+        s_h = softmax(q_h @ k_h^T / sqrt(d / heads)) for each head h
+        out = concat_h(s_h @ v_h) @ w_out + b_out
+
+    Keys have no bias: it would add the same value to every score of a row.
+    When x_q is x_kv the three projections are one product. Returns the
+    output and the attention probabilities s, (B, heads, R, T). Backward
+    reuses the saved projections and probabilities and forms the softmax
+    gradient (g - rowsum(g * s)) * s once for all heads.
+    """
+    x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out = (
+        _coerce(t) for t in (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
+    if x_q.ndim != 3 or x_kv.ndim != 3 or x_q.shape[0] != x_kv.shape[0] \
+            or x_q.shape[2] != x_kv.shape[2]:
+        raise ShapeError(f"attention: x_q {x_q.shape} and x_kv {x_kv.shape} must be "
+                         "(B, R, d) and (B, T, d)")
+    batch, rows, d = x_q.shape
+    if heads <= 0 or d % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide d = {d}")
+    if any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_out)) \
+            or any(b.shape != (d,) for b in (b_q, b_v, b_out)):
+        raise ShapeError(f"attention: weights must be ({d}, {d}) and biases ({d},)")
+    d_head = d // heads
+    scale = 1.0 / math.sqrt(d_head)
+    weights = {"q": w_q, "k": w_k, "v": w_v}
+    # each input, the projections it feeds, and their weights side by side
+    sources = [(x_q, "qkv")] if x_q is x_kv else [(x_q, "q"), (x_kv, "kv")]
+    groups = [(x, names, np.concatenate([weights[n].data for n in names], axis=1))
+              for x, names in sources]
+    proj = {}  # name -> (B, heads, rows, d_head) view into its group's product
+    for x, names, w in groups:
+        y = (x.data @ w).reshape(batch, x.shape[1], len(names), heads, d_head)
+        for i, name in enumerate(names):
+            proj[name] = y[:, :, i].transpose(0, 2, 1, 3)
+    q, k, v = proj["q"], proj["k"], proj["v"]
+    q += b_q.data.reshape(heads, 1, d_head)
+    v += b_v.data.reshape(heads, 1, d_head)
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    mixed = (s @ v).transpose(0, 2, 1, 3).reshape(batch, rows, d)
+    value = mixed @ w_out.data
+    value += b_out.data
+    out = Tensor(value, (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
+    if not out.requires_grad:
+        return out, s
+
+    def _bw(g):
+        g_rows = g.reshape(-1, d)
+        _accum(b_out, g_rows.sum(axis=0))
+        _accum(w_out, mixed.reshape(-1, d).T @ g_rows)
+        d_mixed = (g_rows @ w_out.data.T).reshape(batch, rows, heads, d_head)
+        d_mixed = d_mixed.transpose(0, 2, 1, 3)
+        d_s = d_mixed @ np.swapaxes(v, -1, -2)
+        d_proj = {"v": np.swapaxes(s, -1, -2) @ d_mixed}
+        d_s -= (d_s * s).sum(axis=-1, keepdims=True)
+        d_s *= s
+        d_s *= scale
+        d_proj["q"] = d_s @ k
+        d_proj["k"] = np.swapaxes(d_s, -1, -2) @ q
+        _accum(b_q, d_proj["q"].sum(axis=(0, 2)).reshape(d))
+        _accum(b_v, d_proj["v"].sum(axis=(0, 2)).reshape(d))
+        for x, names, w in groups:
+            d_y = np.empty((batch, x.shape[1], len(names), heads, d_head))
+            for i, name in enumerate(names):
+                d_y[:, :, i] = d_proj[name].transpose(0, 2, 1, 3)
+            d_y = d_y.reshape(-1, len(names) * d)
+            d_w = x.data.reshape(-1, d).T @ d_y
+            for i, name in enumerate(names):
+                _accum(weights[name], d_w[:, i * d : (i + 1) * d])
+            if x.requires_grad:
+                _accum(x, (d_y @ w.T).reshape(x.shape))
+
+    out._backward = _bw
+    return out, s
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """The position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2, as
+    one node over the last axis of x."""
+    x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
+    if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
+            or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] \
+            or b2.shape != (w2.shape[1],):
+        raise ShapeError(f"ffn: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} "
+                         f"and b2 {b2.shape} do not chain")
+    d_in, width = w1.shape
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    value = hidden @ w2.data
+    value += b2.data
+    out = Tensor(value, (x, w1, b1, w2, b2))
+    if not out.requires_grad:
+        return out
+
+    def _bw(g):
+        g_rows = g.reshape(-1, w2.shape[1])
+        h_rows = hidden.reshape(-1, width)
+        _accum(b2, g_rows.sum(axis=0))
+        _accum(w2, h_rows.T @ g_rows)
+        d_h = g_rows @ w2.data.T
+        d_h *= h_rows > 0.0
+        _accum(b1, d_h.sum(axis=0))
+        _accum(w1, x.data.reshape(-1, d_in).T @ d_h)
+        if x.requires_grad:
+            _accum(x, (d_h @ w1.data.T).reshape(x.shape))
+
+    out._backward = _bw
+    return out
+
+
+def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
+    """A residual connection and its layer norm as one node: x + y normalized
+    to zero mean and unit variance over the last axis, then gain and bias."""
+    x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
+    d = x.shape[-1]
+    if y.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"add_layer_norm: x {x.shape} needs y of the same shape and "
+                         f"gain/bias ({d},); got {y.shape}, {gain.shape} and {bias.shape}")
+    xhat = x.data + y.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    value = xhat * gain.data
+    value += bias.data
+    out = Tensor(value, (x, y, gain, bias))
+    if not out.requires_grad:
+        return out
+
+    def _bw(g):
+        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        _accum(bias, g.reshape(-1, d).sum(axis=0))
+        d_sum = g * gain.data
+        m1 = d_sum.mean(axis=-1, keepdims=True)
+        m2 = (d_sum * xhat).mean(axis=-1, keepdims=True)
+        d_sum -= m1
+        d_sum -= xhat * m2
+        d_sum *= inv
+        _accum(x, d_sum)
+        _accum(y, d_sum)
 
     out._backward = _bw
     return out

@@ -44,6 +44,8 @@ class TransformerConfig:
     use_layer_norm: bool = True
 
     def __post_init__(self):
+        if self.d_model <= 0 or self.layers < 1:
+            raise ValueError("d_model and layers must be positive")
         if self.heads <= 0 or self.d_model % self.heads != 0:
             raise ValueError("heads must be positive and divide d_model")
         if self.ffn_dim <= 0:
@@ -180,10 +182,13 @@ def transformer_forward(
     """Self-attention encoder with last-token pooling; h_T has shape (B, d_model).
 
     Every context sample precedes the prediction time, so full attention over
-    the window is causal with respect to the targets. Pooling reads only the
-    last position, so the final layer computes keys and values for every
-    position but everything else (queries, attention, out-projection,
-    residual, layer norms, FFN) for the last row only. With
+    the window is causal with respect to the targets. A layer is three kinds
+    of autodiff node, each with its own backward: `attention`, `ffn`, and
+    `add_layer_norm` for each residual connection (a plain add without layer
+    norm). Pooling reads only the last position, so the final layer passes
+    that row alone as the attention's queries: it computes keys and values
+    for every position but everything else (queries, attention,
+    out-projection, residual, layer norms, FFN) for the last row only. With
     `return_attention`, the attention maps come back as a list with one
     entry per layer: (B, heads, T, T) for each earlier layer and
     (B, heads, 1, T) for the final one.
@@ -192,43 +197,33 @@ def transformer_forward(
     batch, steps, _ = x.shape
     if steps > config.max_len:
         raise ContractViolation(f"context length {steps} exceeds max_len {config.max_len}")
-    d, n_heads = config.d_model, config.heads
-    d_head = d // n_heads
-
+    d = config.d_model
     pos = sinusoidal_positions(steps, d)
     hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
         np.broadcast_to(pos, (batch, steps, d)).copy()
     )
+
+    def residual(base, update, norm):
+        if config.use_layer_norm:
+            return ad.add_layer_norm(base, update, params[f"{norm}.g"], params[f"{norm}.b"])
+        return base + update
 
     attentions = []
     for layer in range(config.layers):
         p = f"tf.layer{layer}"
         # the rows this layer's output keeps: all of them, or the pooled one
         rows = hidden[:, -1:, :] if layer == config.layers - 1 else hidden
-
-        def _heads(name, source):
-            proj = source @ params[f"{p}.attn.{name}_w"]
-            if name != "k":
-                proj = proj + params[f"{p}.attn.{name}_b"]
-            split = ad.reshape(proj, (batch, source.shape[1], n_heads, d_head))
-            return ad.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, d_head)
-
-        q, k, v = _heads("q", rows), _heads("k", hidden), _heads("v", hidden)
-        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head))
-        attn = ad.softmax(scores)
+        mha, attn = ad.attention(
+            rows, hidden,
+            *(params[f"{p}.attn.{name}"] for name in ("q_w", "q_b", "k_w", "v_w", "v_b",
+                                                      "out_w", "out_b")),
+            heads=config.heads,
+        )
         if return_attention:
-            attentions.append(attn.data.copy())
-        mixed = ad.transpose(attn @ v, (0, 2, 1, 3))
-        mixed = ad.reshape(mixed, (batch, rows.shape[1], d))
-        mha = mixed @ params[f"{p}.attn.out_w"] + params[f"{p}.attn.out_b"]
-        hidden = rows + mha
-        if config.use_layer_norm:
-            hidden = ad.layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
-        ffn = ad.relu(hidden @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"])
-        ffn = ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-        hidden = hidden + ffn
-        if config.use_layer_norm:
-            hidden = ad.layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
+            attentions.append(attn.copy())
+        hidden = residual(rows, mha, f"{p}.norm1")
+        ffn = ad.ffn(hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
+        hidden = residual(hidden, ffn, f"{p}.norm2")
 
     h_last = hidden[:, -1, :]
     if return_attention:

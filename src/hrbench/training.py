@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +97,34 @@ def adamw_step(
         p.data -= lr * (update + weight_decay * p.data)
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# the smallest pair that keeps a 64-window default Transformer step (largest
+# arrays about 8 MB: its attention probabilities and FFN activations) and a
+# GRU-D step free of page faults after the first steps
+MMAP_THRESHOLD = 8 << 20
+TRIM_THRESHOLD = 32 << 20
+
+
+def hold_freed_memory() -> None:
+    """Keep the memory a training step frees for the next step.
+
+    With glibc's default thresholds a freed multi-megabyte array goes back to
+    the OS (unmapped, or trimmed off the top of the heap), and the next step
+    faults the same pages in again. Arrays below MMAP_THRESHOLD come from the
+    heap instead, and up to TRIM_THRESHOLD of free memory stays at its top.
+    The setting is process-wide. Elsewhere than on glibc this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffled index batches covering every example exactly once."""
     perm = rng.permutation(n)
@@ -157,7 +187,8 @@ def train_model(
 
     `encoder_config` is the GrudConfig or TransformerConfig of `model_kind`.
     Batches are reshuffled across records each epoch; the final-epoch weights
-    are returned without any validation-based selection.
+    are returned without any validation-based selection. On glibc it first
+    sets the process's allocator thresholds (`hold_freed_memory`).
     """
     if task not in ("classification", "forecasting"):
         raise ValueError(f"unknown task {task!r}")
@@ -166,6 +197,7 @@ def train_model(
     if train.n == 0:
         raise TrainingDiverged("empty training split")
 
+    hold_freed_memory()
     params = _build_model(model_kind, encoder_config, seed)
     if task == "forecasting":
         _seed_scale_head(params, train, config.target_mode)

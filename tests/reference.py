@@ -1,0 +1,155 @@
+"""Op-by-op references that the package's fused nodes are tested against.
+
+`softmax`, `layer_norm` and `transpose` are recorded autodiff ops of their
+own, and `grud_forward_reference` and `transformer_forward_reference` build
+each encoder from single ops: the forms that `autodiff.gru_scan`,
+`autodiff.attention`, `autodiff.ffn` and `autodiff.add_layer_norm` must
+agree with. The package does not ship them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hrbench import autodiff as ad
+from hrbench import models
+from hrbench.autodiff import Tensor, _accum, _coerce
+from hrbench.errors import ShapeError
+
+
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
+    a = _coerce(a)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(s, (a,))
+
+    def _bw(g):
+        _accum(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
+
+    out._backward = _bw
+    return out
+
+
+def transpose(a, axes=None) -> Tensor:
+    a = _coerce(a)
+    if axes is None:
+        axes = tuple(reversed(range(a.ndim)))
+    inverse = np.argsort(axes)
+    out = Tensor(np.transpose(a.data, axes), (a,))
+    out._backward = lambda g: _accum(a, np.transpose(g, inverse))
+    return out
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layer_norm: gain/bias must be ({d},), got {gain.shape} and {bias.shape}"
+        )
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = Tensor(xhat * gain.data + bias.data, (x, gain, bias))
+
+    def _bw(g):
+        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        _accum(bias, g.reshape(-1, d).sum(axis=0))
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        _accum(x, inv * (dxhat - m1 - xhat * m2))
+
+    out._backward = _bw
+    return out
+
+
+def attention_reference(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads):
+    """Multi-head attention from single ops: `autodiff.attention`'s output
+    and probabilities."""
+    x_q, x_kv = _coerce(x_q), _coerce(x_kv)
+    batch, rows, d = x_q.shape
+    d_head = d // heads
+
+    def split(proj, n):
+        return transpose(ad.reshape(proj, (batch, n, heads, d_head)), (0, 2, 1, 3))
+
+    q = split(x_q @ w_q + b_q, rows)
+    k = split(x_kv @ w_k, x_kv.shape[1])
+    v = split(x_kv @ w_v + b_v, x_kv.shape[1])
+    attn = softmax((q @ transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head)))
+    mixed = ad.reshape(transpose(attn @ v, (0, 2, 1, 3)), (batch, rows, d))
+    return mixed @ w_out + b_out, attn.data
+
+
+def ffn_reference(x, w1, b1, w2, b2) -> Tensor:
+    return ad.relu(x @ w1 + b1) @ w2 + b2
+
+
+def add_layer_norm_reference(x, y, gain, bias) -> Tensor:
+    return layer_norm(_coerce(x) + y, gain, bias)
+
+
+def grud_forward_reference(config, params, context, mask=None, delta=None):
+    """GRU-D as a recorded op per timestep (about 30 nodes a step): the
+    op-by-op form `grud_forward` must agree with."""
+    x = models._normalize_context(context, config.input_dim)
+    batch, steps, d = x.shape
+    h_dim = config.hidden_dim
+    mask = np.ones_like(x) if mask is None else np.broadcast_to(mask, x.shape)
+    delta = np.zeros_like(x) if delta is None else np.broadcast_to(delta, x.shape)
+    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), (batch, d))
+    w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
+    w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
+    w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
+    w_hh, b_hh = params["grud.gru.w_hh"], params["grud.gru.b_hh"]
+    h = Tensor(np.zeros((batch, h_dim)))
+    for t in range(steps):
+        x_t, m_t, d_t = x[:, t, :], mask[:, t, :], delta[:, t, :]
+        gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gx))))
+        gamma_h = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gh))))
+        decayed = gamma_x * Tensor(x_t) + (1.0 - gamma_x) * Tensor(xbar)
+        x_hat = Tensor(m_t * x_t) + Tensor(1.0 - m_t) * decayed
+        z_t = ad.tanh(ad.concat([x_hat, Tensor(m_t)], axis=-1) @ w_z + b_z)
+        h_prev = gamma_h * h
+        gates_i = z_t @ w_ih + b_ih
+        gates_h = h_prev @ w_hh + b_hh
+        r = ad.sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
+        u = ad.sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
+        n = ad.tanh(gates_i[:, 2 * h_dim :] + r * gates_h[:, 2 * h_dim :])
+        h = (1.0 - u) * n + u * h_prev
+    return h
+
+
+def transformer_forward_reference(config, params, context):
+    """The Transformer from single ops with every layer computed for every
+    position, pooled at the last one: what `transformer_forward` must agree
+    with."""
+    x = models._normalize_context(context, 1)
+    batch, steps, _ = x.shape
+    d = config.d_model
+    pos = models.sinusoidal_positions(steps, d)
+    hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
+        np.broadcast_to(pos, (batch, steps, d)).copy())
+    for layer in range(config.layers):
+        p = f"tf.layer{layer}"
+        mha, _ = attention_reference(
+            hidden, hidden,
+            *(params[f"{p}.attn.{name}"] for name in ("q_w", "q_b", "k_w", "v_w", "v_b",
+                                                      "out_w", "out_b")),
+            heads=config.heads)
+        hidden = hidden + mha
+        if config.use_layer_norm:
+            hidden = layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
+        hidden = hidden + ffn_reference(
+            hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
+        if config.use_layer_norm:
+            hidden = layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
+    return hidden[:, -1, :]

@@ -16,13 +16,14 @@ from hrbench.autodiff import (
     zero_grads,
 )
 from hrbench.errors import ContractViolation, ShapeError
+import reference
 
 
 def test_standard_forward_values():
     assert ad.tanh(Tensor(0.0)).item() == 0.0
     assert ad.sigmoid(Tensor(0.0)).item() == 0.5
     assert ad.softplus(Tensor(0.0)).item() == pytest.approx(math.log(2.0), abs=1e-15)
-    sm = ad.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
+    sm = reference.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(sm.data, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
 
@@ -157,14 +158,14 @@ def _op_cases(rng):
         "exp": (lambda: ad.mean(ad.exp(a)), [a], 1e-4),
         "log": (lambda: ad.mean(ad.log(pos)), [pos], 1e-4),
         "softplus": (lambda: ad.mean(ad.softplus(a)), [a], 1e-4),
-        "softmax": (lambda: ad.mean(ad.softmax(a) * b), [a, b], 1e-4),
+        "softmax": (lambda: ad.mean(reference.softmax(a) * b), [a, b], 1e-4),
         "concat": (lambda: ad.mean(ad.tanh(ad.concat([a, b], axis=1))), [a, b], 1e-4),
         "take": (lambda: ad.mean(ad.sigmoid(a[:, 1:3])), [a], 1e-4),
         "reshape": (lambda: ad.mean(ad.tanh(ad.reshape(a, (4, 3)))), [a], 1e-4),
-        "transpose": (lambda: ad.mean(ad.tanh(ad.transpose(s1, (1, 0, 2)))), [s1], 1e-4),
+        "transpose": (lambda: ad.mean(ad.tanh(reference.transpose(s1, (1, 0, 2)))), [s1], 1e-4),
         "mean": (lambda: ad.mean(a * a), [a], 1e-6),
         "sum": (lambda: ad.sum_(ad.sigmoid(a)), [a], 1e-4),
-        "layer_norm": (lambda: ad.mean(ad.layer_norm(a, g, be) * b), [a, g, be], 1e-4),
+        "layer_norm": (lambda: ad.mean(reference.layer_norm(a, g, be) * b), [a, g, be], 1e-4),
     }
 
 
@@ -205,6 +206,78 @@ def test_gru_scan_is_one_node_and_rejects_mismatched_shapes():
         ad.gru_scan(gates, np.ones((6, 2, 4)), w_hh, b_hh)
     with pytest.raises(ShapeError):
         ad.gru_scan(Tensor(np.zeros((6, 2, 8))), np.ones((6, 2, 3)), w_hh, b_hh)
+
+
+def _layer_case(rng, rows, layer_norm, d=4, heads=2, width=5):
+    """One Transformer layer from the fused nodes and from single ops, on a
+    (2, 3, d) input whose queries are all its rows or the last one."""
+    x = Parameter("x", rng.uniform(-1, 1, (2, 3, d)))
+    weights = [Parameter(f"attn{i}", rng.uniform(-1, 1, shape)) for i, shape in
+               enumerate([(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)])]
+    ffn_weights = [Parameter(f"ffn{i}", rng.uniform(-1, 1, shape)) for i, shape in
+                   enumerate([(d, width), (width,), (width, d), (d,)])]
+    norms = [Parameter(f"norm{i}", rng.uniform(0.5, 1.5, d) if i % 2 == 0 else
+                       rng.uniform(-0.5, 0.5, d)) for i in range(4)]
+    read = Tensor(rng.uniform(-1, 1, (2, 3 if rows == "all" else 1, d)))
+
+    def layer(attention, ffn, add_layer_norm):
+        queries = x if rows == "all" else x[:, -1:, :]
+        mha, probs = attention(queries, x, *weights, heads=heads)
+        if layer_norm:
+            hidden = add_layer_norm(queries, mha, *norms[:2])
+            out = add_layer_norm(hidden, ffn(hidden, *ffn_weights), *norms[2:])
+        else:
+            hidden = queries + mha
+            out = hidden + ffn(hidden, *ffn_weights)
+        return ad.sum_(out * read), probs
+
+    params = [x, *weights, *ffn_weights, *(norms if layer_norm else [])]
+    fused = lambda: layer(ad.attention, ad.ffn, ad.add_layer_norm)
+    ops = lambda: layer(reference.attention_reference, reference.ffn_reference,
+                        reference.add_layer_norm_reference)
+    return fused, ops, params
+
+
+@pytest.mark.parametrize("layer_norm", [True, False])
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_fused_layer_nodes_match_finite_differences(rows, layer_norm):
+    rng = np.random.default_rng(17)
+    fused, _, params = _layer_case(rng, rows, layer_norm)
+    assert check_gradients(lambda: fused()[0], params, epsilon=1e-4) < 1e-5
+
+
+@pytest.mark.parametrize("layer_norm", [True, False])
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_fused_layer_nodes_match_single_ops(rows, layer_norm):
+    rng = np.random.default_rng(18)
+    fused, ops, params = _layer_case(rng, rows, layer_norm)
+
+    def run(layer):
+        zero_grads(params)
+        loss, probs = layer()
+        backward(loss)
+        return loss.item(), probs, [p.grad.copy() for p in params]
+
+    (loss, probs, grads), (ref_loss, ref_probs, ref_grads) = run(fused), run(ops)
+    assert probs.shape == (2, 2, 3 if rows == "all" else 1, 3)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-14)
+    for p, g, ref in zip(params, grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=p.name)
+
+
+def test_fused_layer_nodes_reject_mismatched_shapes():
+    x, w, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, w, b, w, w, b, w, b, heads=3)
+    with pytest.raises(ShapeError):
+        ad.attention(x, Tensor(np.zeros((2, 3, 5))), w, b, w, w, b, w, b, heads=2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, w, b, Tensor(np.zeros((4, 5))), w, b, w, b, heads=2)
+    with pytest.raises(ShapeError):
+        ad.ffn(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((4, 4))), b)
+    with pytest.raises(ShapeError):
+        ad.add_layer_norm(x, Tensor(np.zeros((2, 1, 4))), b, b)
 
 
 def test_check_gradients_linear_model_near_exact():

@@ -20,6 +20,7 @@ from hrbench.models import (
     sinusoidal_positions,
     transformer_forward,
 )
+from reference import grud_forward_reference, transformer_forward_reference
 
 
 def plain_gru_reference(params, z_seq):
@@ -54,69 +55,6 @@ def project_inputs(params, context):
         stacked = np.concatenate([context[:, t : t + 1], np.ones((batch, 1))], axis=1)
         z[:, t, :] = np.tanh(stacked @ w_z + b_z)
     return z
-
-
-def grud_forward_reference(config, params, context, mask=None, delta=None):
-    """GRU-D as a recorded op per timestep (about 30 nodes a step): the
-    op-by-op form `grud_forward` must agree with."""
-    x = models._normalize_context(context, config.input_dim)
-    batch, steps, d = x.shape
-    h_dim = config.hidden_dim
-    mask = np.ones_like(x) if mask is None else np.broadcast_to(mask, x.shape)
-    delta = np.zeros_like(x) if delta is None else np.broadcast_to(delta, x.shape)
-    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), (batch, d))
-    w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
-    w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
-    w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
-    w_hh, b_hh = params["grud.gru.w_hh"], params["grud.gru.b_hh"]
-    h = Tensor(np.zeros((batch, h_dim)))
-    for t in range(steps):
-        x_t, m_t, d_t = x[:, t, :], mask[:, t, :], delta[:, t, :]
-        gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gx))))
-        gamma_h = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gh))))
-        decayed = gamma_x * Tensor(x_t) + (1.0 - gamma_x) * Tensor(xbar)
-        x_hat = Tensor(m_t * x_t) + Tensor(1.0 - m_t) * decayed
-        z_t = ad.tanh(ad.concat([x_hat, Tensor(m_t)], axis=-1) @ w_z + b_z)
-        h_prev = gamma_h * h
-        gates_i = z_t @ w_ih + b_ih
-        gates_h = h_prev @ w_hh + b_hh
-        r = ad.sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
-        u = ad.sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
-        n = ad.tanh(gates_i[:, 2 * h_dim :] + r * gates_h[:, 2 * h_dim :])
-        h = (1.0 - u) * n + u * h_prev
-    return h
-
-
-def transformer_forward_reference(config, params, context):
-    """The Transformer with every layer computed for every position, pooled at
-    the last one: what `transformer_forward` must agree with."""
-    x = models._normalize_context(context, 1)
-    batch, steps, _ = x.shape
-    d, n_heads = config.d_model, config.heads
-    d_head = d // n_heads
-    pos = sinusoidal_positions(steps, d)
-    hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
-        np.broadcast_to(pos, (batch, steps, d)).copy())
-    for layer in range(config.layers):
-        p = f"tf.layer{layer}"
-
-        def _heads(name):
-            proj = hidden @ params[f"{p}.attn.{name}_w"]
-            if name != "k":
-                proj = proj + params[f"{p}.attn.{name}_b"]
-            return ad.transpose(ad.reshape(proj, (batch, steps, n_heads, d_head)), (0, 2, 1, 3))
-
-        q, k, v = _heads("q"), _heads("k"), _heads("v")
-        attn = ad.softmax((q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d_head)))
-        mixed = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (batch, steps, d))
-        hidden = hidden + (mixed @ params[f"{p}.attn.out_w"] + params[f"{p}.attn.out_b"])
-        if config.use_layer_norm:
-            hidden = ad.layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
-        ffn = ad.relu(hidden @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"])
-        hidden = hidden + (ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"])
-        if config.use_layer_norm:
-            hidden = ad.layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
-    return hidden[:, -1, :]
 
 
 def _output_and_gradients(encode, params, last, rng):
@@ -172,10 +110,11 @@ class TestAgainstOpByOpReferences:
         if not observed:
             assert np.abs(ref[1]["grud.decay_h.w"]).max() > 1e-3  # the decay path is live
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("layer_norm", [True, False])
-    def test_transformer_matches_the_full_sequence_layers(self, layer_norm):
+    def test_transformer_matches_the_full_sequence_layers(self, layer_norm, layers):
         rng = np.random.default_rng(31)
-        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=15,
+        config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12, max_len=15,
                                    use_layer_norm=layer_norm)
         params = _random_model(init_transformer_params(config, rng), 8, rng)
         context = rng.normal(size=(4, 15))

@@ -436,6 +436,9 @@ MALFORMED = {
                          "[models] layer_norm"),
     "heads_not_dividing_d_model": ("prepare", lambda t: "[models]\nheads = 3\n", "[models]"),
     "unknown_model_kind": ("prepare", lambda t: "[models]\nkinds = gru\n", "'gru'"),
+    "zero_d_model": ("train", lambda t: "[models]\nd_model = 0\n", "[models]"),
+    "zero_layers": ("train", lambda t: "[models]\nlayers = 0\n", "[models]"),
+    "negative_layers": ("train", lambda t: "[models]\nlayers = -1\n", "[models]"),
     "non_integer_sweep": ("train --hidden-sweep x", lambda t: "[train]\n", "--hidden-sweep"),
     "zero_sweep_flag": ("train --hidden-sweep 32,0", lambda t: "[train]\n", "--hidden-sweep"),
     "zero_sweep_key": ("prepare", lambda t: "[train]\nhidden_sweep = 0\n", "hidden_sweep"),

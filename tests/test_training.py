@@ -1,11 +1,13 @@
 import math
+import platform
+import resource
 import weakref
 
 import numpy as np
 import pytest
 
 from hrbench import autodiff as ad
-from hrbench import training
+from hrbench import models, training
 from hrbench.autodiff import Parameter, Tensor, backward, zero_grads
 from hrbench.errors import TrainingDiverged
 from hrbench.ingest import build_windows, split_records, standardize
@@ -215,6 +217,39 @@ class TestTrainModel:
         with pytest.raises(TrainingDiverged) as exc:
             train_model("classification", "grud", dataset, config, 0, encoder_config=GRUD_SMALL)
         assert "step" in str(exc.value)
+
+    def test_train_model_holds_freed_memory(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "hold_freed_memory", lambda: calls.append(True))
+        train_model("classification", "grud", small_dataset(), TrainConfig(epochs=1), 0,
+                    encoder_config=GRUD_SMALL)
+        assert calls == [True]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are set on glibc only")
+    def test_transformer_step_faults_no_memory_in_after_warm_up(self):
+        # a default-size step frees arrays of several MB; without held memory
+        # each step faults thousands of pages back in
+        training.hold_freed_memory()
+        config = TransformerConfig()
+        params = training._build_model("transformer", config, 0)
+        param_list = list(params.values())
+        rng = np.random.default_rng(0)
+        contexts, labels = rng.normal(size=(64, 60)), rng.integers(0, 2, 64)
+        state = AdamWState()
+
+        def step():
+            zero_grads(param_list)
+            hidden = models.transformer_forward(config, params, contexts)
+            heads = models.heads_forward(hidden, params, contexts[:, -1])
+            backward(weighted_bce(heads.cls_logit, labels, 2.0))
+            adamw_step(param_list, state, 1e-3, 0.01)
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
