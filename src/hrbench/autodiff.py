@@ -333,15 +333,6 @@ def tanh(a) -> Tensor:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    # tanh form stays finite for any float64 input
-    value = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(value, (a,))
-    out._backward = lambda g: _accum(a, g * value * (1.0 - value))
-    return out
-
-
 def relu(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(np.maximum(a.data, 0.0), (a,))
@@ -424,13 +415,6 @@ def mean(a) -> Tensor:
     return out
 
 
-def sum_(a) -> Tensor:
-    a = _coerce(a)
-    out = Tensor(a.data.sum(), (a,))
-    out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # recurrence
 
@@ -478,7 +462,7 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
         np.multiply(gamma[t], h, out=h_prev[s])
         np.matmul(h_prev[s], w, out=g)
         g += b
-        # r and u in the tanh form `sigmoid` uses
+        # r and u: sigmoid in its tanh form, 0.5 * (1 + tanh(x / 2)), finite for any x
         ru = np.add(gi[t, :, : 2 * h_dim], g[:, : 2 * h_dim], out=act[s, :, : 2 * h_dim])
         ru *= 0.5
         np.tanh(ru, out=ru)

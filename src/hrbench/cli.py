@@ -86,7 +86,11 @@ def main(argv=None) -> int:
             if args.no_calibration:
                 config = replace(config, calibration=replace(config.calibration, enabled=False))
             if args.beta is not None:
-                config = replace(config, calibration=replace(config.calibration, beta=args.beta))
+                try:
+                    config = replace(config, calibration=replace(config.calibration,
+                                                                 beta=args.beta))
+                except ValueError as exc:
+                    raise DataError(f"--beta {args.beta:g}: {exc}") from None
             pipeline.run_evaluate(config, args.runs)
         elif args.command == "report":
             runs = args.runs or config.runs_dir

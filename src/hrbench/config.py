@@ -32,11 +32,23 @@ class WindowConfig:
     horizon_seconds: int = 10
     theta_candidates: tuple[float, ...] = (100.0, 95.0, 90.0, 85.0)
 
+    def __post_init__(self):
+        if self.context_seconds < 1 or self.horizon_seconds < 1:
+            raise ValueError("context_seconds and horizon_seconds must be >= 1")
+        if not self.theta_candidates or not all(t > 0 for t in self.theta_candidates):
+            raise ValueError("theta_candidates must be a non-empty list of positive values")
+
 
 @dataclass(frozen=True)
 class SplitConfig:
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     seed: int = 0
+
+    def __post_init__(self):
+        r = self.ratios
+        if len(r) != 3 or not min(r) >= 0 or not abs(sum(r) - 1.0) <= 1e-9:
+            raise ValueError(f"ratios must be 3 non-negative values (train, val, test) "
+                             f"summing to 1, got {r}")
 
 
 @dataclass(frozen=True)
@@ -55,12 +67,20 @@ class CalibrationConfig:
     enabled: bool = True
     beta: float = 2.0
 
+    def __post_init__(self):
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+
 
 @dataclass(frozen=True)
 class EvaluationConfig:
     bootstrap_draws: int = 1000
     bootstrap_seed: int = 1234
     ece_bins: int = 10
+
+    def __post_init__(self):
+        if self.bootstrap_draws < 1 or self.ece_bins < 1:
+            raise ValueError("bootstrap_draws and ece_bins must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ context windows with a risk label and a one-step target, corpus-wide label
 threshold selection under a positive-support guard, record-level stratified
 splits, and train-statistics standardization. Everything here is a pure
 function over immutable inputs.
+
+Windows are one column table, `Windows`, from `build_windows` to
+`windows.csv` and back. The split is the `record_id -> split name` map that
+`dataset.json` stores, and a split's `SplitData` is its rows of the table
+plus their normalized columns.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 
@@ -64,12 +70,27 @@ class HrSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledWindow:
-    record_id: str
-    start_index: int
-    context: np.ndarray  # (CONTEXT_LEN,) bpm
-    cls_label: int
-    fc_target: float  # bpm
+class Windows:
+    """Labeled windows as aligned columns, one row per window: the columns
+    `windows.csv` stores."""
+
+    record_ids: np.ndarray  # (N,) str
+    start_indices: np.ndarray  # (N,) int
+    contexts_bpm: np.ndarray  # (N, T)
+    cls_labels: np.ndarray  # (N,) int
+    fc_targets_bpm: np.ndarray  # (N,) the first sample after the context
+
+    def __len__(self) -> int:
+        return len(self.start_indices)
+
+    def rows(self, index) -> Windows:
+        """The rows at `index`, a boolean mask or positions, in table order."""
+        return Windows(*(getattr(self, f.name)[index] for f in fields(Windows)))
+
+    @staticmethod
+    def concat(tables: Sequence[Windows]) -> Windows:
+        return Windows(*(np.concatenate([getattr(t, f.name) for t in tables])
+                         for f in fields(Windows)))
 
 
 @dataclass(frozen=True)
@@ -100,19 +121,6 @@ class ThresholdGuardResult:
     n_positive_records: int
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    """record_id -> split name; every record lands in exactly one split."""
-
-    assignment: Mapping[str, str]
-
-    def split_of(self, record_id: str) -> str:
-        return self.assignment[record_id]
-
-    def records_in(self, split: str) -> tuple[str, ...]:
-        return tuple(r for r, s in sorted(self.assignment.items()) if s == split)
-
-
 def derive_hr(record: RPeakRecord) -> HrSeries:
     """Per-second HR: clip(60/RR, 20, 220) from the interval covering each second.
 
@@ -136,14 +144,14 @@ def derive_hr(record: RPeakRecord) -> HrSeries:
     return HrSeries(record.record_id, hr)
 
 
-def _window_starts(n: int, T: int, H: int) -> range:
+def _window_starts(n: int, T: int, H: int) -> np.ndarray:
     """Offsets of the windows whose context and horizon lie within n samples."""
-    return range(0, max(n - T - H, -1) + 1, T)
+    return np.arange(0, max(n - T - H, -1) + 1, T, dtype=np.int64)
 
 
 def _horizon_means(hr: np.ndarray, T: int, H: int) -> np.ndarray:
     """Mean over the H samples after each window's context, one per window."""
-    starts = np.array(_window_starts(len(hr), T, H), dtype=np.int64)
+    starts = _window_starts(len(hr), T, H)
     return hr[starts[:, None] + T + np.arange(H)].mean(axis=1)
 
 
@@ -152,7 +160,7 @@ def build_windows(
     T: int = CONTEXT_LEN,
     H: int = HORIZON,
     theta: float = THETA_CANDIDATES[0],
-) -> list[LabeledWindow]:
+) -> Windows:
     """Non-overlapping T-second contexts at stride T.
 
     A window at offset o is emitted only when the series covers all of
@@ -162,17 +170,14 @@ def build_windows(
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
     hr = series.hr
-    labels = _horizon_means(hr, T, H) >= theta
-    return [
-        LabeledWindow(
-            record_id=series.record_id,
-            start_index=start,
-            context=hr[start : start + T].copy(),
-            cls_label=int(label),
-            fc_target=float(hr[start + T]),
-        )
-        for start, label in zip(_window_starts(len(hr), T, H), labels)
-    ]
+    starts = _window_starts(len(hr), T, H)
+    return Windows(
+        record_ids=np.full(len(starts), series.record_id),
+        start_indices=starts,
+        contexts_bpm=hr[starts[:, None] + np.arange(T)],
+        cls_labels=(_horizon_means(hr, T, H) >= theta).astype(np.int64),
+        fc_targets_bpm=hr[starts + T],
+    )
 
 
 def select_threshold(
@@ -223,7 +228,7 @@ def split_records(
     positivity: Mapping[str, bool],
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
     seed: int = 0,
-) -> SplitAssignment:
+) -> dict[str, str]:
     """Record-level split, shuffling positives and negatives separately.
 
     When at least three positive records exist, each split is guaranteed at
@@ -257,26 +262,17 @@ def split_records(
             for record_id in pool[cursor : cursor + count]:
                 assignment[record_id] = split
             cursor += count
-    return SplitAssignment(assignment)
+    return assignment
 
 
 @dataclass(frozen=True, eq=False)
-class SplitData:
-    """Column arrays for one split, aligned by window."""
+class SplitData(Windows):
+    """One split's rows of the window table, plus their normalized columns."""
 
-    record_ids: tuple[str, ...]
-    start_indices: np.ndarray
-    contexts_bpm: np.ndarray  # (N, T)
-    cls_labels: np.ndarray  # (N,) int
-    fc_targets_bpm: np.ndarray  # (N,)
     contexts_norm: np.ndarray  # (N, T)
     fc_targets_norm: np.ndarray  # (N,)
     last_context_norm: np.ndarray  # (N,) normalized final context sample
     residuals: np.ndarray  # (N,) fc_targets_norm - last_context_norm
-
-    @property
-    def n(self) -> int:
-        return len(self.record_ids)
 
 
 class WindowedDataset:
@@ -286,21 +282,13 @@ class WindowedDataset:
     test split before evaluation.
     """
 
-    def __init__(
-        self,
-        splits: Mapping[str, SplitData],
-        stats: StandardizationStats,
-        assignment: SplitAssignment,
-        theta: float,
-        T: int = CONTEXT_LEN,
-        H: int = HORIZON,
-    ):
-        self._splits = dict(splits)
+    def __init__(self, windows: Windows, split: Mapping[str, str],
+                 stats: StandardizationStats, theta: float):
+        split_of = _split_of(windows, split)
+        self._splits = {name: _split_data(windows.rows(split_of == name), stats)
+                        for name in SPLIT_NAMES}
         self.stats = stats
-        self.assignment = assignment
         self.theta = theta
-        self.T = T
-        self.H = H
         self.access_log: list[str] = []
 
     def split(self, name: str) -> SplitData:
@@ -310,66 +298,43 @@ class WindowedDataset:
         return self._splits[name]
 
     def split_sizes(self) -> dict[str, int]:
-        return {name: data.n for name, data in self._splits.items()}
+        return {name: len(data) for name, data in self._splits.items()}
 
 
-def _split_data(windows: Sequence[LabeledWindow], stats: StandardizationStats,
-                T: int) -> SplitData:
-    if windows:
-        contexts = np.stack([w.context for w in windows])
-        targets = np.array([w.fc_target for w in windows])
-    else:
-        contexts = np.empty((0, T))
-        targets = np.empty(0)
-    contexts_norm = stats.normalize(contexts)
-    targets_norm = stats.normalize(targets)
-    last = contexts_norm[:, -1] if len(windows) else np.empty(0)
-    return SplitData(
-        record_ids=tuple(w.record_id for w in windows),
-        start_indices=np.array([w.start_index for w in windows], dtype=np.int64),
-        contexts_bpm=contexts,
-        cls_labels=np.array([w.cls_label for w in windows], dtype=np.int64),
-        fc_targets_bpm=targets,
-        contexts_norm=contexts_norm,
-        fc_targets_norm=targets_norm,
-        last_context_norm=last,
-        residuals=targets_norm - last,
-    )
+def _split_of(windows: Windows, split: Mapping[str, str]) -> np.ndarray:
+    """The split name of each row of the table."""
+    records, row_record = np.unique(windows.record_ids, return_inverse=True)
+    return np.array([split[r] for r in records.tolist()], dtype=str)[row_record]
 
 
-def _by_split(windows: Sequence[LabeledWindow],
-              assignment: SplitAssignment) -> dict[str, list[LabeledWindow]]:
-    by_split: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
-    for w in windows:
-        by_split[assignment.split_of(w.record_id)].append(w)
-    return by_split
+def _split_data(rows: Windows, stats: StandardizationStats) -> SplitData:
+    contexts_norm = stats.normalize(rows.contexts_bpm)
+    targets_norm = stats.normalize(rows.fc_targets_bpm)
+    last = contexts_norm[:, -1]
+    return SplitData(*(getattr(rows, f.name) for f in fields(Windows)),
+                     contexts_norm=contexts_norm, fc_targets_norm=targets_norm,
+                     last_context_norm=last, residuals=targets_norm - last)
 
 
 def standardize(
-    windows: Sequence[LabeledWindow],
-    assignment: SplitAssignment,
+    windows: Windows,
+    split: Mapping[str, str],
     theta: float = THETA_CANDIDATES[0],
-    T: int = CONTEXT_LEN,
-    H: int = HORIZON,
 ) -> tuple[WindowedDataset, StandardizationStats]:
     """Fit mu/sigma on train-split context samples, transform every split.
 
     sigma is the population standard deviation; a constant training corpus
     raises DegenerateScale.
     """
-    by_split = _by_split(windows, assignment)
-    train = by_split["train"]
-    if not train:
+    train_contexts = windows.contexts_bpm[_split_of(windows, split) == "train"]
+    if not len(train_contexts):
         raise DegenerateScale("training split contains no windows")
-    train_contexts = np.stack([w.context for w in train])
     mu = float(train_contexts.mean())
     sigma = float(train_contexts.std())
     if sigma == 0.0:
         raise DegenerateScale("training contexts are constant (sigma = 0)")
     stats = StandardizationStats(mu=mu, sigma=sigma)
-    splits = {name: _split_data(ws, stats, T) for name, ws in by_split.items()}
-    dataset = WindowedDataset(splits, stats, assignment, theta=theta, T=T, H=H)
-    return dataset, stats
+    return WindowedDataset(windows, split, stats, theta), stats
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +369,7 @@ def read_manifest(manifest_path) -> list[RPeakRecord]:
     """Manifest CSV `record_id,path`; paths resolve relative to the manifest."""
     base = Path(manifest_path).parent
     records = []
+    seen: dict[str, int] = {}
     with open(manifest_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -413,6 +379,10 @@ def read_manifest(manifest_path) -> list[RPeakRecord]:
             if len(row) < 2:
                 raise DataError(f"{where}: expected `record_id,path`, got {row}")
             record_id, rel = row[0].strip(), row[1].strip()
+            if record_id in seen:
+                raise DataError(f"{where}: record {record_id!r} is listed twice "
+                                f"(first at line {seen[record_id]})")
+            seen[record_id] = reader.line_num
             path = Path(rel)
             if not path.is_absolute():
                 path = base / path
@@ -441,34 +411,37 @@ def read_combined_peaks(path) -> list[RPeakRecord]:
 
 def save_prepared(
     out_dir,
-    windows: Sequence[LabeledWindow],
+    windows: Windows,
     stats: StandardizationStats,
-    assignment: SplitAssignment,
+    split: Mapping[str, str],
     theta: float,
-    T: int = CONTEXT_LEN,
     H: int = HORIZON,
 ) -> None:
     """Dataset CSV (raw bpm) plus a sidecar JSON with stats and the split map."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    T = windows.contexts_bpm.shape[1]
     with open(out / "windows.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["record_id", "start_index", "cls_label", "fc_target"]
             + [f"ctx_{i}" for i in range(T)]
         )
-        for w in windows:
-            writer.writerow(
-                [w.record_id, w.start_index, w.cls_label, repr(w.fc_target)]
-                + [repr(float(v)) for v in w.context]
-            )
+        # one row at a time: the whole table as Python floats would be
+        # several times the size of its arrays
+        for record_id, start, label, target, context in zip(
+                windows.record_ids.tolist(), windows.start_indices.tolist(),
+                windows.cls_labels.tolist(), windows.fc_targets_bpm.tolist(),
+                windows.contexts_bpm):
+            writer.writerow([record_id, start, label, repr(target),
+                             *map(repr, context.tolist())])
     sidecar = {
         "mu": stats.mu,
         "sigma": stats.sigma,
         "theta": theta,
         "T": T,
         "H": H,
-        "split": dict(sorted(assignment.assignment.items())),
+        "split": dict(sorted(split.items())),
     }
     with open(out / "dataset.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -479,27 +452,34 @@ def load_prepared(dataset_dir) -> WindowedDataset:
     with open(base / "dataset.json", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
-    assignment = SplitAssignment(sidecar["split"])
     T = int(sidecar["T"])
-    windows = []
-    with open(base / "windows.csv", encoding="utf-8", newline="") as fh:
+    path = base / "windows.csv"
+    record_ids, starts, labels = [], [], []
+    targets, contexts = array("d"), array("d")
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:4] != ["record_id", "start_index", "cls_label", "fc_target"]:
-            raise DataError(f"{base / 'windows.csv'}: not a prepared windows file "
-                            f"(header {header[:4]})")
+            raise DataError(f"{path}: not a prepared windows file (header {header[:4]})")
         for row in reader:
-            windows.append(
-                LabeledWindow(
-                    record_id=row[0],
-                    start_index=int(row[1]),
-                    context=np.array([float(v) for v in row[4 : 4 + T]]),
-                    cls_label=int(row[2]),
-                    fc_target=float(row[3]),
-                )
-            )
-    splits = {name: _split_data(ws, stats, T)
-              for name, ws in _by_split(windows, assignment).items()}
-    return WindowedDataset(
-        splits, stats, assignment, theta=float(sidecar["theta"]), T=T, H=int(sidecar["H"])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4 + T:
+                raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
+            if row[0] not in sidecar["split"]:
+                raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
+            try:
+                starts.append(int(row[1]))
+                labels.append(int(row[2]))
+                targets.append(float(row[3]))
+                contexts.extend(map(float, row[4:]))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            record_ids.append(row[0])
+    windows = Windows(
+        record_ids=np.array(record_ids, dtype=str),
+        start_indices=np.array(starts, dtype=np.int64),
+        contexts_bpm=np.frombuffer(contexts).reshape(-1, T),
+        cls_labels=np.array(labels, dtype=np.int64),
+        fc_targets_bpm=np.frombuffer(targets),
     )
+    return WindowedDataset(windows, sidecar["split"], stats, float(sidecar["theta"]))

@@ -143,11 +143,6 @@ def f1_at_threshold(probs, labels, tau: float, weights=None):
     return _result(values, weights)
 
 
-def mae_rmse(mu_bpm, targets_bpm, weights=None):
-    err = np.asarray(mu_bpm, dtype=np.float64) - np.asarray(targets_bpm, dtype=np.float64)
-    return weighted_mean(np.abs(err), weights), np.sqrt(weighted_mean(err**2, weights))
-
-
 def crps_gaussian(mu, sigma, y):
     """Closed-form CRPS of a Gaussian forecast, in the units of its inputs."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -194,12 +189,6 @@ class PredictionSet:
             arrays={k: v[idx] for k, v in self.arrays.items()},
             weights=None if self.weights is None else self.weights[:, idx],
         )
-
-    def groups(self) -> dict[str, np.ndarray]:
-        out: dict[str, list[int]] = {}
-        for i, r in enumerate(self.record_ids):
-            out.setdefault(r, []).append(i)
-        return {r: np.array(ix, dtype=np.int64) for r, ix in out.items()}
 
 
 @dataclass(frozen=True)

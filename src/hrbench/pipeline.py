@@ -22,6 +22,7 @@ from .config import BenchConfig
 from .errors import DataError, EvaluationError
 from .ingest import (
     SplitData,
+    Windows,
     build_windows,
     derive_hr,
     load_prepared,
@@ -78,20 +79,19 @@ def _load_peak_records(config: BenchConfig):
 
 def run_prepare(config: BenchConfig) -> PrepareSummary:
     """derive -> threshold guard -> windows -> record split -> standardize."""
-    records = _load_peak_records(config)
     T, H = config.windows.context_seconds, config.windows.horizon_seconds
-    corpus = [derive_hr(r) for r in records]
+    # the peak times, Python floats, are several times the size of the HR
+    # series; nothing after derive_hr reads them
+    corpus = [derive_hr(r) for r in _load_peak_records(config)]
     guard = select_threshold(corpus, config.windows.theta_candidates, T=T, H=H)
 
-    windows = []
-    positivity = {}
-    for series in corpus:
-        ws = build_windows(series, T=T, H=H, theta=guard.theta)
-        windows.extend(ws)
-        positivity[series.record_id] = any(w.cls_label for w in ws)
-    assignment = split_records(positivity, config.split.ratios, config.split.seed)
-    _, stats = standardize(windows, assignment, theta=guard.theta, T=T, H=H)
-    save_prepared(config.data.dataset_dir, windows, stats, assignment, guard.theta, T=T, H=H)
+    tables = [build_windows(series, T=T, H=H, theta=guard.theta) for series in corpus]
+    positivity = {series.record_id: bool(t.cls_labels.any())
+                  for series, t in zip(corpus, tables)}
+    windows = Windows.concat(tables)
+    split = split_records(positivity, config.split.ratios, config.split.seed)
+    _, stats = standardize(windows, split, theta=guard.theta)
+    save_prepared(config.data.dataset_dir, windows, stats, split, guard.theta, H=H)
 
     summary = PrepareSummary(
         theta=guard.theta,
@@ -316,7 +316,7 @@ def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
     mu_bpm, sigma_bpm = models.persistence_forecast(test.contexts_bpm, resid_std)
     baselines = _scored_rows(
         "classification", "always_negative", None, test,
-        {"probs": models.always_negative_probs(test.n), "labels": labels},
+        {"probs": models.always_negative_probs(len(test)), "labels": labels},
         metric_table("classification"), config,
     ) + _scored_rows(
         "forecasting", "persistence", None, test,
@@ -340,16 +340,18 @@ def _write_report(base: Path, rows: list[dict]) -> None:
         json.dump(rows, fh, indent=2)
 
 
+def _number(text: str):
+    # the int or float that `_write_report` wrote (a float's repr always has
+    # a point, an exponent or a letter), or None for an empty field
+    if not text:
+        return None
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
 def read_report(runs_dir) -> list[dict]:
-    rows = []
     with open(Path(runs_dir) / "report.csv", encoding="utf-8", newline="") as fh:
-        for r in csv.DictReader(fh):
-            for key in ("point", "ci_low", "ci_high"):
-                r[key] = float(r[key]) if r[key] else None
-            r["seed"] = int(r["seed"])
-            r["n_valid_draws"] = int(r["n_valid_draws"]) if r["n_valid_draws"] else None
-            rows.append(r)
-    return rows
+        return [{**r, **{key: _number(r[key]) for key in ("seed", *UNDEFINED)}}
+                for r in csv.DictReader(fh)]
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:

@@ -115,7 +115,7 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[list[RPeakRecord], dict]:
         bookkeeping["records"][record_id] = {
             "n_seconds": int(len(hr)),
             "episodes": episodes,
-            "true_positive_windows_theta100": int(sum(w.cls_label for w in true_windows)),
+            "true_positive_windows_theta100": int(true_windows.cls_labels.sum()),
             "true_windows": len(true_windows),
         }
     return records, bookkeeping

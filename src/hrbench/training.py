@@ -31,8 +31,8 @@ class TrainConfig:
     target_mode: str = "residual"  # or "absolute"
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.prevalence_eps <= 0:
-            raise ValueError("lr, epochs and prevalence_eps must be positive")
+        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.prevalence_eps <= 0:
+            raise ValueError("lr, epochs, batch_size and prevalence_eps must be positive")
         if self.target_mode not in ("residual", "absolute"):
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
 
@@ -100,11 +100,13 @@ def adamw_step(
 # glibc's mallopt parameter numbers
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-# the smallest pair that keeps a 64-window default Transformer step (largest
-# arrays about 8 MB: its attention probabilities and FFN activations) and a
-# GRU-D step free of page faults after the first steps
+# a 64-window default Transformer step's largest arrays (its attention
+# probabilities and FFN activations) are about 8 MB, so they come from the
+# heap. Where a live block sits below the top of the heap, all the memory a
+# step frees can end up free at the top: 64 to 96 MiB for that step, which a
+# lower threshold trims off after every step (a GRU-D step as well)
 MMAP_THRESHOLD = 8 << 20
-TRIM_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 128 << 20
 
 
 def hold_freed_memory() -> None:
@@ -194,7 +196,7 @@ def train_model(
         raise ValueError(f"unknown task {task!r}")
     train = dataset.split("train")
     val = dataset.split("val")
-    if train.n == 0:
+    if not len(train):
         raise TrainingDiverged("empty training split")
 
     hold_freed_memory()
@@ -210,7 +212,7 @@ def train_model(
     step = 0
     for epoch in range(1, config.epochs + 1):
         batch_losses = []
-        for idx in epoch_batches(train.n, config.batch_size, rng):
+        for idx in epoch_batches(len(train), config.batch_size, rng):
             ad.zero_grads(param_list)
             loss = _batch_loss(task, model_kind, encoder_config, params, train, idx,
                                alpha, config.target_mode)
@@ -224,10 +226,10 @@ def train_model(
             batch_losses.append(value)
             step += 1
         val_loss = float("nan")
-        if val.n:
+        if len(val):
             with ad.no_grad():
                 val_loss = _batch_loss(task, model_kind, encoder_config, params, val,
-                                       np.arange(val.n), alpha, config.target_mode).item()
+                                       np.arange(len(val)), alpha, config.target_mode).item()
         history.append(
             {"epoch": epoch, "train_loss": float(np.mean(batch_losses)), "val_loss": val_loss}
         )

@@ -1,10 +1,12 @@
-"""Op-by-op references that the package's fused nodes are tested against.
+"""Op-by-op references that the package's fused nodes are tested against,
+and the helpers only the tests use.
 
-`softmax`, `layer_norm` and `transpose` are recorded autodiff ops of their
-own, and `grud_forward_reference` and `transformer_forward_reference` build
-each encoder from single ops: the forms that `autodiff.gru_scan`,
-`autodiff.attention`, `autodiff.ffn` and `autodiff.add_layer_norm` must
-agree with. The package does not ship them.
+`softmax`, `layer_norm`, `transpose`, `sigmoid` and `sum_` are recorded
+autodiff ops of their own, and `grud_forward_reference` and
+`transformer_forward_reference` build each encoder from single ops: the forms
+that `autodiff.gru_scan`, `autodiff.attention`, `autodiff.ffn` and
+`autodiff.add_layer_norm` must agree with. `mae_rmse` and `groups` serve the
+metric tests. The package does not ship them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,39 @@ import math
 import numpy as np
 
 from hrbench import autodiff as ad
+from hrbench import metrics as met
 from hrbench import models
 from hrbench.autodiff import Tensor, _accum, _coerce
 from hrbench.errors import ShapeError
+
+
+def sigmoid(a) -> Tensor:
+    a = _coerce(a)
+    # tanh form stays finite for any float64 input
+    value = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    out = Tensor(value, (a,))
+    out._backward = lambda g: _accum(a, g * value * (1.0 - value))
+    return out
+
+
+def sum_(a) -> Tensor:
+    a = _coerce(a)
+    out = Tensor(a.data.sum(), (a,))
+    out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
+    return out
+
+
+def mae_rmse(mu_bpm, targets_bpm, weights=None):
+    err = np.asarray(mu_bpm, dtype=np.float64) - np.asarray(targets_bpm, dtype=np.float64)
+    return met.weighted_mean(np.abs(err), weights), np.sqrt(met.weighted_mean(err**2, weights))
+
+
+def groups(pred: met.PredictionSet) -> dict[str, np.ndarray]:
+    """record_id -> the positions of its examples in `pred`."""
+    out: dict[str, list[int]] = {}
+    for i, r in enumerate(pred.record_ids):
+        out.setdefault(r, []).append(i)
+    return {r: np.array(ix, dtype=np.int64) for r, ix in out.items()}
 
 
 def softmax(a) -> Tensor:
@@ -121,8 +153,8 @@ def grud_forward_reference(config, params, context, mask=None, delta=None):
         h_prev = gamma_h * h
         gates_i = z_t @ w_ih + b_ih
         gates_h = h_prev @ w_hh + b_hh
-        r = ad.sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
-        u = ad.sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
+        r = sigmoid(gates_i[:, :h_dim] + gates_h[:, :h_dim])
+        u = sigmoid(gates_i[:, h_dim : 2 * h_dim] + gates_h[:, h_dim : 2 * h_dim])
         n = ad.tanh(gates_i[:, 2 * h_dim :] + r * gates_h[:, 2 * h_dim :])
         h = (1.0 - u) * n + u * h_prev
     return h

@@ -24,6 +24,7 @@ from hrbench.config import BenchConfig, DataConfig
 from hrbench.ingest import load_prepared
 from hrbench.metrics import PredictionSet, auprc, auroc, brier, crps_gaussian, ece, f1_at_threshold, grouped_bootstrap
 from hrbench.training import TrainConfig, train_model
+from reference import groups as record_groups
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -202,7 +203,7 @@ def test_c7_grouped_bootstrap_enumeration():
     metric = lambda p: met.weighted_mean(p["value"], p.weights)
     result = grouped_bootstrap(pred, metric, n_draws=500, seed=9)
     outcomes = {np.mean(values_a), np.mean(values_b), np.mean(values_a + values_b)}
-    groups = pred.groups()
+    groups = record_groups(pred)
     records = sorted(groups)
     ok = True
     draws = []

@@ -48,8 +48,8 @@ def test_perturbing_the_future_leaves_a_window_bit_identical(data):
     future[cut:] = rng.uniform(HR_MIN, HR_MAX, len(hr) - cut)
 
     windows = [build_windows(HrSeries("r", x)) for x in (hr, future)]
-    np.testing.assert_array_equal(windows[0][i].context, windows[1][i].context)
-    a, b = (_split_data(ws, STATS, T) for ws in windows)
+    np.testing.assert_array_equal(windows[0].contexts_bpm[i], windows[1].contexts_bpm[i])
+    a, b = (_split_data(ws, STATS) for ws in windows)
     np.testing.assert_array_equal(a.contexts_norm[i], b.contexts_norm[i])
     for kind, config in ENCODERS.items():
         # the whole series in one batch: later windows change, window i must not

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from hrbench.errors import DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
 from hrbench.ingest import (
     HrSeries,
-    LabeledWindow,
     RPeakRecord,
-    SplitAssignment,
     StandardizationStats,
+    Windows,
     build_windows,
     derive_hr,
     load_prepared,
@@ -80,24 +79,26 @@ class TestBuildWindows:
         # offsets 0 and 60 both fit: 60+70 <= 140 and 120+10 = 130 <= 140
         windows = build_windows(constant_series("r", 110, 140), theta=100)
         assert len(windows) == 2
-        assert [w.start_index for w in windows] == [0, 60]
-        assert all(w.cls_label == 1 for w in windows)
-        assert all(w.fc_target == 110.0 for w in windows)
+        assert windows.start_indices.tolist() == [0, 60]
+        assert all(windows.cls_labels == 1)
+        assert all(windows.fc_targets_bpm == 110.0)
 
     def test_single_negative_window(self):
         windows = build_windows(constant_series("r", 80, 70), theta=100)
         assert len(windows) == 1
-        assert windows[0].cls_label == 0
-        assert windows[0].fc_target == 80.0
+        assert windows.cls_labels[0] == 0
+        assert windows.fc_targets_bpm[0] == 80.0
 
     def test_insufficient_coverage(self):
-        assert build_windows(constant_series("r", 80, 69), theta=100) == []
+        windows = build_windows(constant_series("r", 80, 69), theta=100)
+        assert len(windows) == 0
+        assert windows.contexts_bpm.shape == (0, 60)
 
     def test_contexts_never_share_an_index(self):
         windows = build_windows(constant_series("r", 90, 400), theta=100)
         seen: set[int] = set()
-        for w in windows:
-            indices = set(range(w.start_index, w.start_index + 60))
+        for start in windows.start_indices:
+            indices = set(range(start, start + 60))
             assert not (seen & indices)
             seen |= indices
 
@@ -105,8 +106,8 @@ class TestBuildWindows:
         hr = np.full(70, 80.0)
         hr[60:70] = [120] * 5 + [85] * 5  # mean 102.5
         windows = build_windows(HrSeries("r", hr), theta=100)
-        assert windows[0].cls_label == 1
-        assert windows[0].fc_target == 120.0
+        assert windows.cls_labels[0] == 1
+        assert windows.fc_targets_bpm[0] == 120.0
 
     @given(st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
@@ -115,7 +116,7 @@ class TestBuildWindows:
         hr = np.clip(95 + rng.normal(0, 15, 500), 20, 220)
         series = HrSeries("r", hr)
         counts = [
-            sum(w.cls_label for w in build_windows(series, theta=t))
+            build_windows(series, theta=t).cls_labels.sum()
             for t in (100.0, 95.0, 90.0, 85.0)
         ]
         assert counts == sorted(counts)
@@ -125,10 +126,12 @@ class TestBuildWindows:
     def test_labels_match_the_per_window_horizon_mean(self, seed, length, theta):
         hr = np.random.default_rng(seed).uniform(40.0, 160.0, length)
         windows = build_windows(HrSeries("r", hr), T=20, H=5, theta=theta)
-        assert [w.cls_label for w in windows] == [
-            int(hr[w.start_index + 20 : w.start_index + 25].mean() >= theta) for w in windows
+        assert windows.cls_labels.tolist() == [
+            int(hr[start + 20 : start + 25].mean() >= theta) for start in windows.start_indices
         ]
-        positives = sum(w.cls_label for w in windows)
+        contexts = [hr[start : start + 20] for start in windows.start_indices]
+        np.testing.assert_array_equal(windows.contexts_bpm, np.reshape(contexts, (-1, 20)))
+        positives = int(windows.cls_labels.sum())
         if positives:
             # 40 copies of the record meet the guard whatever the positive count
             guard = select_threshold([HrSeries("r", hr)] * 40, (theta,), T=20, H=5)
@@ -163,31 +166,35 @@ class TestSelectThreshold:
         assert "85" in str(exc.value)
 
 
+def records_in(split, name):
+    return [r for r, s in sorted(split.items()) if s == name]
+
+
 class TestSplitRecords:
     def test_three_positives_spread_across_splits(self):
         positivity = {f"r{i}": i < 3 for i in range(10)}
         assignment = split_records(positivity, (0.7, 0.15, 0.15), seed=0)
         for split in ("train", "val", "test"):
-            positives = [r for r in assignment.records_in(split) if positivity[r]]
+            positives = [r for r in records_in(assignment, split) if positivity[r]]
             assert len(positives) == 1
 
     def test_three_records_one_per_split(self):
         assignment = split_records({"a": True, "b": True, "c": True}, (0.34, 0.33, 0.33), seed=1)
-        sizes = {s: len(assignment.records_in(s)) for s in ("train", "val", "test")}
+        sizes = {s: len(records_in(assignment, s)) for s in ("train", "val", "test")}
         assert sizes == {"train": 1, "val": 1, "test": 1}
 
     def test_deterministic(self):
         positivity = {f"r{i}": i % 4 == 0 for i in range(23)}
         a = split_records(positivity, seed=9)
         b = split_records(positivity, seed=9)
-        assert a.assignment == b.assignment
+        assert a == b
 
     def test_disjoint_and_exhaustive(self):
         positivity = {f"r{i}": i % 3 == 0 for i in range(17)}
         assignment = split_records(positivity, seed=2)
         all_records = []
         for split in ("train", "val", "test"):
-            all_records.extend(assignment.records_in(split))
+            all_records.extend(records_in(assignment, split))
         assert sorted(all_records) == sorted(positivity)
 
     def test_too_few_records(self):
@@ -199,25 +206,27 @@ class TestSplitRecords:
             split_records({"a": 1, "b": 0, "c": 1}, ratios=(0.5, 0.2, 0.2))
 
 
-def _window(record_id, context, fc_target, label=0, start=0):
-    return LabeledWindow(
-        record_id=record_id,
-        start_index=start,
-        context=np.asarray(context, dtype=np.float64),
-        cls_label=label,
-        fc_target=fc_target,
+def _windows(*rows):
+    """A table from (record_id, context, fc_target, label, start) rows."""
+    record_ids, contexts, targets, labels, starts = zip(*rows)
+    return Windows(
+        record_ids=np.array(record_ids),
+        start_indices=np.array(starts, dtype=np.int64),
+        contexts_bpm=np.array(contexts, dtype=np.float64),
+        cls_labels=np.array(labels, dtype=np.int64),
+        fc_targets_bpm=np.array(targets, dtype=np.float64),
     )
 
 
 def _toy_windows():
     ctx_a = [60.0, 80.0] * 30
     ctx_b = [80.0, 60.0] * 30
-    return [
-        _window("a", ctx_a, 80.0, label=1),
-        _window("a", ctx_b, 60.0, start=60),
-        _window("b", ctx_a, 70.0),
-        _window("c", ctx_b, 90.0, label=1),
-    ]
+    return _windows(
+        ("a", ctx_a, 80.0, 1, 0),
+        ("a", ctx_b, 60.0, 0, 60),
+        ("b", ctx_a, 70.0, 0, 0),
+        ("c", ctx_b, 90.0, 1, 0),
+    )
 
 
 def _toy_assignment():
@@ -252,11 +261,7 @@ class TestStandardize:
         )
 
     def test_constant_training_data_rejected(self):
-        windows = [
-            _window("a", [70.0] * 60, 70.0),
-            _window("b", [70.0] * 60, 70.0),
-            _window("c", [70.0] * 60, 70.0),
-        ]
+        windows = _windows(*((r, [70.0] * 60, 70.0, 0, 0) for r in "abc"))
         with pytest.raises(DegenerateScale):
             standardize(windows, _toy_assignment())
 
@@ -269,11 +274,19 @@ class TestStandardize:
     def test_stats_come_from_train_split_only(self):
         windows = _toy_windows()
         assignment = _toy_assignment()
-        train_split = [w for w in windows if assignment.split_of(w.record_id) == "train"]
-        samples = np.concatenate([w.context for w in train_split])
+        train_split = [i for i, r in enumerate(windows.record_ids) if assignment[r] == "train"]
+        samples = windows.contexts_bpm[train_split]
         _, stats = standardize(windows, assignment)
         assert stats.mu == pytest.approx(samples.mean())
         assert stats.sigma == pytest.approx(samples.std())
+
+
+def _assert_same_columns(a, b):
+    for name in ("record_ids", "start_indices", "contexts_bpm", "cls_labels", "fc_targets_bpm",
+                 "contexts_norm", "fc_targets_norm", "last_context_norm", "residuals"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 class TestPreparedFiles:
@@ -287,7 +300,7 @@ class TestPreparedFiles:
         assert loaded.stats.mu == stats.mu and loaded.stats.sigma == stats.sigma
         for split in ("train", "val", "test"):
             a, b = dataset.split(split), loaded.split(split)
-            assert a.record_ids == b.record_ids
+            assert a.record_ids.tolist() == b.record_ids.tolist()
             np.testing.assert_array_equal(a.contexts_bpm, b.contexts_bpm)
             np.testing.assert_array_equal(a.cls_labels, b.cls_labels)
             np.testing.assert_array_equal(a.fc_targets_bpm, b.fc_targets_bpm)
@@ -295,18 +308,53 @@ class TestPreparedFiles:
 
     def test_empty_split_keeps_context_length(self, tmp_path):
         T = 30
-        windows = [
-            _window("a", [60.0, 80.0] * 15, 80.0, label=1),
-            _window("b", [80.0, 60.0] * 15, 70.0),
-        ]
-        assignment = SplitAssignment({"a": "train", "b": "val", "c": "test"})
-        dataset, stats = standardize(windows, assignment, T=T)
-        save_prepared(tmp_path, windows, stats, assignment, theta=100.0, T=T)
+        windows = _windows(
+            ("a", [60.0, 80.0] * 15, 80.0, 1, 0),
+            ("b", [80.0, 60.0] * 15, 70.0, 0, 0),
+        )
+        assignment = {"a": "train", "b": "val", "c": "test"}
+        dataset, stats = standardize(windows, assignment)
+        save_prepared(tmp_path, windows, stats, assignment, theta=100.0)
         for data in (dataset, load_prepared(tmp_path)):
             empty = data.split("test")
-            assert empty.n == 0
+            assert len(empty) == 0
             assert empty.contexts_bpm.shape == (0, T)
             assert empty.contexts_norm.shape == (0, T)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        T = data.draw(st.integers(1, 60))
+        ids = data.draw(st.lists(st.text("abcxyz_-0123456789", min_size=1, max_size=8),
+                                 min_size=2, max_size=6, unique=True))
+        names = ("train", "val", "test")
+        empty = data.draw(st.sampled_from(names[1:]))
+        # every record's split is drawn, the emptied one excepted; the first is train
+        assignment = {ids[0]: "train"}
+        for r in ids[1:]:
+            assignment[r] = data.draw(st.sampled_from([n for n in names if n != empty]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 12))
+        rows = [ids[0]] + [ids[i] for i in rng.integers(0, len(ids), n - 1)]
+        windows = Windows(
+            record_ids=np.array(rows),
+            start_indices=rng.integers(0, 10**6, n),
+            contexts_bpm=rng.uniform(20.0, 220.0, (n, T)),
+            cls_labels=rng.integers(0, 2, n),
+            fc_targets_bpm=rng.uniform(20.0, 220.0, n),
+        )
+        # a constant draw has no scale; every other table standardizes
+        if windows.contexts_bpm[windows.record_ids == ids[0]].std() == 0.0:
+            return
+        dataset, stats = standardize(windows, assignment, theta=95.0)
+        out = tmp_path_factory.mktemp("prepared")
+        save_prepared(out, windows, stats, assignment, theta=95.0)
+        loaded = load_prepared(out)
+        assert (loaded.stats, loaded.theta) == (stats, 95.0)
+        assert loaded.split_sizes() == dataset.split_sizes()
+        assert loaded.split_sizes()[empty] == 0
+        for name in names:
+            _assert_same_columns(dataset.split(name), loaded.split(name))
 
     def test_access_log_records_reads(self):
         dataset, _ = standardize(_toy_windows(), _toy_assignment())

@@ -18,9 +18,10 @@ from hrbench.metrics import (
     ece,
     f1_at_threshold,
     grouped_bootstrap,
-    mae_rmse,
     weighted_mean,
 )
+from reference import groups as record_groups
+from reference import mae_rmse
 
 
 def auroc_by_pairs(probs, labels):
@@ -237,7 +238,7 @@ class TestGroupedBootstrap:
         m_ab = np.mean(values_a + values_b)
         result = grouped_bootstrap(pred, mean_metric, n_draws=400, seed=3)
         draws = []
-        groups = pred.groups()
+        groups = record_groups(pred)
         records = sorted(groups)
         for draw in range(400):
             rng = np.random.default_rng([3, draw])
@@ -385,7 +386,7 @@ class TestWeightedMetrics:
 def bootstrap_by_draws(pred: PredictionSet, metric, n_draws: int, seed: int):
     """The draw-by-draw definition: per-draw RNG, `take`, scalar metric."""
     point = scalar_or_nan(metric, pred)
-    groups = pred.groups()
+    groups = record_groups(pred)
     records = sorted(groups)
     values = []
     for draw in range(n_draws):

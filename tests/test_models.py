@@ -348,7 +348,7 @@ class TestBaselines:
         assert np.all(sigma > 0)
 
     def test_persistence_on_constant_series(self):
-        from hrbench.metrics import mae_rmse
+        from reference import mae_rmse
 
         contexts = np.full((5, 60), 72.0)
         mu, _ = persistence_forecast(contexts, 0.0)
@@ -364,7 +364,7 @@ class TestBaselines:
             targets.append(steps[start + 60])
         mu, _ = persistence_forecast(np.stack(windows), 1.0)
         expected = np.mean([abs(t - w[-1]) for w, t in zip(windows, targets)])
-        from hrbench.metrics import mae_rmse
+        from reference import mae_rmse
 
         mae, _ = mae_rmse(mu, np.array(targets))
         assert mae == pytest.approx(expected, abs=1e-12)

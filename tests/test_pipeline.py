@@ -298,6 +298,8 @@ class TestCli:
         assert config.windows.theta_candidates == (100.0, 95.0, 90.0, 85.0)
         assert config.evaluation.bootstrap_draws == 1000
         assert config.calibration.beta == 2.0
+        # every key the file repeats from the dataclasses holds their default
+        assert config == BenchConfig()
 
     def test_full_cycle_through_cli(self, tmp_path):
         ini = tmp_path / "bench.ini"
@@ -408,14 +410,24 @@ def _combined(tmp_path, body: str) -> str:
     return f"[data]\npeaks_combined = {combined}\n"
 
 
-def _bad_windows_header(tmp_path) -> str:
+def _bad_windows_file(tmp_path, text: str = "id,start\n") -> str:
     dataset = tmp_path / "ds"
     dataset.mkdir()
     (dataset / "dataset.json").write_text(json.dumps(
-        {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {}}),
+        {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {"r1": "train"}}),
         encoding="utf-8")
-    (dataset / "windows.csv").write_text("id,start\n", encoding="utf-8")
+    (dataset / "windows.csv").write_text(text, encoding="utf-8")
     return f"[data]\ndataset_dir = {dataset}\n"
+
+
+def _windows_row(tmp_path, row: str) -> str:
+    header = ",".join(["record_id", "start_index", "cls_label", "fc_target"]
+                      + [f"ctx_{i}" for i in range(60)])
+    return _bad_windows_file(tmp_path, f"{header}\n{row}\n")
+
+
+def _full_row(record_id="r1", start="0", value="70.0") -> str:
+    return ",".join([record_id, start, "1", "80.0"] + [value] * 60)
 
 
 MALFORMED = {
@@ -430,7 +442,15 @@ MALFORMED = {
     "unknown_key": ("prepare", lambda t: "[train]\nbogus = 1\n", "bogus"),
     "unparsable_value": ("prepare", lambda t: "[train]\nepochs = six\n", "[train] epochs"),
     "zero_epochs": ("prepare", lambda t: "[train]\nepochs = 0\n", "[train]"),
-    "windows_header": ("train", _bad_windows_header, "windows.csv"),
+    "windows_header": ("train", _bad_windows_file, "windows.csv"),
+    "short_windows_row": ("train", lambda t: _windows_row(t, "r1,0,1,80.0,70.0,71.0"),
+                          "windows.csv:2"),
+    "windows_row_outside_split": ("train", lambda t: _windows_row(t, _full_row("r9")),
+                                  "windows.csv:2"),
+    "non_integer_start_index": ("train", lambda t: _windows_row(t, _full_row(start="x")),
+                                "windows.csv:2"),
+    "non_numeric_context": ("train", lambda t: _windows_row(t, _full_row(value="abc")),
+                            "windows.csv:2"),
     "unknown_section": ("prepare", lambda t: "[trian]\nepochs = 1\n", "[trian]"),
     "misspelt_boolean": ("prepare", lambda t: "[models]\nlayer_norm = ture\n",
                          "[models] layer_norm"),
@@ -442,6 +462,25 @@ MALFORMED = {
     "non_integer_sweep": ("train --hidden-sweep x", lambda t: "[train]\n", "--hidden-sweep"),
     "zero_sweep_flag": ("train --hidden-sweep 32,0", lambda t: "[train]\n", "--hidden-sweep"),
     "zero_sweep_key": ("prepare", lambda t: "[train]\nhidden_sweep = 0\n", "hidden_sweep"),
+    "duplicate_manifest_record": ("prepare", lambda t: _peak_manifest(
+        t, "1.0\n2.0\n", row="r1,r1.txt\nr1,r1.txt"), "manifest.csv:3"),
+    "zero_context_seconds": ("prepare", lambda t: "[windows]\ncontext_seconds = 0\n",
+                             "[windows]"),
+    "negative_context_seconds": ("prepare", lambda t: "[windows]\ncontext_seconds = -5\n",
+                                 "[windows]"),
+    "zero_horizon_seconds": ("prepare", lambda t: "[windows]\nhorizon_seconds = 0\n",
+                             "[windows]"),
+    "empty_theta_candidates": ("prepare", lambda t: "[windows]\ntheta_candidates =\n",
+                               "[windows]"),
+    "two_split_ratios": ("prepare", lambda t: "[split]\nratios = 0.5,0.5\n", "[split]"),
+    "zero_batch_size": ("train", lambda t: "[train]\nbatch_size = 0\n", "[train]"),
+    "negative_batch_size": ("train", lambda t: "[train]\nbatch_size = -3\n", "[train]"),
+    "zero_ece_bins": ("evaluate", lambda t: "[evaluation]\nece_bins = 0\n", "[evaluation]"),
+    "zero_bootstrap_draws": ("evaluate", lambda t: "[evaluation]\nbootstrap_draws = 0\n",
+                             "[evaluation]"),
+    "zero_beta": ("evaluate", lambda t: "[calibration]\nbeta = 0\n", "[calibration]"),
+    "negative_beta": ("evaluate", lambda t: "[calibration]\nbeta = -1\n", "[calibration]"),
+    "zero_beta_flag": ("evaluate --beta 0", lambda t: "[calibration]\n", "--beta"),
 }
 
 

@@ -23,7 +23,7 @@ class TestGenerate:
         records, bookkeeping = generate_corpus(spec)
         for record in records:
             series = derive_hr(record)
-            assert sum(w.cls_label for w in build_windows(series, theta=100.0)) == 0
+            assert build_windows(series, theta=100.0).cls_labels.sum() == 0
         for entry in bookkeeping["records"].values():
             assert entry["true_positive_windows_theta100"] == 0
 
@@ -44,7 +44,7 @@ class TestGenerate:
         pipeline_total = 0
         for record in records:
             series = derive_hr(record)
-            pipeline_total += sum(w.cls_label for w in build_windows(series, theta=100.0))
+            pipeline_total += build_windows(series, theta=100.0).cls_labels.sum()
         assert true_total > 0
         assert abs(pipeline_total - true_total) <= 0.1 * true_total
 

@@ -10,7 +10,7 @@ from hrbench import autodiff as ad
 from hrbench import models, training
 from hrbench.autodiff import Parameter, Tensor, backward, zero_grads
 from hrbench.errors import TrainingDiverged
-from hrbench.ingest import build_windows, split_records, standardize
+from hrbench.ingest import Windows, build_windows, split_records, standardize
 from hrbench.models import GrudConfig, TransformerConfig
 from hrbench.synth import SyntheticSpec, generate_corpus
 from hrbench.training import (
@@ -145,15 +145,10 @@ def small_dataset(seed=0, n_records=8, seconds=500, rate=22.0):
         seed=seed,
     )
     records, _ = generate_corpus(spec)
-    corpus = [derive_hr(r) for r in records]
-    windows = []
-    positivity = {}
-    for series in corpus:
-        ws = build_windows(series, theta=100.0)
-        windows.extend(ws)
-        positivity[series.record_id] = any(w.cls_label for w in ws)
+    tables = [build_windows(derive_hr(r), theta=100.0) for r in records]
+    positivity = {r.record_id: bool(t.cls_labels.any()) for r, t in zip(records, tables)}
     assignment = split_records(positivity, (0.5, 0.25, 0.25), seed=0)
-    dataset, _ = standardize(windows, assignment, theta=100.0)
+    dataset, _ = standardize(Windows.concat(tables), assignment, theta=100.0)
     return dataset
 
 
@@ -241,6 +236,37 @@ class TestTrainModel:
         def step():
             zero_grads(param_list)
             hidden = models.transformer_forward(config, params, contexts)
+            heads = models.heads_forward(hidden, params, contexts[:, -1])
+            backward(weighted_bce(heads.cls_logit, labels, 2.0))
+            adamw_step(param_list, state, 1e-3, 0.01)
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are set on glibc only")
+    @pytest.mark.parametrize("kind", ["grud", "transformer"])
+    def test_step_faults_no_memory_in_under_a_live_block(self, kind):
+        # 1 MiB holes below a live block: a default step's arrays do not fit
+        # in them, so all of the step's memory lies above the block and is
+        # free at the top of the heap when the step ends
+        training.hold_freed_memory()
+        blocks = [np.ones(1 << 17) for _ in range(60)]
+        del blocks[::2]
+        live = np.ones(1 << 17)  # noqa: F841
+        config = GrudConfig() if kind == "grud" else TransformerConfig()
+        params = training._build_model(kind, config, 0)
+        param_list = list(params.values())
+        rng = np.random.default_rng(0)
+        contexts, labels = rng.normal(size=(64, 60)), rng.integers(0, 2, 64)
+        state = AdamWState()
+
+        def step():
+            zero_grads(param_list)
+            hidden = models.encoder_forward(kind, config, params, contexts)
             heads = models.heads_forward(hidden, params, contexts[:, -1])
             backward(weighted_bce(heads.cls_logit, labels, 2.0))
             adamw_step(param_list, state, 1e-3, 0.01)
