@@ -674,40 +674,7 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# verification and persistence
-
-
-def check_gradients(
-    closure: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    epsilon: float = 1e-4,
-) -> float:
-    """Compare backward() against central finite differences.
-
-    The closure must rebuild the loss from the live parameter values on each
-    call. Returns the worst relative error |a - n| / max(|a|, |n|, 1e-8)
-    over every parameter coordinate.
-    """
-    zero_grads(params)
-    loss = closure()
-    backward(loss)
-    analytic = {id(p): p.grad.copy() for p in params}
-
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        aflat = analytic[id(p)].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = closure().item()
-            flat[i] = orig - epsilon
-            lo = closure().item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+# persistence
 
 
 def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = None) -> None:

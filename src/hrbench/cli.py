@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import pipeline
-from .config import BenchConfig, load_config, write_default_config
+from .config import BenchConfig, load_config, override, write_default_config
 from .errors import BenchError, DataError
+
+# flag destination -> the setting it overrides, parsed and checked as the
+# INI key of that setting is
+FLAGS = {
+    "out": "data.synth_dir",
+    "runs": "runs_dir",
+    "hidden_sweep": "hidden_sweep",
+    "target_mode": "train.target_mode",
+    "beta": "calibration.beta",
+    "no_calibration": "calibration.enabled",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file (defaults apply when omitted)")
         return p
 
-    p = add("init-config", "write a default config file")
+    p = add("init-config", "write a config file holding every default")
     p.add_argument("--out", default="bench.ini")
 
     p = add("synth", "generate a synthetic R-peak corpus")
@@ -34,16 +44,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_grid_flags(p):
         p.add_argument("--runs", help="runs directory (default: train.runs_dir)")
         p.add_argument("--hidden-sweep", help="comma list of extra GRU-D hidden sizes (A3)")
-        p.add_argument("--target-mode", choices=["residual", "absolute"],
-                       help="forecast target space (A4)")
+        p.add_argument("--target-mode", help="forecast target space: residual or absolute (A4)")
 
     add_grid_flags(add("train", "train the (model x task x seed) grid"))
 
     p = add("evaluate", "score the grid's trained runs with grouped-bootstrap CIs")
     add_grid_flags(p)
-    p.add_argument("--no-calibration", action="store_true",
+    p.add_argument("--no-calibration", action="store_const", const="false",
                    help="evaluate with temperature fixed to 1 (A1)")
-    p.add_argument("--beta", type=float, help="F-beta for threshold selection (A2)")
+    p.add_argument("--beta", help="F-beta for threshold selection (A2)")
 
     p = add("report", "aggregate per-seed reports into mean +/- std tables")
     p.add_argument("--runs", help="runs directory (default: train.runs_dir)")
@@ -51,19 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> BenchConfig:
-    return load_config(args.config) if args.config else BenchConfig()
-
-
-def _with_grid_flags(config: BenchConfig, args) -> BenchConfig:
-    """Apply --hidden-sweep and --target-mode, which name the runs of the grid."""
-    if args.hidden_sweep:
-        try:
-            sweep = tuple(int(v) for v in args.hidden_sweep.split(","))
-            config = replace(config, hidden_sweep=sweep)
-        except ValueError as exc:
-            raise DataError(f"--hidden-sweep {args.hidden_sweep!r}: {exc}") from None
-    if args.target_mode:
-        config = replace(config, train=replace(config.train, target_mode=args.target_mode))
+    """The config file's settings, or the defaults, with the flags given."""
+    config = load_config(args.config) if args.config else BenchConfig()
+    for dest, setting in FLAGS.items():
+        raw = getattr(args, dest, None)
+        if raw is not None:
+            try:
+                config = override(config, setting, raw)
+            except ValueError as exc:
+                raise DataError(f"--{dest.replace('_', '-')} {raw!r}: {exc}") from None
     return config
 
 
@@ -76,25 +81,15 @@ def main(argv=None) -> int:
             return 0
         config = _load(args)
         if args.command == "synth":
-            pipeline.run_synth(config, args.out)
+            pipeline.run_synth(config)
         elif args.command == "prepare":
             pipeline.run_prepare(config)
         elif args.command == "train":
-            pipeline.run_train(_with_grid_flags(config, args), args.runs)
+            pipeline.run_train(config)
         elif args.command == "evaluate":
-            config = _with_grid_flags(config, args)
-            if args.no_calibration:
-                config = replace(config, calibration=replace(config.calibration, enabled=False))
-            if args.beta is not None:
-                try:
-                    config = replace(config, calibration=replace(config.calibration,
-                                                                 beta=args.beta))
-                except ValueError as exc:
-                    raise DataError(f"--beta {args.beta:g}: {exc}") from None
-            pipeline.run_evaluate(config, args.runs)
+            pipeline.run_evaluate(config)
         elif args.command == "report":
-            runs = args.runs or config.runs_dir
-            pipeline.run_report(runs)
+            pipeline.run_report(config.runs_dir)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -3,15 +3,21 @@
 Every training-protocol hyperparameter has a key whose default is the
 published protocol value (AdamW at 1e-3, batch 64, 6 epochs, seeds 0/1/2,
 theta candidates 100/95/90/85, 1000 bootstrap draws, F-beta with beta 2).
+The dataclasses below are the only declaration of a setting's name, default
+and type: `load_config` parses a key by its field's annotation,
+`render_config` writes the file `bench init-config` starts from, and
+`override` applies a command-line flag.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import DataError
+from .ingest import CONTEXT_LEN, HORIZON, SPLIT_RATIOS, THETA_CANDIDATES
 from .models import GrudConfig, TransformerConfig
 from .synth import SyntheticSpec
 from .training import TrainConfig
@@ -28,9 +34,9 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    context_seconds: int = 60
-    horizon_seconds: int = 10
-    theta_candidates: tuple[float, ...] = (100.0, 95.0, 90.0, 85.0)
+    context_seconds: int = CONTEXT_LEN
+    horizon_seconds: int = HORIZON
+    theta_candidates: tuple[float, ...] = THETA_CANDIDATES
 
     def __post_init__(self):
         if self.context_seconds < 1 or self.horizon_seconds < 1:
@@ -41,7 +47,7 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
+    ratios: tuple[float, float, float] = SPLIT_RATIOS
     seed: int = 0
 
     def __post_init__(self):
@@ -54,12 +60,16 @@ class SplitConfig:
 @dataclass(frozen=True)
 class ModelsConfig:
     kinds: tuple[str, ...] = ("grud", "transformer")
-    grud_hidden: int = 64
-    d_model: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_dim: int = 256
-    layer_norm: bool = True
+    grud_hidden: int = GrudConfig.hidden_dim
+    d_model: int = TransformerConfig.d_model
+    layers: int = TransformerConfig.layers
+    heads: int = TransformerConfig.heads
+    ffn_dim: int = TransformerConfig.ffn_dim
+    layer_norm: bool = TransformerConfig.use_layer_norm
+
+    def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("kinds must name at least one model")
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ class EvaluationConfig:
     def __post_init__(self):
         if self.bootstrap_draws < 1 or self.ece_bins < 1:
             raise ValueError("bootstrap_draws and ece_bins must be >= 1")
+        if self.bootstrap_seed < 0:
+            raise ValueError(f"bootstrap_seed must be >= 0, got {self.bootstrap_seed}")
 
 
 @dataclass(frozen=True)
@@ -128,148 +140,103 @@ class BenchConfig:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
-
-def _parse_value(raw: str, kind):
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"not a boolean (one of {', '.join(_BOOLEANS)})")
-        return _BOOLEANS[raw.lower()]
-    if kind in (int, float, str):
-        return kind(raw)
-    raise TypeError(f"unsupported config field type {kind}")
-
-
-def _parse_tuple(raw: str, kind):
-    items = [item.strip() for item in raw.split(",") if item.strip()]
-    return tuple(kind(item) for item in items)
-
-
-_TUPLE_KINDS = {
-    "exclude": str,
-    "theta_candidates": float,
-    "ratios": float,
-    "kinds": str,
-    "seeds": int,
-    "hidden_sweep": int,
-}
-
 # BenchConfig's own fields, kept under [train] in the INI file
 _TRAIN_EXTRAS = ("hidden_sweep", "runs_dir")
 
 
-def _parse_key(cls, key: str, raw: str):
-    if key in _TUPLE_KINDS:
-        return _parse_tuple(raw, _TUPLE_KINDS[key])
-    return _parse_value(raw, type(getattr(cls(), key)))
+def _parse(raw: str, annotation):
+    """The value of a setting annotated `annotation`, from its text."""
+    raw = raw.strip()
+    if typing.get_origin(annotation) is tuple:
+        kind = typing.get_args(annotation)[0]
+        return tuple(_parse(item, kind) for item in raw.split(",") if item.strip())
+    if annotation is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean (one of {', '.join(_BOOLEANS)})")
+        return _BOOLEANS[raw.lower()]
+    return annotation(raw)
+
+
+def _sections() -> list[tuple[str, type]]:
+    """(name, dataclass) of each INI section: the BenchConfig fields built
+    by a factory, in field order."""
+    return [(f.name, f.default_factory) for f in fields(BenchConfig)
+            if f.default_factory is not MISSING]
 
 
 def load_config(path) -> BenchConfig:
     """Parse an INI file; a malformed key or value raises DataError naming
     the file, section and key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    # no interpolation: a value is its text, `%` included
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise DataError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    known = {f.name for f in fields(BenchConfig) if f.default_factory is not MISSING}
+    sections = dict(_sections())
     for name in parser.sections():
-        if name not in known:
+        if name not in sections:
             raise DataError(f"{path}: unknown section [{name}]")
     top: dict = {}
-    for section in fields(BenchConfig):
-        # each BenchConfig field built by a factory is the section of its name
-        cls = section.default_factory
-        if cls is MISSING:
-            continue
-        names = {f.name for f in fields(cls)}
+    for name, cls in sections.items():
         values = {}
-        for key, raw in parser.items(section.name) if parser.has_section(section.name) else ():
-            owner = BenchConfig if section.name == "train" and key in _TRAIN_EXTRAS else cls
-            if owner is cls and key not in names:
-                raise DataError(f"{path}: unknown key {key!r} in section [{section.name}]")
+        for key, raw in parser.items(name) if parser.has_section(name) else ():
+            owner = BenchConfig if name == "train" and key in _TRAIN_EXTRAS else cls
+            hints = typing.get_type_hints(owner)
+            if owner is cls and key not in hints:
+                raise DataError(f"{path}: unknown key {key!r} in section [{name}]")
             try:
-                parsed = _parse_key(owner, key, raw)
+                parsed = _parse(raw, hints[key])
             except ValueError as exc:
-                raise DataError(f"{path}: [{section.name}] {key} = {raw.strip()!r}: {exc}") from None
+                raise DataError(f"{path}: [{name}] {key} = {raw.strip()!r}: {exc}") from None
             (top if owner is BenchConfig else values)[key] = parsed
         try:
-            top[section.name] = cls(**values)
+            top[name] = cls(**values)
         except ValueError as exc:
-            raise DataError(f"{path}: [{section.name}]: {exc}") from None
+            raise DataError(f"{path}: [{name}]: {exc}") from None
     try:
         return BenchConfig(**top)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-DEFAULT_CONFIG_TEXT = """\
-# Benchmark configuration. Every key shows its default; delete or edit freely.
+def override(config, setting: str, raw: str):
+    """`config` with one setting, a field of it or `section.key`, parsed from
+    `raw`; the dataclass checks raise ValueError."""
+    name, _, key = setting.partition(".")
+    if key:
+        return replace(config, **{name: override(getattr(config, name), key, raw)})
+    return replace(config, **{name: _parse(raw, typing.get_type_hints(type(config))[name])})
 
-[data]
-# Either a manifest CSV (record_id,path to one peak-times file per record)
-# or a single combined CSV (record_id,peak_time).
-peaks_manifest =
-peaks_combined =
-exclude =
-dataset_dir = out/dataset
-# Where `bench synth` writes; `bench prepare` falls back to its manifest when
-# no peak source is configured.
-synth_dir = data/synthetic
 
-[windows]
-context_seconds = 60
-horizon_seconds = 10
-theta_candidates = 100,95,90,85
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
-[split]
-ratios = 0.70,0.15,0.15
-seed = 0
 
-[models]
-kinds = grud,transformer
-grud_hidden = 64
-d_model = 64
-layers = 2
-heads = 4
-ffn_dim = 256
-layer_norm = true
+_DATA_COMMENT = [
+    "# Either a manifest CSV (record_id,path to one peak-times file per record)",
+    "# or a single combined CSV (record_id,peak_time). With neither,",
+    "# `bench prepare` reads the manifest that `bench synth` writes to synth_dir.",
+]
 
-[train]
-lr = 0.001
-batch_size = 64
-epochs = 6
-seeds = 0,1,2
-weight_decay = 0.01
-prevalence_eps = 1e-6
-target_mode = residual
-hidden_sweep =
-runs_dir = out/runs
 
-[calibration]
-enabled = true
-beta = 2.0
-
-[evaluation]
-bootstrap_draws = 1000
-bootstrap_seed = 1234
-ece_bins = 10
-
-[synth]
-n_records = 20
-record_seconds = 1800
-base_hr = 78.0
-ar_coeff = 0.9
-reversion = 0.9
-noise_scale = 0.25
-episode_rate_per_hour = 4.0
-episode_duration_s = 110.0
-episode_amplitude = 42.0
-episode_ramp_s = 40.0
-osc_amplitude = 10.0
-osc_period_s = 100.0
-seed = 7
-"""
+def render_config(config: BenchConfig) -> str:
+    """The INI text of `config`, which `load_config` reads back as `config`."""
+    lines = []
+    for name, cls in _sections():
+        section = getattr(config, name)
+        values = [(f.name, getattr(section, f.name)) for f in fields(cls)]
+        if name == "train":
+            values += [(key, getattr(config, key)) for key in _TRAIN_EXTRAS]
+        lines += ["", f"[{name}]", *(_DATA_COMMENT if name == "data" else [])]
+        lines += [f"{key} = {_text(value)}".rstrip() for key, value in values]
+    return "\n".join(lines) + "\n"
 
 
 def write_default_config(path) -> None:
-    Path(path).write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")
+    header = "# Benchmark configuration. Every key shows its default; delete or edit freely.\n"
+    Path(path).write_text(header + render_config(BenchConfig()), encoding="utf-8")

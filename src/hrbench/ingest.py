@@ -32,25 +32,28 @@ HR_MAX = 220.0
 CONTEXT_LEN = 60
 HORIZON = 10
 THETA_CANDIDATES = (100.0, 95.0, 90.0, 85.0)
+SPLIT_RATIOS = (0.70, 0.15, 0.15)  # train, val, test
 MIN_POSITIVE_RECORDS = 3
 MIN_POSITIVE_WINDOWS = 40
 SPLIT_NAMES = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RPeakRecord:
     """R-peak arrival times (seconds) for one recording."""
 
     record_id: str
-    peak_times: tuple[float, ...]
+    peak_times: np.ndarray  # (P,) float64
 
     def __post_init__(self):
-        times = self.peak_times
-        if times and times[0] < 0.0:
+        times = np.asarray(self.peak_times, dtype=np.float64)
+        object.__setattr__(self, "peak_times", times)
+        if not np.isfinite(times).all():
+            raise ValueError(f"{self.record_id}: peak times must be finite")
+        if times.size and times[0] < 0.0:
             raise ValueError(f"{self.record_id}: peak times must be >= 0")
-        for a, b in zip(times, times[1:]):
-            if not b > a:
-                raise ValueError(f"{self.record_id}: peak times must strictly increase")
+        if not (np.diff(times) > 0.0).all():
+            raise ValueError(f"{self.record_id}: peak times must strictly increase")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +133,7 @@ def derive_hr(record: RPeakRecord) -> HrSeries:
     """
     if len(record.peak_times) < 2:
         raise EmptySignal(f"{record.record_id}: need >= 2 peaks, got {len(record.peak_times)}")
-    t = np.asarray(record.peak_times, dtype=np.float64)
+    t = record.peak_times
     first = math.ceil(t[0])
     last_excl = math.ceil(t[-1])
     if last_excl <= first:
@@ -226,7 +229,7 @@ def _apportion(n: int, ratios: Sequence[float]) -> list[int]:
 
 def split_records(
     positivity: Mapping[str, bool],
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> dict[str, str]:
     """Record-level split, shuffling positives and negatives separately.
@@ -316,12 +319,9 @@ def _split_data(rows: Windows, stats: StandardizationStats) -> SplitData:
                      last_context_norm=last, residuals=targets_norm - last)
 
 
-def standardize(
-    windows: Windows,
-    split: Mapping[str, str],
-    theta: float = THETA_CANDIDATES[0],
-) -> tuple[WindowedDataset, StandardizationStats]:
-    """Fit mu/sigma on train-split context samples, transform every split.
+def standardize(windows: Windows, split: Mapping[str, str]) -> StandardizationStats:
+    """Fit mu/sigma on train-split context samples; `WindowedDataset`
+    applies them to every split.
 
     sigma is the population standard deviation; a constant training corpus
     raises DegenerateScale.
@@ -333,8 +333,7 @@ def standardize(
     sigma = float(train_contexts.std())
     if sigma == 0.0:
         raise DegenerateScale("training contexts are constant (sigma = 0)")
-    stats = StandardizationStats(mu=mu, sigma=sigma)
-    return WindowedDataset(windows, split, stats, theta), stats
+    return StandardizationStats(mu=mu, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +342,38 @@ def standardize(
 
 def _peak_record(record_id: str, times, where: str) -> RPeakRecord:
     try:
-        return RPeakRecord(record_id, tuple(times))
+        return RPeakRecord(record_id, times)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
 
 
+def _number(text: str) -> float:
+    """`text` as a float; NaN if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _not_a_number(text: str, where: str) -> DataError:
-    return DataError(f"{where}: {text.strip()!r} is not a number")
+    return DataError(f"{where}: {text.strip()!r} is not a finite number")
 
 
-def read_peak_file(path) -> tuple[float, ...]:
-    times = []
+def read_peak_file(path) -> np.ndarray:
+    """One peak time per non-blank line."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    times.append(float(line))
-                except ValueError:
-                    raise _not_a_number(line, f"{path}:{lineno}") from None
-    return tuple(times)
+        lines = fh.read().split("\n")
+    try:
+        times = np.array([float(line) for line in lines if line.strip()])
+        valid = bool(np.isfinite(times).all())
+    except ValueError:
+        valid = False
+    if not valid:
+        # only a file that fails is scanned line by line, to name the line
+        lineno, line = next((n, line) for n, line in enumerate(lines, 1)
+                            if line.strip() and not math.isfinite(_number(line)))
+        raise _not_a_number(line, f"{path}:{lineno}")
+    return times
 
 
 def read_manifest(manifest_path) -> list[RPeakRecord]:
@@ -401,10 +412,9 @@ def read_combined_peaks(path) -> list[RPeakRecord]:
             if len(row) < 2:
                 raise DataError(f"{path}:{reader.line_num}: expected `record_id,peak_time`, "
                                 f"got {row}")
-            try:
-                peak = float(row[1])
-            except ValueError:
-                raise _not_a_number(row[1], f"{path}:{reader.line_num}") from None
+            peak = _number(row[1])
+            if not math.isfinite(peak):
+                raise _not_a_number(row[1], f"{path}:{reader.line_num}")
             times.setdefault(row[0].strip(), []).append(peak)
     return [_peak_record(r, t, str(path)) for r, t in times.items()]
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ContractViolation, ShapeError
+from .ingest import CONTEXT_LEN
 
 ModelParams = dict[str, Parameter]
 
@@ -40,7 +41,7 @@ class TransformerConfig:
     layers: int = 2
     heads: int = 4
     ffn_dim: int = 256
-    max_len: int = 60
+    max_len: int = CONTEXT_LEN
     use_layer_norm: bool = True
 
     def __post_init__(self):

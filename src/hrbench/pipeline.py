@@ -48,9 +48,9 @@ class PrepareSummary:
     dataset_dir: str
 
 
-def run_synth(config: BenchConfig, out_dir=None) -> Path:
+def run_synth(config: BenchConfig) -> Path:
     records, bookkeeping = synth.generate_corpus(config.synth)
-    target = Path(out_dir) if out_dir else Path(config.data.synth_dir)
+    target = Path(config.data.synth_dir)
     manifest = synth.write_corpus(target, records, bookkeeping)
     print(f"wrote {len(records)} synthetic records to {target}")
     return manifest
@@ -80,8 +80,7 @@ def _load_peak_records(config: BenchConfig):
 def run_prepare(config: BenchConfig) -> PrepareSummary:
     """derive -> threshold guard -> windows -> record split -> standardize."""
     T, H = config.windows.context_seconds, config.windows.horizon_seconds
-    # the peak times, Python floats, are several times the size of the HR
-    # series; nothing after derive_hr reads them
+    # the peak times outsize the HR series; nothing after derive_hr reads them
     corpus = [derive_hr(r) for r in _load_peak_records(config)]
     guard = select_threshold(corpus, config.windows.theta_candidates, T=T, H=H)
 
@@ -90,7 +89,7 @@ def run_prepare(config: BenchConfig) -> PrepareSummary:
                   for series, t in zip(corpus, tables)}
     windows = Windows.concat(tables)
     split = split_records(positivity, config.split.ratios, config.split.seed)
-    _, stats = standardize(windows, split, theta=guard.theta)
+    stats = standardize(windows, split)
     save_prepared(config.data.dataset_dir, windows, stats, split, guard.theta, H=H)
 
     summary = PrepareSummary(
@@ -164,9 +163,9 @@ def _encoder_from_blob(blob: dict):
     return kind, models.TransformerConfig(**values)
 
 
-def run_train(config: BenchConfig, runs_dir=None) -> list[str]:
+def run_train(config: BenchConfig) -> list[str]:
     dataset = load_prepared(config.data.dataset_dir)
-    base = Path(runs_dir) if runs_dir else Path(config.runs_dir)
+    base = Path(config.runs_dir)
     base.mkdir(parents=True, exist_ok=True)
     run_ids = []
     for spec in _grid(config):
@@ -265,12 +264,12 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     return fit.temperature, tau
 
 
-def run_evaluate(config: BenchConfig, runs_dir=None) -> list[dict]:
+def run_evaluate(config: BenchConfig) -> list[dict]:
     """Score the runs of the config's grid plus the non-learned baselines;
     write reports. Run directories outside the grid are not read; those that
     hold a checkpoint (other seeds, a capacity sweep the config leaves out)
     are named in a warning on stderr."""
-    base = Path(runs_dir) if runs_dir else Path(config.runs_dir)
+    base = Path(config.runs_dir)
     specs = sorted(_grid(config), key=lambda spec: spec.run_id)
     for spec in specs:
         if not (base / spec.run_id / "checkpoint.json").exists():

@@ -39,6 +39,8 @@ class SyntheticSpec:
             raise ValueError("ar_coeff and reversion must be in [0, 1)")
         if self.record_seconds < 1 or self.n_records < 1:
             raise ValueError("need at least one record of at least one second")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _episode_level(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, list]:
@@ -132,7 +134,7 @@ def write_corpus(out_dir, records: list[RPeakRecord], bookkeeping: dict) -> Path
             name = f"{record.record_id}.txt"
             writer.writerow([record.record_id, name])
             with open(out / name, "w", encoding="utf-8") as peaks_fh:
-                peaks_fh.write("\n".join(f"{t:.6f}" for t in record.peak_times))
+                peaks_fh.write("\n".join(f"{t:.6f}" for t in record.peak_times.tolist()))
                 peaks_fh.write("\n")
     with open(out / "bookkeeping.json", "w", encoding="utf-8") as fh:
         json.dump(bookkeeping, fh, indent=2)

@@ -35,6 +35,8 @@ class TrainConfig:
             raise ValueError("lr, epochs, batch_size and prevalence_eps must be positive")
         if self.target_mode not in ("residual", "absolute"):
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be a non-empty list of values >= 0, got {self.seeds}")
 
 
 @dataclass

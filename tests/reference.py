@@ -5,20 +5,22 @@ and the helpers only the tests use.
 autodiff ops of their own, and `grud_forward_reference` and
 `transformer_forward_reference` build each encoder from single ops: the forms
 that `autodiff.gru_scan`, `autodiff.attention`, `autodiff.ffn` and
-`autodiff.add_layer_norm` must agree with. `mae_rmse` and `groups` serve the
+`autodiff.add_layer_norm` must agree with. `check_gradients` is the
+finite-difference check of backward; `mae_rmse` and `groups` serve the
 metric tests. The package does not ship them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from hrbench import autodiff as ad
 from hrbench import metrics as met
 from hrbench import models
-from hrbench.autodiff import Tensor, _accum, _coerce
+from hrbench.autodiff import Parameter, Tensor, _accum, _coerce
 from hrbench.errors import ShapeError
 
 
@@ -36,6 +38,39 @@ def sum_(a) -> Tensor:
     out = Tensor(a.data.sum(), (a,))
     out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
     return out
+
+
+def check_gradients(
+    closure: Callable[[], Tensor],
+    params: Sequence[Parameter],
+    epsilon: float = 1e-4,
+) -> float:
+    """Compare backward() against central finite differences.
+
+    The closure must rebuild the loss from the live parameter values on each
+    call. Returns the worst relative error |a - n| / max(|a|, |n|, 1e-8)
+    over every parameter coordinate.
+    """
+    ad.zero_grads(params)
+    loss = closure()
+    ad.backward(loss)
+    analytic = {id(p): p.grad.copy() for p in params}
+
+    worst = 0.0
+    for p in params:
+        flat = p.data.reshape(-1)
+        aflat = analytic[id(p)].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            hi = closure().item()
+            flat[i] = orig - epsilon
+            lo = closure().item()
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * epsilon)
+            err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
 
 
 def mae_rmse(mu_bpm, targets_bpm, weights=None):

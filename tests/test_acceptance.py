@@ -18,12 +18,13 @@ import pytest
 from hrbench import autodiff as ad
 from hrbench import metrics as met
 from hrbench import models, pipeline, training
-from hrbench.autodiff import Tensor, check_gradients
+from hrbench.autodiff import Tensor
 from hrbench.calibration import apply_temperature, fbeta, fit_temperature, mean_bce
 from hrbench.config import BenchConfig, DataConfig
 from hrbench.ingest import load_prepared
 from hrbench.metrics import PredictionSet, auprc, auroc, brier, crps_gaussian, ece, f1_at_threshold, grouped_bootstrap
 from hrbench.training import TrainConfig, train_model
+from reference import check_gradients
 from reference import groups as record_groups
 
 

@@ -8,6 +8,7 @@ from hrbench.ingest import (
     HrSeries,
     RPeakRecord,
     StandardizationStats,
+    WindowedDataset,
     Windows,
     build_windows,
     derive_hr,
@@ -237,7 +238,7 @@ class TestStandardize:
     def test_two_point_symmetry(self):
         windows = _toy_windows()
         assignment = _toy_assignment()
-        dataset, stats = standardize(windows, assignment)
+        stats = standardize(windows, assignment)
         assert stats.mu == pytest.approx(70.0)
         assert stats.sigma == pytest.approx(10.0)
         assert stats.normalize(80.0) == pytest.approx(1.0)
@@ -246,14 +247,15 @@ class TestStandardize:
         # normalized target 0.7 with final context sample 0.5 -> residual 0.2
         stats = StandardizationStats(mu=70.0, sigma=10.0)
         assert stats.normalize(77.0) - stats.normalize(75.0) == pytest.approx(0.2)
-        dataset, _ = standardize(_toy_windows(), _toy_assignment())
+        windows, assignment = _toy_windows(), _toy_assignment()
+        dataset = WindowedDataset(windows, assignment, standardize(windows, assignment), 100.0)
         train = dataset.split("train")
         np.testing.assert_allclose(
             train.residuals, train.fc_targets_norm - train.contexts_norm[:, -1], atol=0
         )
 
     def test_inverse_round_trip(self):
-        _, stats = standardize(_toy_windows(), _toy_assignment())
+        stats = standardize(_toy_windows(), _toy_assignment())
         assert stats.denormalize(1.0) == pytest.approx(80.0)
         values = np.linspace(20, 220, 13)
         np.testing.assert_allclose(
@@ -268,7 +270,7 @@ class TestStandardize:
     @given(st.floats(min_value=20.0, max_value=220.0))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_identity_property(self, bpm):
-        _, stats = standardize(_toy_windows(), _toy_assignment())
+        stats = standardize(_toy_windows(), _toy_assignment())
         assert stats.denormalize(stats.normalize(bpm)) == pytest.approx(bpm, rel=1e-9)
 
     def test_stats_come_from_train_split_only(self):
@@ -276,7 +278,7 @@ class TestStandardize:
         assignment = _toy_assignment()
         train_split = [i for i, r in enumerate(windows.record_ids) if assignment[r] == "train"]
         samples = windows.contexts_bpm[train_split]
-        _, stats = standardize(windows, assignment)
+        stats = standardize(windows, assignment)
         assert stats.mu == pytest.approx(samples.mean())
         assert stats.sigma == pytest.approx(samples.std())
 
@@ -293,7 +295,8 @@ class TestPreparedFiles:
     def test_save_load_round_trip(self, tmp_path):
         windows = _toy_windows()
         assignment = _toy_assignment()
-        dataset, stats = standardize(windows, assignment)
+        stats = standardize(windows, assignment)
+        dataset = WindowedDataset(windows, assignment, stats, 100.0)
         save_prepared(tmp_path, windows, stats, assignment, theta=100.0)
         loaded = load_prepared(tmp_path)
         assert loaded.theta == 100.0
@@ -313,7 +316,8 @@ class TestPreparedFiles:
             ("b", [80.0, 60.0] * 15, 70.0, 0, 0),
         )
         assignment = {"a": "train", "b": "val", "c": "test"}
-        dataset, stats = standardize(windows, assignment)
+        stats = standardize(windows, assignment)
+        dataset = WindowedDataset(windows, assignment, stats, 100.0)
         save_prepared(tmp_path, windows, stats, assignment, theta=100.0)
         for data in (dataset, load_prepared(tmp_path)):
             empty = data.split("test")
@@ -346,7 +350,8 @@ class TestPreparedFiles:
         # a constant draw has no scale; every other table standardizes
         if windows.contexts_bpm[windows.record_ids == ids[0]].std() == 0.0:
             return
-        dataset, stats = standardize(windows, assignment, theta=95.0)
+        stats = standardize(windows, assignment)
+        dataset = WindowedDataset(windows, assignment, stats, 95.0)
         out = tmp_path_factory.mktemp("prepared")
         save_prepared(out, windows, stats, assignment, theta=95.0)
         loaded = load_prepared(out)
@@ -357,7 +362,8 @@ class TestPreparedFiles:
             _assert_same_columns(dataset.split(name), loaded.split(name))
 
     def test_access_log_records_reads(self):
-        dataset, _ = standardize(_toy_windows(), _toy_assignment())
+        windows, assignment = _toy_windows(), _toy_assignment()
+        dataset = WindowedDataset(windows, assignment, standardize(windows, assignment), 100.0)
         assert dataset.access_log == []
         dataset.split("train")
         dataset.split("val")

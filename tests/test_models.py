@@ -5,7 +5,7 @@ import pytest
 
 from hrbench import autodiff as ad
 from hrbench import models, training
-from hrbench.autodiff import Tensor, check_gradients
+from hrbench.autodiff import Tensor
 from hrbench.errors import ContractViolation
 from hrbench.models import (
     GrudConfig,
@@ -20,7 +20,7 @@ from hrbench.models import (
     sinusoidal_positions,
     transformer_forward,
 )
-from reference import grud_forward_reference, transformer_forward_reference
+from reference import check_gradients, grud_forward_reference, transformer_forward_reference
 
 
 def plain_gru_reference(params, z_seq):

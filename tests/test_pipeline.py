@@ -102,8 +102,8 @@ class TestTrain:
     def test_rerun_is_byte_identical(self, prepared, tmp_path):
         config, _ = prepared
         a_dir, b_dir = tmp_path / "runs_a", tmp_path / "runs_b"
-        ids_a = pipeline.run_train(config, a_dir)
-        ids_b = pipeline.run_train(config, b_dir)
+        ids_a = pipeline.run_train(replace(config, runs_dir=str(a_dir)))
+        ids_b = pipeline.run_train(replace(config, runs_dir=str(b_dir)))
         assert ids_a == ids_b
         for run_id in ids_a:
             a = (a_dir / run_id / "checkpoint.json").read_bytes()
@@ -233,9 +233,9 @@ class TestEvaluate:
     def test_end_to_end_reports_byte_identical(self, prepared, tmp_path):
         config, _ = prepared
         for sub in ("x", "y"):
-            runs = tmp_path / f"runs_{sub}"
-            pipeline.run_train(config, runs)
-            pipeline.run_evaluate(config, runs)
+            runs = replace(config, runs_dir=str(tmp_path / f"runs_{sub}"))
+            pipeline.run_train(runs)
+            pipeline.run_evaluate(runs)
         a = (tmp_path / "runs_x" / "report.csv").read_bytes()
         b = (tmp_path / "runs_y" / "report.csv").read_bytes()
         assert a == b
@@ -481,6 +481,22 @@ MALFORMED = {
     "zero_beta": ("evaluate", lambda t: "[calibration]\nbeta = 0\n", "[calibration]"),
     "negative_beta": ("evaluate", lambda t: "[calibration]\nbeta = -1\n", "[calibration]"),
     "zero_beta_flag": ("evaluate --beta 0", lambda t: "[calibration]\n", "--beta"),
+    "non_numeric_beta_flag": ("evaluate --beta x", lambda t: "[calibration]\n", "--beta"),
+    "unknown_target_mode_flag": ("train --target-mode sideways", lambda t: "[train]\n",
+                                 "--target-mode"),
+    "empty_seeds": ("train", lambda t: "[train]\nseeds =\n", "[train]"),
+    "empty_seeds_with_sweep": ("train --hidden-sweep 8", lambda t: "[train]\nseeds =\n",
+                               "[train]"),
+    "negative_seed": ("train", lambda t: "[train]\nseeds = 0,-1\n", "[train]"),
+    "empty_model_kinds": ("train", lambda t: "[models]\nkinds =\n", "[models]"),
+    "negative_synth_seed": ("synth", lambda t: "[synth]\nseed = -1\n", "[synth]"),
+    "negative_bootstrap_seed": ("evaluate", lambda t: "[evaluation]\nbootstrap_seed = -1\n",
+                                "[evaluation]"),
+    "infinite_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\n2.0\ninf\n"), "r1.txt:3"),
+    "duplicate_key": ("prepare", lambda t: "[train]\nepochs = 1\nepochs = 2\n", "'epochs'"),
+    "no_section_header": ("prepare", lambda t: "epochs = 1\n", "no section headers"),
+    "infinite_combined_peak": ("prepare", lambda t: _combined(t, "r1,1.0\nr1,inf\n"),
+                               "peaks.csv:3"),
 }
 
 

@@ -14,7 +14,7 @@ class TestGenerate:
         b, _ = generate_corpus(spec)
         for ra, rb in zip(a, b):
             assert ra.record_id == rb.record_id
-            assert ra.peak_times == rb.peak_times
+            np.testing.assert_array_equal(ra.peak_times, rb.peak_times)
 
     def test_zero_amplitude_has_no_positive_windows(self):
         spec = SyntheticSpec(

@@ -10,7 +10,7 @@ from hrbench import autodiff as ad
 from hrbench import models, training
 from hrbench.autodiff import Parameter, Tensor, backward, zero_grads
 from hrbench.errors import TrainingDiverged
-from hrbench.ingest import Windows, build_windows, split_records, standardize
+from hrbench.ingest import WindowedDataset, Windows, build_windows, split_records, standardize
 from hrbench.models import GrudConfig, TransformerConfig
 from hrbench.synth import SyntheticSpec, generate_corpus
 from hrbench.training import (
@@ -148,8 +148,8 @@ def small_dataset(seed=0, n_records=8, seconds=500, rate=22.0):
     tables = [build_windows(derive_hr(r), theta=100.0) for r in records]
     positivity = {r.record_id: bool(t.cls_labels.any()) for r, t in zip(records, tables)}
     assignment = split_records(positivity, (0.5, 0.25, 0.25), seed=0)
-    dataset, _ = standardize(Windows.concat(tables), assignment, theta=100.0)
-    return dataset
+    windows = Windows.concat(tables)
+    return WindowedDataset(windows, assignment, standardize(windows, assignment), 100.0)
 
 
 GRUD_SMALL = GrudConfig(hidden_dim=8)
