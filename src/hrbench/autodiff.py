@@ -1,17 +1,24 @@
 """Reverse-mode differentiation on float64 numpy arrays.
 
-Define-by-run: every operation eagerly computes its value and records the
-backward rule on the produced node, so the graph is rebuilt on each forward
-pass. Only the operations the two encoders and their losses need are
-provided. The blocks that do most of a training step's work are fused nodes
-with hand-written backward rules: the GRU recurrence (`gru_scan`) and the
-Transformer layer's multi-head attention (`attention`), feed-forward block
-(`ffn`) and residual layer norm (`add_layer_norm`). Each records one node
-and keeps only the arrays its backward reads. Broadcasting is deliberately
-restricted to adding a last-axis bias vector; all other elementwise operands
-must match shapes exactly, which turns most wiring mistakes into immediate
-ShapeErrors instead of silent ones. Inside `no_grad()` nothing is recorded,
-for inference.
+Define-by-run: every operation eagerly computes its value and returns
+`Tensor(value, parents, backward)`, so the graph is rebuilt on each forward
+pass. The constructor is the only place a node gets its backward rule, and a
+node that records nothing (no parent needs a gradient, or inside `no_grad()`,
+for inference) keeps neither its parents nor its rule. Only the operations
+the two encoders and their losses need are provided. The blocks that do most
+of a training step's work are fused nodes with hand-written backward rules:
+the GRU recurrence (`gru_scan`) and the Transformer layer's multi-head
+attention (`attention`), feed-forward block (`ffn`) and residual layer norm
+(`add_layer_norm`). Each records one node and keeps only the arrays its
+backward reads.
+
+Elementwise operands must match shapes exactly, with three exceptions: `add`
+takes a last-axis bias vector as its second operand, and `t + c`, `t * c`
+and `c - t` take a real number c. Anywhere else a number is a 0-d tensor,
+so `t - c`, `t / c`, `add(c, t)`, `mul(c, t)` and `add(bias, t)` are
+ShapeErrors for any t that is not 0-d; `c + t`, `c * t` and `-t` are
+TypeErrors. Most wiring mistakes thus fail at once instead of
+silently.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether a node over `parents` records them and its backward rule."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     """A node of the computation graph: value, gradient slot, backward rule.
 
@@ -50,25 +62,18 @@ class Tensor:
     rule, so it holds no graph alive.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_rule", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         parents = tuple(parents)
         if requires_grad is None:
-            requires_grad = _recording and any(p.requires_grad for p in parents)
+            requires_grad = _records(parents)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = parents if self.requires_grad else ()
-        self._backward = backward
-
-    @property
-    def _backward(self) -> Callable[[Array], None] | None:
-        return self._rule
-
-    @_backward.setter
-    def _backward(self, rule: Callable[[Array], None] | None) -> None:
-        self._rule = rule if self.requires_grad else None
+        self._backward: Callable[[Array], None] | None = (
+            backward if self.requires_grad else None)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,9 +95,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -102,14 +104,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -201,60 +197,41 @@ def _bias_grad(g: Array, k: int) -> Array:
 def add(a, b) -> Tensor:
     if isinstance(b, numbers.Real):
         a = _coerce(a)
-        out = Tensor(a.data + float(b), (a,))
-        out._backward = lambda g: _accum(a, g)
-        return out
-    if isinstance(a, numbers.Real):
-        return add(b, a)
+        return Tensor(a.data + float(b), (a,), lambda g: _accum(a, g))
     a, b = _coerce(a), _coerce(b)
     if a.shape == b.shape:
-        out = Tensor(a.data + b.data, (a, b))
 
         def _bw(g):
             _accum(a, g)
             _accum(b, g)
 
     elif b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        out = Tensor(a.data + b.data, (a, b))
 
         def _bw(g):
             _accum(a, g)
             _accum(b, _bias_grad(g, b.shape[0]))
 
-    elif a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
-        return add(b, a)
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out._backward = _bw
-    return out
+    return Tensor(a.data + b.data, (a, b), _bw)
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, numbers.Real):
-        return add(a, -float(b))
-    return add(a, neg(_coerce(b)))
+    return add(a, neg(b))
 
 
 def neg(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(-a.data, (a,))
-    out._backward = lambda g: _accum(a, -g)
-    return out
+    return Tensor(-a.data, (a,), lambda g: _accum(a, -g))
 
 
 def mul(a, b) -> Tensor:
     if isinstance(b, numbers.Real):
-        a = _coerce(a)
-        s = float(b)
-        out = Tensor(a.data * s, (a,))
-        out._backward = lambda g: _accum(a, g * s)
-        return out
-    if isinstance(a, numbers.Real):
-        return mul(b, a)
+        a, s = _coerce(a), float(b)
+        return Tensor(a.data * s, (a,), lambda g: _accum(a, g * s))
     a, b = _coerce(a), _coerce(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, (a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -262,18 +239,14 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, g * a.data)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data * b.data, (a, b), _bw)
 
 
 def div(a, b) -> Tensor:
-    if isinstance(b, numbers.Real):
-        return mul(a, 1.0 / float(b))
     a, b = _coerce(a), _coerce(b)
     if a.shape != b.shape:
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
     quotient = a.data / b.data
-    out = Tensor(quotient, (a, b))
 
     # closures capture plain arrays, never the output tensor itself: a node
     # referencing itself would form a cycle and defer graph teardown to the gc
@@ -283,8 +256,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, -g * quotient / b.data)
 
-    out._backward = _bw
-    return out
+    return Tensor(quotient, (a, b), _bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -296,7 +268,6 @@ def matmul(a, b) -> Tensor:
     if a.ndim == b.ndim:
         if a.shape[:-2] != b.shape[:-2]:
             raise ShapeError(f"matmul: stacked dims of {a.shape} and {b.shape} differ")
-        out = Tensor(a.data @ b.data, (a, b))
 
         def _bw(g):
             if a.requires_grad:
@@ -306,7 +277,6 @@ def matmul(a, b) -> Tensor:
 
     elif b.ndim == 2:
         # stacked left operand against one shared weight matrix
-        out = Tensor(a.data @ b.data, (a, b))
         m, k = b.shape
 
         def _bw(g):
@@ -317,8 +287,7 @@ def matmul(a, b) -> Tensor:
 
     else:
         raise ShapeError(f"matmul: unsupported shapes {a.shape} and {b.shape}")
-    out._backward = _bw
-    return out
+    return Tensor(a.data @ b.data, (a, b), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +297,30 @@ def matmul(a, b) -> Tensor:
 def tanh(a) -> Tensor:
     a = _coerce(a)
     value = np.tanh(a.data)
-    out = Tensor(value, (a,))
-    out._backward = lambda g: _accum(a, g * (1.0 - value * value))
-    return out
+    return Tensor(value, (a,), lambda g: _accum(a, g * (1.0 - value * value)))
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
-    out._backward = lambda g: _accum(a, g * (a.data > 0.0))
-    return out
+    return Tensor(np.maximum(a.data, 0.0), (a,), lambda g: _accum(a, g * (a.data > 0.0)))
 
 
 def exp(a) -> Tensor:
     a = _coerce(a)
     value = np.exp(a.data)
-    out = Tensor(value, (a,))
-    out._backward = lambda g: _accum(a, g * value)
-    return out
+    return Tensor(value, (a,), lambda g: _accum(a, g * value))
 
 
 def log(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(np.log(a.data), (a,))
-    out._backward = lambda g: _accum(a, g / a.data)
-    return out
+    return Tensor(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
 
 
 def softplus(a) -> Tensor:
     a = _coerce(a)
     # max(x, 0) + log1p(exp(-|x|)) never overflows
-    out = Tensor(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))), (a,))
-    out._backward = lambda g: _accum(a, g * 0.5 * (1.0 + np.tanh(0.5 * a.data)))
-    return out
+    value = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
+    return Tensor(value, (a,), lambda g: _accum(a, g * 0.5 * (1.0 + np.tanh(0.5 * a.data))))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +331,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     ts = [_coerce(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of an empty sequence")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
     sizes = [t.shape[axis] for t in ts]
 
     def _bw(g):
@@ -382,37 +341,30 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             _accum(t, g[tuple(idx)])
             offset += size
 
-    out._backward = _bw
-    return out
+    return Tensor(np.concatenate([t.data for t in ts], axis=axis), ts, _bw)
 
 
 def take(a, key) -> Tensor:
     """Basic (non-fancy) indexing; the gradient scatters back into place."""
     a = _coerce(a)
-    out = Tensor(np.array(a.data[key]), (a,))
 
     def _bw(g):
         buf = np.zeros_like(a.data)
         buf[key] = g
         _accum(a, buf)
 
-    out._backward = _bw
-    return out
+    return Tensor(np.array(a.data[key]), (a,), _bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-    out._backward = lambda g: _accum(a, g.reshape(a.shape))
-    return out
+    return Tensor(a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def mean(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.mean(), (a,))
     n = a.data.size
-    out._backward = lambda g: _accum(a, np.full(a.shape, float(g) / n))
-    return out
+    return Tensor(a.data.mean(), (a,), lambda g: _accum(a, np.full(a.shape, float(g) / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +400,7 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
             f"{w_hh.shape} and {b_hh.shape}"
         )
     parents = (gates_i, gamma_h, w_hh, b_hh)
-    record = _recording and any(p.requires_grad for p in parents)
+    record = _records(parents)
     gi, gamma, w, b = gates_i.data, gamma_h.data, w_hh.data, b_hh.data
     # per-step states for the backward pass, or one step's working space
     saved = steps if record else 1
@@ -474,9 +426,8 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
         np.tanh(n, out=n)
         u = act[s, :, h_dim : 2 * h_dim]
         h = (1.0 - u) * n + u * h_prev[s]
-    out = Tensor(h, parents)
     if not record:
-        return out
+        return Tensor(h, parents)
 
     def _bw(dh):
         # dh is d(loss)/d(h after step t), walking t back from the last step
@@ -511,8 +462,7 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
             undecayed[1:] = (1.0 - u[:-1]) * n[:-1] + u[:-1] * h_prev[:-1]
             _accum(gamma_h, d_hps * undecayed)
 
-    out._backward = _bw
-    return out
+    return Tensor(h, parents, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +519,9 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
     mixed = (s @ v).transpose(0, 2, 1, 3).reshape(batch, rows, d)
     value = mixed @ w_out.data
     value += b_out.data
-    out = Tensor(value, (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
-    if not out.requires_grad:
-        return out, s
+    parents = (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out)
+    if not _records(parents):
+        return Tensor(value, parents), s
 
     def _bw(g):
         g_rows = g.reshape(-1, d)
@@ -599,8 +549,7 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
             if x.requires_grad:
                 _accum(x, (d_y @ w.T).reshape(x.shape))
 
-    out._backward = _bw
-    return out, s
+    return Tensor(value, parents, _bw), s
 
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
@@ -618,9 +567,9 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     np.maximum(hidden, 0.0, out=hidden)
     value = hidden @ w2.data
     value += b2.data
-    out = Tensor(value, (x, w1, b1, w2, b2))
-    if not out.requires_grad:
-        return out
+    parents = (x, w1, b1, w2, b2)
+    if not _records(parents):
+        return Tensor(value, parents)
 
     def _bw(g):
         g_rows = g.reshape(-1, w2.shape[1])
@@ -634,8 +583,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         if x.requires_grad:
             _accum(x, (d_h @ w1.data.T).reshape(x.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(value, parents, _bw)
 
 
 def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -653,9 +601,9 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     value = xhat * gain.data
     value += bias.data
-    out = Tensor(value, (x, y, gain, bias))
-    if not out.requires_grad:
-        return out
+    parents = (x, y, gain, bias)
+    if not _records(parents):
+        return Tensor(value, parents)
 
     def _bw(g):
         _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
@@ -669,8 +617,7 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
         _accum(x, d_sum)
         _accum(y, d_sum)
 
-    out._backward = _bw
-    return out
+    return Tensor(value, parents, _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -70,33 +70,35 @@ def apply_temperature(logits, temperature: float) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * s))
 
 
-def fbeta(precision: float, recall: float, beta: float) -> float:
+def fbeta(precision, recall, beta: float):
+    """F-beta of precision and recall, numbers or arrays of one shape; 0
+    where both are 0."""
+    precision = np.asarray(precision, dtype=np.float64)
+    recall = np.asarray(recall, dtype=np.float64)
     denom = beta * beta * precision + recall
-    if denom == 0.0:
-        return 0.0
-    return (1.0 + beta * beta) * precision * recall / denom
+    f = np.zeros(denom.shape)
+    np.divide((1.0 + beta * beta) * precision * recall, denom, out=f, where=denom != 0.0)
+    return f[()]
 
 
 def select_threshold_fbeta(val_probs, val_labels, beta: float = 2.0) -> float:
     """Threshold maximizing F-beta over the validation PR-curve vertices.
 
     Candidates are the unique predicted probabilities plus 0 and 1; ties are
-    broken toward the larger threshold (higher precision).
+    broken toward the larger threshold (higher precision). A candidate's true
+    and false positives are the positive and negative probabilities at or
+    above it, counted by binary search in each sorted class.
     """
     probs = np.asarray(val_probs, dtype=np.float64)
     labels = np.asarray(val_labels)
-    n_pos = int((labels == 1).sum())
+    positives, negatives = np.sort(probs[labels == 1]), np.sort(probs[labels == 0])
+    n_pos = len(positives)
     if n_pos == 0:
         raise ThresholdUndefined("no positive validation examples")
     candidates = np.unique(np.concatenate([probs, [0.0, 1.0]]))
-    best_tau, best_f = 0.0, -1.0
-    for tau in candidates:  # ascending, so >= keeps the largest tied tau
-        predicted = probs >= tau
-        tp = int((predicted & (labels == 1)).sum())
-        fp = int((predicted & (labels == 0)).sum())
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
-        recall = tp / n_pos
-        f = fbeta(precision, recall, beta)
-        if f >= best_f:
-            best_tau, best_f = float(tau), f
-    return best_tau
+    tp = n_pos - np.searchsorted(positives, candidates)
+    predicted = tp + len(negatives) - np.searchsorted(negatives, candidates)
+    precision = np.divide(tp, predicted, out=np.zeros(len(candidates)), where=predicted > 0)
+    f = fbeta(precision, tp / n_pos, beta)
+    # the last maximum: candidates ascend, so ties go to the larger threshold
+    return float(candidates[len(f) - 1 - np.argmax(f[::-1])])

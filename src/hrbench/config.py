@@ -167,8 +167,9 @@ def _sections() -> list[tuple[str, type]]:
 def load_config(path) -> BenchConfig:
     """Parse an INI file; a malformed key or value raises DataError naming
     the file, section and key."""
-    # no interpolation: a value is its text, `%` included
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation and no inline comments: a value is its text, `%`, `#`
+    # and `;` included; `#` and `;` start a comment only at the start of a line
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

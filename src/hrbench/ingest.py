@@ -459,10 +459,16 @@ def save_prepared(
 
 def load_prepared(dataset_dir) -> WindowedDataset:
     base = Path(dataset_dir)
-    with open(base / "dataset.json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
-    T = int(sidecar["T"])
+    meta = base / "dataset.json"
+    try:
+        with open(meta, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
+        T, theta, split = int(sidecar["T"]), float(sidecar["theta"]), sidecar["split"]
+    except KeyError as exc:
+        raise DataError(f"{meta}: no {exc} entry") from None
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
     path = base / "windows.csv"
     record_ids, starts, labels = [], [], []
     targets, contexts = array("d"), array("d")
@@ -475,7 +481,7 @@ def load_prepared(dataset_dir) -> WindowedDataset:
             where = f"{path}:{reader.line_num}"
             if len(row) != 4 + T:
                 raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
-            if row[0] not in sidecar["split"]:
+            if row[0] not in split:
                 raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
             try:
                 starts.append(int(row[1]))
@@ -492,4 +498,4 @@ def load_prepared(dataset_dir) -> WindowedDataset:
         cls_labels=np.array(labels, dtype=np.int64),
         fc_targets_bpm=np.frombuffer(targets),
     )
-    return WindowedDataset(windows, sidecar["split"], stats, float(sidecar["theta"]))
+    return WindowedDataset(windows, split, stats, theta)

@@ -27,6 +27,8 @@ class GrudConfig:
     train_mean: tuple[float, ...] = (0.0,)  # normalized units, one per feature
 
     def __post_init__(self):
+        # any sequence, such as the list in a checkpoint's config blob
+        object.__setattr__(self, "train_mean", tuple(self.train_mean))
         if self.hidden_dim <= 0:
             raise ValueError("hidden_dim must be positive")
         if len(self.train_mean) != self.input_dim:

@@ -37,6 +37,7 @@ from .ingest import (
 TASKS = ("classification", "forecasting")
 # a report row's result columns, all None for a metric the model has no value for
 UNDEFINED = dict.fromkeys(("point", "ci_low", "ci_high", "n_valid_draws"))
+REPORT_COLUMNS = ["task", "model", "seed", "metric", *UNDEFINED]
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,10 @@ def _grid(config: BenchConfig) -> list[RunSpec]:
 def _encoder_from_blob(blob: dict):
     """(model kind, encoder config) from a checkpoint's config blob, which
     `run_train` writes as the model kind plus the encoder config's fields."""
-    kind = blob["model_kind"]
-    values = {k: v for k, v in blob.items() if k != "model_kind"}
-    if kind == "grud":
-        return kind, models.GrudConfig(**{**values, "train_mean": tuple(values["train_mean"])})
-    return kind, models.TransformerConfig(**values)
+    values = dict(blob)
+    kind = values.pop("model_kind")
+    encoder = {"grud": models.GrudConfig, "transformer": models.TransformerConfig}[kind]
+    return kind, encoder(**values)
 
 
 def run_train(config: BenchConfig) -> list[str]:
@@ -286,8 +286,13 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
     rows: list[dict] = []
     for spec in specs:
         run_dir = base / spec.run_id
-        params, blob = load_checkpoint(run_dir / "checkpoint.json")
-        kind, enc_config = _encoder_from_blob(blob)
+        try:
+            params, blob = load_checkpoint(run_dir / "checkpoint.json")
+            kind, enc_config = _encoder_from_blob(blob)
+        except (ValueError, KeyError, TypeError) as exc:
+            # for example a file cut short by a killed `train`
+            raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
+                                  f"({type(exc).__name__}: {exc}); train the run again") from None
 
         def predict(split: SplitData):
             return models.model_predictions(kind, enc_config, params,
@@ -332,7 +337,7 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
 def _write_report(base: Path, rows: list[dict]) -> None:
     # csv writes None as an empty field and a float as its repr()
     with open(base / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, ["task", "model", "seed", "metric", *UNDEFINED])
+        writer = csv.DictWriter(fh, REPORT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     with open(base / "report.json", "w", encoding="utf-8") as fh:
@@ -348,9 +353,16 @@ def _number(text: str):
 
 
 def read_report(runs_dir) -> list[dict]:
-    with open(Path(runs_dir) / "report.csv", encoding="utf-8", newline="") as fh:
-        return [{**r, **{key: _number(r[key]) for key in ("seed", *UNDEFINED)}}
-                for r in csv.DictReader(fh)]
+    path = Path(runs_dir) / "report.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != REPORT_COLUMNS:
+            raise DataError(f"{path}: not a report file (header {reader.fieldnames})")
+        try:
+            return [{**r, **{key: _number(r[key]) for key in ("seed", *UNDEFINED)}}
+                    for r in reader]
+        except ValueError as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:

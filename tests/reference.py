@@ -28,16 +28,12 @@ def sigmoid(a) -> Tensor:
     a = _coerce(a)
     # tanh form stays finite for any float64 input
     value = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(value, (a,))
-    out._backward = lambda g: _accum(a, g * value * (1.0 - value))
-    return out
+    return Tensor(value, (a,), lambda g: _accum(a, g * value * (1.0 - value)))
 
 
 def sum_(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.sum(), (a,))
-    out._backward = lambda g: _accum(a, np.full(a.shape, float(g)))
-    return out
+    return Tensor(a.data.sum(), (a,), lambda g: _accum(a, np.full(a.shape, float(g))))
 
 
 def check_gradients(
@@ -92,13 +88,7 @@ def softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s, (a,))
-
-    def _bw(g):
-        _accum(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
-
-    out._backward = _bw
-    return out
+    return Tensor(s, (a,), lambda g: _accum(a, (g - (g * s).sum(axis=-1, keepdims=True)) * s))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -106,9 +96,7 @@ def transpose(a, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     inverse = np.argsort(axes)
-    out = Tensor(np.transpose(a.data, axes), (a,))
-    out._backward = lambda g: _accum(a, np.transpose(g, inverse))
-    return out
+    return Tensor(np.transpose(a.data, axes), (a,), lambda g: _accum(a, np.transpose(g, inverse)))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -124,7 +112,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, (x, gain, bias))
 
     def _bw(g):
         _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
@@ -134,8 +121,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv * (dxhat - m1 - xhat * m2))
 
-    out._backward = _bw
-    return out
+    return Tensor(xhat * gain.data + bias.data, (x, gain, bias), _bw)
 
 
 def attention_reference(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads):

@@ -45,6 +45,21 @@ def test_shape_errors_name_both_shapes():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_only_the_operand_forms_the_models_use_are_accepted():
+    t, bias = Tensor(np.full((2, 3), 4.0)), Tensor(np.ones(3))
+    np.testing.assert_array_equal((t + bias).data, np.full((2, 3), 5.0))
+    np.testing.assert_array_equal((t + 2.0).data, np.full((2, 3), 6.0))
+    np.testing.assert_array_equal((t * 0.5).data, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal((1.0 - t).data, np.full((2, 3), -3.0))
+    for form in (lambda: ad.add(2.0, t), lambda: ad.add(bias, t), lambda: ad.mul(2.0, t),
+                 lambda: ad.sub(t, 2.0), lambda: ad.div(t, 2.0)):
+        with pytest.raises(ShapeError):
+            form()
+    for form in (lambda: 2.0 + t, lambda: 2.0 * t, lambda: -t):
+        with pytest.raises(TypeError):
+            form()
+
+
 def test_backward_quadratic():
     w = Parameter("w", np.array([1.0, 2.0, 3.0]))
     backward(reference.sum_(w * w))
@@ -146,7 +161,7 @@ def _op_cases(rng):
         "add": (lambda: ad.mean(ad.tanh(a + b)), [a, b], 1e-4),
         "add_bias": (lambda: ad.mean(ad.tanh(a + bias)), [a, bias], 1e-4),
         "sub": (lambda: ad.mean(reference.sigmoid(a - b)), [a, b], 1e-4),
-        "neg": (lambda: ad.mean(ad.exp(-a)), [a], 1e-4),
+        "neg": (lambda: ad.mean(ad.exp(ad.neg(a))), [a], 1e-4),
         "mul": (lambda: ad.mean(a * b), [a, b], 1e-6),
         "div": (lambda: ad.mean(a / den), [a, den], 1e-4),
         "matmul": (lambda: ad.mean(ad.tanh(m1 @ m2)), [m1, m2], 1e-4),

@@ -114,6 +114,9 @@ class TestSelectThresholdFbeta:
         # P=0.5, R=1.0, beta=2 -> 5 * 0.5 * 1 / (4 * 0.5 + 1) = 0.8333...
         assert fbeta(0.5, 1.0, 2.0) == pytest.approx(5.0 * 0.5 / 3.0)
         assert fbeta(0.5, 1.0, 2.0) == pytest.approx(0.833333333, abs=1e-9)
+        # elementwise over arrays, 0 where precision and recall are both 0
+        f = fbeta(np.array([0.5, 0.0, 0.1]), np.array([1.0, 0.0, 0.2]), 2.0)
+        np.testing.assert_allclose(f, [5.0 * 0.5 / 3.0, 0.0, 5.0 * 0.1 * 0.2 / 0.6], rtol=1e-15)
 
     def test_perfect_separation(self):
         probs = [0.9, 0.8, 0.2, 0.1]

@@ -1,7 +1,7 @@
 """The INI file, `init-config` and the CLI flags all set the same settings."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrbench import cli
@@ -19,9 +19,10 @@ from hrbench.config import (
 from hrbench.synth import SyntheticSpec
 from hrbench.training import TrainConfig
 
-# text an INI value keeps as written: no separator, comment prefix or
-# surrounding space
-paths = st.text("abcXYZ019_-./%", max_size=12)
+# text an INI value keeps as written: `%`, `#`, `;` and inner spaces, but no
+# leading or trailing space (configparser strips it) and, in a list item, no
+# comma (the item separator)
+paths = st.text("abcXYZ019_-./%#; ", max_size=12).map(str.strip)
 names = st.text("abcXYZ019_-", min_size=1, max_size=6)
 floats = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False)
 fractions = st.floats(min_value=0.0, max_value=0.999, allow_nan=False)
@@ -71,6 +72,7 @@ configs = st.builds(
 
 
 @given(configs)
+@example(BenchConfig(data=DataConfig(dataset_dir="out/run #1", synth_dir="data ;x")))
 @settings(max_examples=60, deadline=None)
 def test_rendered_config_loads_back(tmp_path_factory, config):
     ini = tmp_path_factory.mktemp("config") / "bench.ini"

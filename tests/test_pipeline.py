@@ -410,14 +410,19 @@ def _combined(tmp_path, body: str) -> str:
     return f"[data]\npeaks_combined = {combined}\n"
 
 
-def _bad_windows_file(tmp_path, text: str = "id,start\n") -> str:
+SIDECAR = {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {"r1": "train"}}
+
+
+def _bad_windows_file(tmp_path, text="id,start\n", sidecar=json.dumps(SIDECAR)) -> str:
     dataset = tmp_path / "ds"
     dataset.mkdir()
-    (dataset / "dataset.json").write_text(json.dumps(
-        {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {"r1": "train"}}),
-        encoding="utf-8")
+    (dataset / "dataset.json").write_text(sidecar, encoding="utf-8")
     (dataset / "windows.csv").write_text(text, encoding="utf-8")
     return f"[data]\ndataset_dir = {dataset}\n"
+
+
+def _sidecar_without(key: str) -> str:
+    return json.dumps({k: v for k, v in SIDECAR.items() if k != key})
 
 
 def _windows_row(tmp_path, row: str) -> str:
@@ -430,8 +435,29 @@ def _full_row(record_id="r1", start="0", value="70.0") -> str:
     return ",".join([record_id, start, "1", "80.0"] + [value] * 60)
 
 
+def _truncated_checkpoint(tmp_path) -> str:
+    """A prepared dataset and a GRU-D grid whose checkpoints were cut off
+    mid-write."""
+    for run_id in ("classification_grud_seed0", "forecasting_grud_seed0"):
+        run = tmp_path / "runs" / run_id
+        run.mkdir(parents=True)
+        (run / "checkpoint.json").write_text('{"grud.proj.w": {"shape": [2, 8], "da',
+                                             encoding="utf-8")
+    return _windows_row(tmp_path, _full_row()) + (
+        f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
+
+
+def _report(tmp_path, row: str,
+            header="task,model,seed,metric,point,ci_low,ci_high,n_valid_draws") -> str:
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "report.csv").write_text(f"{header}\n{row}\n", encoding="utf-8")
+    return f"[train]\nruns_dir = {runs}\n"
+
+
 MALFORMED = {
-    # case -> (command, INI text from tmp_path, text the error must name)
+    # case -> (command, INI text from tmp_path, text the error must name[,
+    # exit code if not DataError's])
     "one_column_manifest_row": ("prepare", lambda t: _peak_manifest(t, "1\n2\n", row="r1"),
                                 "manifest.csv:2"),
     "non_numeric_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\nabc\n"), "r1.txt:2"),
@@ -497,15 +523,28 @@ MALFORMED = {
     "no_section_header": ("prepare", lambda t: "epochs = 1\n", "no section headers"),
     "infinite_combined_peak": ("prepare", lambda t: _combined(t, "r1,1.0\nr1,inf\n"),
                                "peaks.csv:3"),
+    "truncated_dataset_json": ("train", lambda t: _bad_windows_file(t, sidecar='{"mu": 80.0, "si'),
+                               "dataset.json"),
+    "dataset_json_without_mu": ("train", lambda t: _bad_windows_file(
+        t, sidecar=_sidecar_without("mu")), "dataset.json: no 'mu'"),
+    "dataset_json_without_split": ("train", lambda t: _bad_windows_file(
+        t, sidecar=_sidecar_without("split")), "dataset.json: no 'split'"),
+    "non_numeric_report_point": ("report", lambda t: _report(
+        t, "classification,grud,0,auroc,high,,,"), "report.csv:2"),
+    "report_without_a_result_column": ("report", lambda t: _report(
+        t, "classification,grud,0,auroc,0.5,0.4,0.6",
+        header="task,model,seed,metric,point,ci_low,ci_high"), "report.csv"),
+    "truncated_checkpoint": ("evaluate", _truncated_checkpoint, "classification_grud_seed0",
+                             EvaluationError.exit_code),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_a_data_error(case, tmp_path, capsys):
-    command, ini_text, where = MALFORMED[case]
+    command, ini_text, where, *exit_code = MALFORMED[case]
     ini = tmp_path / "bench.ini"
     ini.write_text(ini_text(tmp_path), encoding="utf-8")
-    assert cli.main([*command.split(), "--config", str(ini)]) == 2
+    assert cli.main([*command.split(), "--config", str(ini)]) == (exit_code or [2])[0]
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert where in err[0]
