@@ -1,4 +1,4 @@
-"""Reverse-mode differentiation on float64 numpy arrays.
+"""Reverse-mode differentiation on float32 or float64 numpy arrays.
 
 Define-by-run: every operation eagerly computes its value and returns
 `Tensor(value, parents, backward)`, so the graph is rebuilt on each forward
@@ -19,6 +19,11 @@ so `t - c`, `t / c`, `add(c, t)`, `mul(c, t)` and `add(bias, t)` are
 ShapeErrors for any t that is not 0-d; `c + t`, `c * t` and `-t` are
 TypeErrors. Most wiring mistakes thus fail at once instead of
 silently.
+
+A tensor keeps the dtype of a float32 or float64 value and stores anything
+else as float64. No op promotes: each computes in the dtype of its tensor
+operands, and a real number takes that dtype. Operands of different dtypes
+give float64 silently, so callers cast their data to the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import ContractViolation, ShapeError
 Array = np.ndarray
 
 _recording = True
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextlib.contextmanager
@@ -65,7 +71,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad: Array | None = None
         parents = tuple(parents)
         if requires_grad is None:
@@ -364,7 +371,8 @@ def reshape(a, shape) -> Tensor:
 def mean(a) -> Tensor:
     a = _coerce(a)
     n = a.data.size
-    return Tensor(a.data.mean(), (a,), lambda g: _accum(a, np.full(a.shape, float(g) / n)))
+    return Tensor(a.data.mean(), (a,),
+                  lambda g: _accum(a, np.full(a.shape, float(g) / n, a.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +412,12 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
     gi, gamma, w, b = gates_i.data, gamma_h.data, w_hh.data, b_hh.data
     # per-step states for the backward pass, or one step's working space
     saved = steps if record else 1
-    h_prev = np.empty((saved, batch, h_dim))  # the decayed state h'
-    act = np.empty((saved, batch, three_h))  # r, u, n
-    g_n = np.empty((saved, batch, h_dim))  # hidden side of the candidate gate
-    g = np.empty((batch, three_h))
-    h = np.zeros((batch, h_dim))
+    dtype = gi.dtype
+    h_prev = np.empty((saved, batch, h_dim), dtype)  # the decayed state h'
+    act = np.empty((saved, batch, three_h), dtype)  # r, u, n
+    g_n = np.empty((saved, batch, h_dim), dtype)  # hidden side of the candidate gate
+    g = np.empty((batch, three_h), dtype)
+    h = np.zeros((batch, h_dim), dtype)
     for t in range(steps):
         s = t if record else 0
         np.multiply(gamma[t], h, out=h_prev[s])
@@ -431,10 +440,10 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
 
     def _bw(dh):
         # dh is d(loss)/d(h after step t), walking t back from the last step
-        d_gi = np.empty((steps, batch, three_h))  # d(loss)/d(gates_i)
-        d_g = np.empty((steps, batch, three_h))  # d(loss)/d(g)
+        d_gi = np.empty((steps, batch, three_h), dtype)  # d(loss)/d(gates_i)
+        d_g = np.empty((steps, batch, three_h), dtype)  # d(loss)/d(g)
         # d(loss)/d(h') of every step, for the gradient of the decay
-        d_hps = np.empty((steps, batch, h_dim)) if gamma_h.requires_grad else None
+        d_hps = np.empty((steps, batch, h_dim), dtype) if gamma_h.requires_grad else None
         w_t = np.ascontiguousarray(w.T)
         for t in reversed(range(steps)):
             r, u, n = act[t, :, :h_dim], act[t, :, h_dim : 2 * h_dim], act[t, :, 2 * h_dim :]
@@ -539,7 +548,7 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
         _accum(b_q, d_proj["q"].sum(axis=(0, 2)).reshape(d))
         _accum(b_v, d_proj["v"].sum(axis=(0, 2)).reshape(d))
         for x, names, w in groups:
-            d_y = np.empty((batch, x.shape[1], len(names), heads, d_head))
+            d_y = np.empty((batch, x.shape[1], len(names), heads, d_head), x.data.dtype)
             for i, name in enumerate(names):
                 d_y[:, :, i] = d_proj[name].transpose(0, 2, 1, 3)
             d_y = d_y.reshape(-1, len(names) * d)
@@ -625,10 +634,12 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = None) -> None:
-    """Write parameters as JSON {name: {shape, data}}, config under "config".
+    """Write parameters as JSON {name: {shape, dtype, data}}, config under
+    "config".
 
-    Floats are serialized with repr (shortest round-trip decimal), so reading
-    the file back reproduces every value bit-exactly.
+    Floats are serialized with repr (shortest round-trip decimal) of their
+    float64 value, which a float32 value converts to exactly, so reading the
+    file back in the stored dtype reproduces every value bit-exactly.
     """
     doc: dict = {}
     for p in params:
@@ -636,7 +647,8 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
             raise ContractViolation('parameter name "config" is reserved')
         if p.name in doc:
             raise ContractViolation(f"duplicate parameter name {p.name!r}")
-        doc[p.name] = {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+        doc[p.name] = {"shape": list(p.shape), "dtype": p.data.dtype.name,
+                       "data": p.data.reshape(-1).tolist()}
     if config is not None:
         doc["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
@@ -644,11 +656,13 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:
+    """Parameters in their stored dtype (float64 where a file names none, as
+    files written before the dtype was stored), and the config blob."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     config = doc.pop("config", None)
     params = {}
     for name, entry in doc.items():
-        data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        data = np.array(entry["data"], dtype=entry.get("dtype", "float64")).reshape(entry["shape"])
         params[name] = Parameter(name, data)
     return params, config

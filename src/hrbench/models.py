@@ -2,7 +2,10 @@
 
 Both encoders consume normalized contexts shaped (T,), (B, T), (T, D) or
 (B, T, D) and return the final hidden state (B, hidden). Contexts are data,
-not parameters: gradients flow only into the model weights.
+not parameters: gradients flow only into the model weights. The models
+compute in the dtype of their parameters, DTYPE when built here: each
+encoder, the heads and the losses cast the data they read to it, and
+`model_predictions` hands back float64.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from .errors import ContractViolation, ShapeError
 from .ingest import CONTEXT_LEN
 
 ModelParams = dict[str, Parameter]
+
+# the precision of the models: parameters, activations, gradients, AdamW
+# moments and training losses. Everything outside them stays float64.
+DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ class HeadOutputs:
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(DTYPE)
 
 
 def init_grud_params(config: GrudConfig, rng: np.random.Generator) -> ModelParams:
@@ -81,12 +88,12 @@ def init_grud_params(config: GrudConfig, rng: np.random.Generator) -> ModelParam
     }
     params = {name: Parameter(name, _uniform(rng, shape, fan)) for name, (shape, fan) in spec.items()}
     for name, size in (("grud.proj.b", h), ("grud.gru.b_ih", 3 * h), ("grud.gru.b_hh", 3 * h)):
-        params[name] = Parameter(name, np.zeros(size))
+        params[name] = Parameter(name, np.zeros(size, DTYPE))
     return params
 
 
-def _normalize_context(context, input_dim) -> np.ndarray:
-    x = np.asarray(context, dtype=np.float64)
+def _normalize_context(context, input_dim, dtype) -> np.ndarray:
+    x = np.asarray(context, dtype=dtype)
     if x.ndim == 1:
         x = x[None, :, None]
     elif x.ndim == 2:
@@ -113,11 +120,12 @@ def grud_forward(
     inputs. Everything but the gate recurrence is computed for all timesteps
     at once; the recurrence is one `autodiff.gru_scan` node.
     """
-    x = _normalize_context(context, config.input_dim)
+    dtype = params["grud.proj.w"].data.dtype
+    x = _normalize_context(context, config.input_dim, dtype)
 
     def time_major(a):
         """(B, T, ·) to (T, B, ·), the layout of the recurrence."""
-        return np.broadcast_to(np.asarray(a, dtype=np.float64).reshape(x.shape),
+        return np.broadcast_to(np.asarray(a, dtype=dtype).reshape(x.shape),
                                x.shape).transpose(1, 0, 2)
 
     mask = time_major(np.ones_like(x) if mask is None else mask)
@@ -125,7 +133,7 @@ def grud_forward(
     if np.any(delta < 0):
         raise ContractViolation("delta must be elementwise >= 0")
     x = x.transpose(1, 0, 2)
-    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), x.shape)
+    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=dtype), x.shape)
     w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
     w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
     w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
@@ -164,24 +172,19 @@ def init_transformer_params(config: TransformerConfig, rng: np.random.Generator)
                 # a shared key offset adds the same value to every score in a
                 # softmax row and cancels, so the key projection has no bias
                 continue
-            params[f"{p}.attn.{name}_b"] = Parameter(f"{p}.attn.{name}_b", np.zeros(d))
+            params[f"{p}.attn.{name}_b"] = Parameter(f"{p}.attn.{name}_b", np.zeros(d, DTYPE))
         params[f"{p}.ffn.w1"] = Parameter(f"{p}.ffn.w1", _uniform(rng, (d, f), d))
-        params[f"{p}.ffn.b1"] = Parameter(f"{p}.ffn.b1", np.zeros(f))
+        params[f"{p}.ffn.b1"] = Parameter(f"{p}.ffn.b1", np.zeros(f, DTYPE))
         params[f"{p}.ffn.w2"] = Parameter(f"{p}.ffn.w2", _uniform(rng, (f, d), f))
-        params[f"{p}.ffn.b2"] = Parameter(f"{p}.ffn.b2", np.zeros(d))
+        params[f"{p}.ffn.b2"] = Parameter(f"{p}.ffn.b2", np.zeros(d, DTYPE))
         if config.use_layer_norm:
             for norm in ("norm1", "norm2"):
-                params[f"{p}.{norm}.g"] = Parameter(f"{p}.{norm}.g", np.ones(d))
-                params[f"{p}.{norm}.b"] = Parameter(f"{p}.{norm}.b", np.zeros(d))
+                params[f"{p}.{norm}.g"] = Parameter(f"{p}.{norm}.g", np.ones(d, DTYPE))
+                params[f"{p}.{norm}.b"] = Parameter(f"{p}.{norm}.b", np.zeros(d, DTYPE))
     return params
 
 
-def transformer_forward(
-    config: TransformerConfig,
-    params: ModelParams,
-    context,
-    return_attention: bool = False,
-):
+def transformer_forward(config: TransformerConfig, params: ModelParams, context) -> Tensor:
     """Self-attention encoder with last-token pooling; h_T has shape (B, d_model).
 
     Every context sample precedes the prediction time, so full attention over
@@ -191,19 +194,17 @@ def transformer_forward(
     norm). Pooling reads only the last position, so the final layer passes
     that row alone as the attention's queries: it computes keys and values
     for every position but everything else (queries, attention,
-    out-projection, residual, layer norms, FFN) for the last row only. With
-    `return_attention`, the attention maps come back as a list with one
-    entry per layer: (B, heads, T, T) for each earlier layer and
-    (B, heads, 1, T) for the final one.
+    out-projection, residual, layer norms, FFN) for the last row only.
     """
-    x = _normalize_context(context, 1)
+    dtype = params["tf.embed.w"].data.dtype
+    x = _normalize_context(context, 1, dtype)
     batch, steps, _ = x.shape
     if steps > config.max_len:
         raise ContractViolation(f"context length {steps} exceeds max_len {config.max_len}")
     d = config.d_model
     pos = sinusoidal_positions(steps, d)
     hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
-        np.broadcast_to(pos, (batch, steps, d)).copy()
+        np.broadcast_to(pos, (batch, steps, d)).astype(dtype)
     )
 
     def residual(base, update, norm):
@@ -211,27 +212,21 @@ def transformer_forward(
             return ad.add_layer_norm(base, update, params[f"{norm}.g"], params[f"{norm}.b"])
         return base + update
 
-    attentions = []
     for layer in range(config.layers):
         p = f"tf.layer{layer}"
         # the rows this layer's output keeps: all of them, or the pooled one
         rows = hidden[:, -1:, :] if layer == config.layers - 1 else hidden
-        mha, attn = ad.attention(
+        mha, _ = ad.attention(
             rows, hidden,
             *(params[f"{p}.attn.{name}"] for name in ("q_w", "q_b", "k_w", "v_w", "v_b",
                                                       "out_w", "out_b")),
             heads=config.heads,
         )
-        if return_attention:
-            attentions.append(attn.copy())
         hidden = residual(rows, mha, f"{p}.norm1")
         ffn = ad.ffn(hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
         hidden = residual(hidden, ffn, f"{p}.norm2")
 
-    h_last = hidden[:, -1, :]
-    if return_attention:
-        return h_last, attentions
-    return h_last
+    return hidden[:, -1, :]
 
 
 SIGMA_FLOOR = 1e-4
@@ -244,8 +239,8 @@ def init_head_params(hidden_dim: int, rng: np.random.Generator) -> ModelParams:
     # short matched budget
     params: ModelParams = {}
     for name in ("cls", "mu", "sigma"):
-        params[f"head.{name}.w"] = Parameter(f"head.{name}.w", np.zeros((hidden_dim, 1)))
-        params[f"head.{name}.b"] = Parameter(f"head.{name}.b", np.zeros(1))
+        params[f"head.{name}.w"] = Parameter(f"head.{name}.w", np.zeros((hidden_dim, 1), DTYPE))
+        params[f"head.{name}.b"] = Parameter(f"head.{name}.b", np.zeros(1, DTYPE))
     return params
 
 
@@ -265,7 +260,7 @@ def heads_forward(hidden: Tensor, params: ModelParams, x_last_norm) -> HeadOutpu
     cls_logit = _affine("cls")
     delta_mu = _affine("mu")
     sigma_n = ad.softplus(_affine("sigma")) + SIGMA_FLOOR
-    x_last = np.broadcast_to(np.asarray(x_last_norm, dtype=np.float64), (batch,))
+    x_last = np.broadcast_to(np.asarray(x_last_norm, dtype=hidden.data.dtype), (batch,))
     mu_tilde = Tensor(x_last.copy()) + delta_mu
     return HeadOutputs(cls_logit=cls_logit, delta_mu=delta_mu, sigma_n=sigma_n, mu_tilde=mu_tilde)
 
@@ -309,7 +304,7 @@ def model_predictions(
     batch_size: int = 256,
 ) -> dict[str, np.ndarray]:
     """Forward a whole split in chunks, recording no graph; returns plain
-    numpy head outputs."""
+    float64 numpy head outputs."""
     outs = {"cls_logit": [], "delta_mu": [], "sigma_n": [], "mu_tilde": []}
     n = len(contexts_norm)
     for start in range(0, n, batch_size):
@@ -321,4 +316,5 @@ def model_predictions(
         outs["delta_mu"].append(heads.delta_mu.data)
         outs["sigma_n"].append(heads.sigma_n.data)
         outs["mu_tilde"].append(heads.mu_tilde.data)
-    return {k: (np.concatenate(v) if v else np.empty(0)) for k, v in outs.items()}
+    return {k: (np.concatenate(v, dtype=np.float64) if v else np.empty(0))
+            for k, v in outs.items()}

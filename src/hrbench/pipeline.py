@@ -264,6 +264,23 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     return fit.temperature, tau
 
 
+def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_config) -> None:
+    """Raise an EvaluationError naming the run and the first parameter whose
+    name, shape or dtype differs from the model `kind` and `enc_config` build:
+    a checkpoint written before the dtype was stored loads as float64."""
+    model = training._build_model(kind, enc_config, 0)
+
+    def held(p):
+        return "no such parameter" if p is None else f"{p.data.dtype} {p.shape}"
+
+    for name in sorted(model.keys() | params.keys()):
+        got, want = params.get(name), model.get(name)
+        if held(got) != held(want):
+            raise EvaluationError(f"run {run_id}, parameter {name}: checkpoint.json under {base} "
+                                  f"has {held(got)}, the model {held(want)}; "
+                                  "train the run again")
+
+
 def run_evaluate(config: BenchConfig) -> list[dict]:
     """Score the runs of the config's grid plus the non-learned baselines;
     write reports. Run directories outside the grid are not read; those that
@@ -293,6 +310,7 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
             # for example a file cut short by a killed `train`
             raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
                                   f"({type(exc).__name__}: {exc}); train the run again") from None
+        _check_checkpoint(spec.run_id, base, params, kind, enc_config)
 
         def predict(split: SplitData):
             return models.model_predictions(kind, enc_config, params,

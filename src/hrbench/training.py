@@ -55,17 +55,18 @@ def weighted_bce(logits: Tensor, labels: np.ndarray, alpha: float) -> Tensor:
     """Mean class-weighted binary cross-entropy from logits.
 
     Uses log sigma(s) = -softplus(-s), so it stays finite for any logit
-    magnitude float64 can represent.
+    magnitude the logits' dtype can represent. Labels are cast to that dtype.
     """
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=logits.data.dtype)
     pos = Tensor(alpha * y) * ad.softplus(ad.neg(logits))
     neg = Tensor(1.0 - y) * ad.softplus(logits)
     return ad.mean(pos + neg)
 
 
 def gaussian_nll(mu_tilde: Tensor, sigma_n: Tensor, targets: np.ndarray) -> Tensor:
-    """(1/2N) sum((y - mu)/sigma)^2 + (1/N) sum(log sigma), no constant term."""
-    resid = Tensor(np.asarray(targets, dtype=np.float64)) - mu_tilde
+    """(1/2N) sum((y - mu)/sigma)^2 + (1/N) sum(log sigma), no constant term;
+    targets are cast to the dtype of mu."""
+    resid = Tensor(np.asarray(targets, dtype=mu_tilde.data.dtype)) - mu_tilde
     z = resid / sigma_n
     return ad.mean(z * z) * 0.5 + ad.mean(ad.log(sigma_n))
 
@@ -103,10 +104,11 @@ def adamw_step(
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # a 64-window default Transformer step's largest arrays (its attention
-# probabilities and FFN activations) are about 8 MB, so they come from the
-# heap. Where a live block sits below the top of the heap, all the memory a
-# step frees can end up free at the top: 64 to 96 MiB for that step, which a
-# lower threshold trims off after every step (a GRU-D step as well)
+# probabilities and FFN activations) are about 4 MB in float32, so they come
+# from the heap. Where a live block sits below the top of the heap, all the
+# memory a step frees can end up free at the top: 16 to 24 MiB for that step
+# (12 to 16 MiB for a GRU-D step), which a lower threshold trims off after
+# every step
 MMAP_THRESHOLD = 8 << 20
 TRIM_THRESHOLD = 128 << 20
 

@@ -6,8 +6,10 @@ autodiff ops of their own, and `grud_forward_reference` and
 `transformer_forward_reference` build each encoder from single ops: the forms
 that `autodiff.gru_scan`, `autodiff.attention`, `autodiff.ffn` and
 `autodiff.add_layer_norm` must agree with. `check_gradients` is the
-finite-difference check of backward; `mae_rmse` and `groups` serve the
-metric tests. The package does not ship them.
+finite-difference check of backward, and `float64` gives a model the
+precision that these comparisons and their bounds are written for;
+`mae_rmse` and `groups` serve the metric tests. The package does not ship
+them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ def sigmoid(a) -> Tensor:
 def sum_(a) -> Tensor:
     a = _coerce(a)
     return Tensor(a.data.sum(), (a,), lambda g: _accum(a, np.full(a.shape, float(g))))
+
+
+def float64(params: dict[str, Parameter]) -> dict[str, Parameter]:
+    """The same model with float64 parameters (the package builds models in
+    `models.DTYPE`): what the op-by-op references, the finite-difference
+    checks and the float64 acceptance bounds run on."""
+    return {name: Parameter(name, p.data.astype(np.float64)) for name, p in params.items()}
 
 
 def check_gradients(
@@ -153,17 +162,19 @@ def add_layer_norm_reference(x, y, gain, bias) -> Tensor:
 def grud_forward_reference(config, params, context, mask=None, delta=None):
     """GRU-D as a recorded op per timestep (about 30 nodes a step): the
     op-by-op form `grud_forward` must agree with."""
-    x = models._normalize_context(context, config.input_dim)
+    dtype = params["grud.proj.w"].data.dtype
+    x = models._normalize_context(context, config.input_dim, dtype)
     batch, steps, d = x.shape
     h_dim = config.hidden_dim
-    mask = np.ones_like(x) if mask is None else np.broadcast_to(mask, x.shape)
-    delta = np.zeros_like(x) if delta is None else np.broadcast_to(delta, x.shape)
-    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=np.float64), (batch, d))
+    mask = np.ones_like(x) if mask is None else np.broadcast_to(np.asarray(mask, dtype), x.shape)
+    delta = np.zeros_like(x) if delta is None else np.broadcast_to(
+        np.asarray(delta, dtype), x.shape)
+    xbar = np.broadcast_to(np.asarray(config.train_mean, dtype=dtype), (batch, d))
     w_gx, w_gh = params["grud.decay_x.w"], params["grud.decay_h.w"]
     w_z, b_z = params["grud.proj.w"], params["grud.proj.b"]
     w_ih, b_ih = params["grud.gru.w_ih"], params["grud.gru.b_ih"]
     w_hh, b_hh = params["grud.gru.w_hh"], params["grud.gru.b_hh"]
-    h = Tensor(np.zeros((batch, h_dim)))
+    h = Tensor(np.zeros((batch, h_dim), dtype))
     for t in range(steps):
         x_t, m_t, d_t = x[:, t, :], mask[:, t, :], delta[:, t, :]
         gamma_x = ad.exp(ad.neg(ad.relu(ad.matmul(Tensor(d_t), w_gx))))
@@ -185,12 +196,13 @@ def transformer_forward_reference(config, params, context):
     """The Transformer from single ops with every layer computed for every
     position, pooled at the last one: what `transformer_forward` must agree
     with."""
-    x = models._normalize_context(context, 1)
+    dtype = params["tf.embed.w"].data.dtype
+    x = models._normalize_context(context, 1, dtype)
     batch, steps, _ = x.shape
     d = config.d_model
     pos = models.sinusoidal_positions(steps, d)
     hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
-        np.broadcast_to(pos, (batch, steps, d)).copy())
+        np.broadcast_to(pos, (batch, steps, d)).astype(dtype))
     for layer in range(config.layers):
         p = f"tf.layer{layer}"
         mha, _ = attention_reference(

@@ -24,7 +24,7 @@ from hrbench.config import BenchConfig, DataConfig
 from hrbench.ingest import load_prepared
 from hrbench.metrics import PredictionSet, auprc, auroc, brier, crps_gaussian, ece, f1_at_threshold, grouped_bootstrap
 from hrbench.training import TrainConfig, train_model
-from reference import check_gradients
+from reference import check_gradients, float64
 from reference import groups as record_groups
 
 
@@ -85,7 +85,7 @@ def test_c3_grud_reduces_to_plain_gru():
 
     rng = np.random.default_rng(0)
     config = models.GrudConfig(hidden_dim=16)
-    params = models.init_grud_params(config, rng)
+    params = float64(models.init_grud_params(config, rng))
     worst = 0.0
     for _ in range(100):
         context = rng.uniform(-2, 2, (1, 20))
@@ -111,7 +111,7 @@ def test_c4_gradient_checks_full_models():
             config = models.TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=8)
             params = models.init_transformer_params(config, rng)
             head_dim = 8
-        params.update(models.init_head_params(head_dim, rng))
+        params = float64({**params, **models.init_head_params(head_dim, rng)})
         for name, p in params.items():
             if name.startswith("head.") and name.endswith(".w"):
                 p.data[:] = rng.uniform(-0.5, 0.5, p.data.shape)

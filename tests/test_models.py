@@ -20,7 +20,12 @@ from hrbench.models import (
     sinusoidal_positions,
     transformer_forward,
 )
-from reference import check_gradients, grud_forward_reference, transformer_forward_reference
+from reference import (
+    check_gradients,
+    float64,
+    grud_forward_reference,
+    transformer_forward_reference,
+)
 
 
 def plain_gru_reference(params, z_seq):
@@ -93,7 +98,7 @@ class TestAgainstOpByOpReferences:
         rng = np.random.default_rng(30)
         d = 1 if observed else 2
         config = GrudConfig(input_dim=d, hidden_dim=7, train_mean=(0.3, -0.1)[:d])
-        params = _random_model(init_grud_params(config, rng), 7, rng)
+        params = float64(_random_model(init_grud_params(config, rng), 7, rng))
         context = rng.normal(size=(5, 12, d))
         mask = delta = None
         if not observed:
@@ -116,7 +121,7 @@ class TestAgainstOpByOpReferences:
         rng = np.random.default_rng(31)
         config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12, max_len=15,
                                    use_layer_norm=layer_norm)
-        params = _random_model(init_transformer_params(config, rng), 8, rng)
+        params = float64(_random_model(init_transformer_params(config, rng), 8, rng))
         context = rng.normal(size=(4, 15))
         last = context[:, -1]
         pooled = _output_and_gradients(
@@ -144,7 +149,7 @@ class TestGrud:
     def test_reduces_to_plain_gru_when_fully_observed(self):
         rng = np.random.default_rng(0)
         config = GrudConfig(hidden_dim=12)
-        params = init_grud_params(config, rng)
+        params = float64(init_grud_params(config, rng))
         worst = 0.0
         for trial in range(100):
             context = rng.uniform(-2, 2, (2, 15))
@@ -210,39 +215,50 @@ class TestGrud:
         np.testing.assert_allclose(full[2:3], one, atol=1e-14)
 
 
+def _attention_maps(monkeypatch, config, params, context) -> list[np.ndarray]:
+    """The attention probabilities of each layer of `transformer_forward`,
+    read from the second value `ad.attention` returns: (B, heads, T, T) for
+    each earlier layer and (B, heads, 1, T) for the final one."""
+    maps = []
+    attention = ad.attention
+
+    def recording(*args, **kwargs):
+        out, probs = attention(*args, **kwargs)
+        maps.append(probs.copy())
+        return out, probs
+
+    monkeypatch.setattr(ad, "attention", recording)
+    transformer_forward(config, params, context)
+    return maps
+
+
 class TestTransformer:
     def test_sinusoidal_position_at_zero(self):
         table = sinusoidal_positions(5, 8)
         np.testing.assert_array_equal(table[0, 0::2], np.zeros(4))
         np.testing.assert_array_equal(table[0, 1::2], np.ones(4))
 
-    def test_uniform_attention_with_zero_query_key(self):
+    def test_uniform_attention_with_zero_query_key(self, monkeypatch):
         rng = np.random.default_rng(7)
         config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16, max_len=12)
-        params = init_transformer_params(config, rng)
+        params = float64(init_transformer_params(config, rng))
         params["tf.layer0.attn.q_w"].data[:] = 0.0
         params["tf.layer0.attn.k_w"].data[:] = 0.0
-        _, attentions = transformer_forward(
-            config, params, rng.uniform(-1, 1, (3, 10)), return_attention=True
-        )
+        attentions = _attention_maps(monkeypatch, config, params, rng.uniform(-1, 1, (3, 10)))
         np.testing.assert_allclose(attentions[0], 1.0 / 10.0, atol=1e-12)
 
-    def test_final_layer_attends_from_the_pooled_row_only(self):
+    def test_final_layer_attends_from_the_pooled_row_only(self, monkeypatch):
         rng = np.random.default_rng(22)
         config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16, max_len=16)
         params = init_transformer_params(config, rng)
-        _, attentions = transformer_forward(
-            config, params, rng.uniform(-2, 2, (3, 13)), return_attention=True
-        )
+        attentions = _attention_maps(monkeypatch, config, params, rng.uniform(-2, 2, (3, 13)))
         assert [a.shape for a in attentions] == [(3, 4, 13, 13), (3, 4, 1, 13)]
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
         rng = np.random.default_rng(8)
         config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16, max_len=16)
-        params = init_transformer_params(config, rng)
-        _, attentions = transformer_forward(
-            config, params, rng.uniform(-2, 2, (2, 13)), return_attention=True
-        )
+        params = float64(init_transformer_params(config, rng))
+        attentions = _attention_maps(monkeypatch, config, params, rng.uniform(-2, 2, (2, 13)))
         for attn in attentions:
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -381,8 +397,7 @@ class TestGradientChecks:
     def test_grud_with_both_losses(self):
         rng = np.random.default_rng(16)
         config = GrudConfig(input_dim=1, hidden_dim=5)
-        params = init_grud_params(config, rng)
-        params.update(init_head_params(5, rng))
+        params = float64({**init_grud_params(config, rng), **init_head_params(5, rng)})
         randomize_heads(params, rng)
         context = rng.uniform(-2, 2, (3, 8))
         labels = np.array([1, 0, 1])
@@ -406,8 +421,7 @@ class TestGradientChecks:
     def test_transformer_with_both_losses(self):
         rng = np.random.default_rng(17)
         config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=8)
-        params = init_transformer_params(config, rng)
-        params.update(init_head_params(8, rng))
+        params = float64({**init_transformer_params(config, rng), **init_head_params(8, rng)})
         randomize_heads(params, rng)
         context = rng.uniform(-2, 2, (3, 8))
         labels = np.array([0, 1, 0])
@@ -431,8 +445,7 @@ class TestGradientChecks:
     def test_grud_gradcheck_with_masks(self):
         rng = np.random.default_rng(18)
         config = GrudConfig(input_dim=2, hidden_dim=4, train_mean=(0.1, -0.2))
-        params = init_grud_params(config, rng)
-        params.update(init_head_params(4, rng))
+        params = float64({**init_grud_params(config, rng), **init_head_params(4, rng)})
         randomize_heads(params, rng)
         context = rng.uniform(-2, 2, (2, 6, 2))
         mask = (rng.uniform(size=(2, 6, 2)) > 0.3).astype(float)

@@ -1,12 +1,13 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrbench import cli, pipeline
+from hrbench import cli, pipeline, training
+from hrbench.autodiff import save_checkpoint
 from hrbench.config import (
     BenchConfig,
     CalibrationConfig,
@@ -19,6 +20,7 @@ from hrbench.config import (
 )
 from hrbench.errors import EvaluationError
 from hrbench.ingest import load_prepared
+from hrbench.models import GrudConfig
 from hrbench.synth import SyntheticSpec
 from hrbench.training import TrainConfig
 
@@ -447,6 +449,29 @@ def _truncated_checkpoint(tmp_path) -> str:
         f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
 
 
+def _edited_checkpoint(tmp_path, edit) -> str:
+    """A prepared dataset and a GRU-D grid whose checkpoints parse but were
+    changed by `edit(doc)` after a hidden-8 model's was written."""
+    for run_id in ("classification_grud_seed0", "forecasting_grud_seed0"):
+        run = tmp_path / "runs" / run_id
+        run.mkdir(parents=True)
+        config = GrudConfig(hidden_dim=8)
+        save_checkpoint(run / "checkpoint.json", training._build_model("grud", config, 0).values(),
+                        config={"model_kind": "grud", **asdict(config)})
+        doc = json.loads((run / "checkpoint.json").read_text(encoding="utf-8"))
+        edit(doc)
+        (run / "checkpoint.json").write_text(json.dumps(doc), encoding="utf-8")
+    return _windows_row(tmp_path, _full_row()) + (
+        f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
+
+
+def _without_dtypes(doc):
+    # a checkpoint as written before each parameter's dtype was stored
+    for name, entry in doc.items():
+        if name != "config":
+            del entry["dtype"]
+
+
 def _report(tmp_path, row: str,
             header="task,model,seed,metric,point,ci_low,ci_high,n_valid_draws") -> str:
     runs = tmp_path / "runs"
@@ -536,6 +561,15 @@ MALFORMED = {
         header="task,model,seed,metric,point,ci_low,ci_high"), "report.csv"),
     "truncated_checkpoint": ("evaluate", _truncated_checkpoint, "classification_grud_seed0",
                              EvaluationError.exit_code),
+    "checkpoint_without_a_parameter": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc.pop("grud.proj.b")),
+        "classification_grud_seed0, parameter grud.proj.b", EvaluationError.exit_code),
+    "checkpoint_parameter_of_another_shape": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc["grud.gru.w_hh"].update(shape=[24, 8])),
+        "classification_grud_seed0, parameter grud.gru.w_hh", EvaluationError.exit_code),
+    "checkpoint_without_dtypes": ("evaluate", lambda t: _edited_checkpoint(t, _without_dtypes),
+                                  "has float64 (1, 8), the model float32 (1, 8)",
+                                  EvaluationError.exit_code),
 }
 
 
