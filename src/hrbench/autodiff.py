@@ -193,8 +193,28 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _bias_grad(g: Array, k: int) -> Array:
-    return g.reshape(-1, k).sum(axis=0)
+def _column_sums(rows: Array) -> Array:
+    """The sum over the rows of a matrix, or of each matrix in a stack, as a
+    matrix-vector product: numpy reduces axis 0 of a narrow array one row
+    at a time."""
+    return np.ones(rows.shape[-2], rows.dtype) @ rows
+
+
+def _stack_matmul(a: Array, w: Array) -> Array:
+    """A stack a (..., n, m) against one weight matrix w (m, k).
+
+    numpy runs a stacked product as one GEMM per leading index. Slices of
+    many rows are small GEMMs that OpenBLAS runs without packing, as fast
+    as one large GEMM or faster. But a stack of single rows is one
+    matrix-vector product per row, so it runs as one 2-d GEMM; and with an
+    inner axis of one, numpy's matmul is slower than the broadcast
+    product, which rounds the same.
+    """
+    if w.shape[0] == 1:
+        return a * w
+    if a.shape[-2] == 1:
+        return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+    return a @ w
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +236,7 @@ def add(a, b) -> Tensor:
 
         def _bw(g):
             _accum(a, g)
-            _accum(b, _bias_grad(g, b.shape[0]))
+            _accum(b, _column_sums(g.reshape(-1, b.shape[0])))
 
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -288,10 +308,13 @@ def matmul(a, b) -> Tensor:
 
         def _bw(g):
             if a.requires_grad:
-                _accum(a, g @ b.data.T)
+                # one GEMM over all rows: per slice, the transposed weight
+                # would be packed again
+                _accum(a, (g.reshape(-1, k) @ b.data.T).reshape(a.shape))
             if b.requires_grad:
                 _accum(b, a.data.reshape(-1, m).T @ g.reshape(-1, k))
 
+        return Tensor(_stack_matmul(a.data, b.data), (a, b), _bw)
     else:
         raise ShapeError(f"matmul: unsupported shapes {a.shape} and {b.shape}")
     return Tensor(a.data @ b.data, (a, b), _bw)
@@ -389,11 +412,16 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
         h' = gamma_h[t] * h
         g  = h' @ w_hh + b_hh
         r  = sigmoid(gates_i[t, :H] + g[:H]);  u = sigmoid(gates_i[t, H:2H] + g[H:2H])
-        n  = tanh(gates_i[t, 2H:] + r * g[2H:]);  h = (1 - u) * n + u * h'
+        n  = tanh(gates_i[t, 2H:] + r * g[2H:]);  h = n + u * (h' - n)
 
-    Only the gate recurrence runs step by step. Backward runs back through
-    time over the per-step states the forward saved in time-major buffers,
-    and forms dw_hh as one product over all steps.
+    Only the gate recurrence runs step by step: one (B, H) @ (H, 3H) product
+    and elementwise ops on gate-major (B, H) blocks, which are contiguous.
+    Each step first copies its input side gate-major, as (3, B, H), with
+    the r and u halves of b_hh, and overwrites it with r, u and n. Backward
+    keeps those of every step, h', the hidden side of the candidate gate
+    and the state after each step. It forms every factor that does not depend on
+    d(loss)/dh for all steps at once, walks back through time with six
+    numpy calls a step, and forms dw_hh as one product over all steps.
     """
     gates_i, gamma_h, w_hh, b_hh = (_coerce(t) for t in (gates_i, gamma_h, w_hh, b_hh))
     if gates_i.ndim != 3 or gates_i.shape[-1] % 3:
@@ -410,66 +438,83 @@ def gru_scan(gates_i, gamma_h, w_hh, b_hh) -> Tensor:
     parents = (gates_i, gamma_h, w_hh, b_hh)
     record = _records(parents)
     gi, gamma, w, b = gates_i.data, gamma_h.data, w_hh.data, b_hh.data
+    dtype = gi.dtype
+    by_gate = gi.reshape(steps, batch, 3, h_dim).transpose(0, 2, 1, 3)
+    bias = b.reshape(3, 1, h_dim).copy()
+    bias[2] = 0.0  # the candidate's hidden bias sits inside r * g[2H:]
     # per-step states for the backward pass, or one step's working space
     saved = steps if record else 1
-    dtype = gi.dtype
+    act = np.empty((saved, 3, batch, h_dim), dtype)  # input side, then r, u, n
     h_prev = np.empty((saved, batch, h_dim), dtype)  # the decayed state h'
-    act = np.empty((saved, batch, three_h), dtype)  # r, u, n
     g_n = np.empty((saved, batch, h_dim), dtype)  # hidden side of the candidate gate
-    g = np.empty((batch, three_h), dtype)
+    h_out = np.empty((saved, batch, h_dim), dtype)  # the state after each step
+    g = np.empty((batch, 3, h_dim), dtype)
+    g_ru = g[:, :2].transpose(1, 0, 2)
+    rg_n = np.empty((batch, h_dim), dtype)
+    b_n = b[2 * h_dim :]
     h = np.zeros((batch, h_dim), dtype)
     for t in range(steps):
         s = t if record else 0
-        np.multiply(gamma[t], h, out=h_prev[s])
-        np.matmul(h_prev[s], w, out=g)
-        g += b
+        np.add(by_gate[t], bias, out=act[s])
+        hp = np.multiply(gamma[t], h, out=h_prev[s])
+        np.matmul(hp, w, out=g.reshape(batch, three_h))
         # r and u: sigmoid in its tanh form, 0.5 * (1 + tanh(x / 2)), finite for any x
-        ru = np.add(gi[t, :, : 2 * h_dim], g[:, : 2 * h_dim], out=act[s, :, : 2 * h_dim])
+        ru = np.add(act[s, :2], g_ru, out=act[s, :2])
         ru *= 0.5
         np.tanh(ru, out=ru)
         ru += 1.0
         ru *= 0.5
-        g_n[s] = g[:, 2 * h_dim :]
-        n = np.multiply(act[s, :, :h_dim], g_n[s], out=act[s, :, 2 * h_dim :])
-        n += gi[t, :, 2 * h_dim :]
+        r, u, n = act[s]
+        np.add(g[:, 2], b_n, out=g_n[s])
+        n += np.multiply(r, g_n[s], out=rg_n)
         np.tanh(n, out=n)
-        u = act[s, :, h_dim : 2 * h_dim]
-        h = (1.0 - u) * n + u * h_prev[s]
+        h = np.subtract(hp, n, out=h_out[s])
+        h *= u
+        h += n
     if not record:
         return Tensor(h, parents)
 
     def _bw(dh):
-        # dh is d(loss)/d(h after step t), walking t back from the last step
-        d_gi = np.empty((steps, batch, three_h), dtype)  # d(loss)/d(gates_i)
-        d_g = np.empty((steps, batch, three_h), dtype)  # d(loss)/d(g)
-        # d(loss)/d(h') of every step, for the gradient of the decay
-        d_hps = np.empty((steps, batch, h_dim), dtype) if gamma_h.requires_grad else None
-        w_t = np.ascontiguousarray(w.T)
+        # dh is d(loss)/d(h after step t), walking t back from the last step.
+        # d_n = dh * a_n and d_u = dh * a_u feed the candidate and update
+        # gates, d_r = d_n * a_r the reset gate, and w_hh sees d_n * r in
+        # place of d_n; d(loss)/dh' = (d_r, d_u, d_n * r) @ w_hh.T + dh * u
+        r, u, n = act[:, 0], act[:, 1], act[:, 2]
+        by_dh = np.empty((3, steps, batch, h_dim), dtype)  # a_u, a_n, u
+        by_dn = np.empty((2, steps, batch, h_dim), dtype)  # r, a_r
+        keep = np.subtract(1.0, u, out=by_dh[1])
+        a_u = np.subtract(h_prev, n, out=by_dh[0])
+        a_u *= u
+        a_u *= keep
+        sq = np.multiply(n, n, out=by_dh[2])
+        keep *= np.subtract(1.0, sq, out=sq)  # a_n = (1 - u) * (1 - n^2)
+        by_dh[2] = u
+        by_dn[0] = r
+        a_r = np.subtract(1.0, r, out=by_dn[1])
+        a_r *= r
+        a_r *= g_n
+        # per step: d_n * r, d_r, d_u, d_n, dh * u; the first three meet w_hh
+        d = np.empty((5, steps, batch, h_dim), dtype)
+        w_t = np.ascontiguousarray(w.reshape(h_dim, 3, h_dim)[:, [2, 0, 1]].transpose(1, 2, 0))
+        d_hps = np.empty((steps, batch, h_dim), dtype)  # d(loss)/dh' of every step
+        prod = np.empty((3, batch, h_dim), dtype)
         for t in reversed(range(steps)):
-            r, u, n = act[t, :, :h_dim], act[t, :, h_dim : 2 * h_dim], act[t, :, 2 * h_dim :]
-            keep = 1.0 - u
-            d_n = np.multiply(dh * keep, 1.0 - n * n, out=d_gi[t, :, 2 * h_dim :])
-            d_r = np.multiply(d_n * r, g_n[t], out=d_gi[t, :, :h_dim])
-            d_r *= 1.0 - r
-            d_u = np.multiply(dh * (h_prev[t] - n), u, out=d_gi[t, :, h_dim : 2 * h_dim])
-            d_u *= keep
-            d_g[t, :, : 2 * h_dim] = d_gi[t, :, : 2 * h_dim]
-            np.multiply(d_n, r, out=d_g[t, :, 2 * h_dim :])
-            d_hp = d_g[t] @ w_t
-            d_hp += dh * u
-            if d_hps is not None:
-                d_hps[t] = d_hp
+            np.multiply(dh, by_dh[:, t], out=d[2:, t])
+            np.multiply(d[3, t], by_dn[:, t], out=d[:2, t])
+            d_hp = np.add.reduce(np.matmul(d[:3, t], w_t, out=prod), axis=0, out=d_hps[t])
+            d_hp += d[4, t]
             dh = d_hp * gamma[t]
-        flat_g = d_g.reshape(-1, three_h)
-        _accum(w_hh, h_prev.reshape(-1, h_dim).T @ flat_g)
-        _accum(b_hh, flat_g.sum(axis=0))
-        _accum(gates_i, d_gi)
-        if d_hps is not None:
-            # h' = gamma * (output of the step before), zero before step 0
-            u, n = act[:, :, h_dim : 2 * h_dim], act[:, :, 2 * h_dim :]
-            undecayed = np.zeros_like(h_prev)
-            undecayed[1:] = (1.0 - u[:-1]) * n[:-1] + u[:-1] * h_prev[:-1]
-            _accum(gamma_h, d_hps * undecayed)
+        del by_dh, by_dn
+        d_w = np.matmul(h_prev.reshape(-1, h_dim).T, d[:3].reshape(3, -1, h_dim))
+        _accum(w_hh, np.concatenate([d_w[1], d_w[2], d_w[0]], axis=1))
+        d_b = _column_sums(d[:3].reshape(3, -1, h_dim))
+        _accum(b_hh, d_b[[1, 2, 0]].reshape(three_h))
+        _accum(gates_i, d[1:4].transpose(1, 2, 0, 3).reshape(steps, batch, three_h))
+        if gamma_h.requires_grad:
+            # h' = gamma * (the state after the step before), zero before step 0
+            d_hps[0] = 0.0
+            d_hps[1:] *= h_out[:-1]
+            _accum(gamma_h, d_hps)
 
     return Tensor(h, parents, _bw)
 
@@ -488,10 +533,14 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
         out = concat_h(s_h @ v_h) @ w_out + b_out
 
     Keys have no bias: it would add the same value to every score of a row.
-    When x_q is x_kv the three projections are one product. Returns the
-    output and the attention probabilities s, (B, heads, R, T). Backward
-    reuses the saved projections and probabilities and forms the softmax
-    gradient (g - rowsum(g * s)) * s once for all heads.
+    The score scale is folded into the query weights and bias. The
+    projections of one input are one product, and their biases are added to
+    it in one pass; when x_q is x_kv that is all three. The head outputs,
+    and each head's part of the projections' gradient, are written straight
+    into the layout they end up in. Returns the output and the attention
+    probabilities s, (B, heads, R, T). Backward keeps the projections, s
+    and the head outputs, and forms the softmax gradient
+    (g - rowsum(g * s)) * s once for all heads, its row sums in one pass.
     """
     x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out = (
         _coerce(t) for t in (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
@@ -506,27 +555,36 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
             or any(b.shape != (d,) for b in (b_q, b_v, b_out)):
         raise ShapeError(f"attention: weights must be ({d}, {d}) and biases ({d},)")
     d_head = d // heads
-    scale = 1.0 / math.sqrt(d_head)
-    weights = {"q": w_q, "k": w_k, "v": w_v}
+    dtype = x_q.data.dtype
+
+    def by_head(a):
+        """(B, n, d) to the (B, heads, n, d_head) view of its heads."""
+        return a.reshape(batch, -1, heads, d_head).transpose(0, 2, 1, 3)
+
+    # each projection's weight, bias and the factor folded into both
+    projections = {"q": (w_q, b_q, 1.0 / math.sqrt(d_head)), "k": (w_k, None, 1.0),
+                   "v": (w_v, b_v, 1.0)}
     # each input, the projections it feeds, and their weights side by side
     sources = [(x_q, "qkv")] if x_q is x_kv else [(x_q, "q"), (x_kv, "kv")]
-    groups = [(x, names, np.concatenate([weights[n].data for n in names], axis=1))
-              for x, names in sources]
+    groups = []
     proj = {}  # name -> (B, heads, rows, d_head) view into its group's product
-    for x, names, w in groups:
-        y = (x.data @ w).reshape(batch, x.shape[1], len(names), heads, d_head)
+    for x, names in sources:
+        w = np.concatenate([projections[n][0].data * projections[n][2] for n in names], axis=1)
+        y = _stack_matmul(x.data, w)
+        y += np.concatenate([np.zeros(d, dtype) if b is None else b.data * f
+                             for b, f in (projections[n][1:] for n in names)])
+        y = y.reshape(batch, x.shape[1], len(names), d)
         for i, name in enumerate(names):
-            proj[name] = y[:, :, i].transpose(0, 2, 1, 3)
+            proj[name] = by_head(y[:, :, i])
+        groups.append((x, names, w))
     q, k, v = proj["q"], proj["k"], proj["v"]
-    q += b_q.data.reshape(heads, 1, d_head)
-    v += b_v.data.reshape(heads, 1, d_head)
     s = q @ np.swapaxes(k, -1, -2)
-    s *= scale
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    mixed = (s @ v).transpose(0, 2, 1, 3).reshape(batch, rows, d)
-    value = mixed @ w_out.data
+    mixed = np.empty((batch, rows, d), dtype)
+    np.matmul(s, v, out=by_head(mixed))
+    value = _stack_matmul(mixed, w_out.data)
     value += b_out.data
     parents = (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out)
     if not _records(parents):
@@ -534,27 +592,29 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
 
     def _bw(g):
         g_rows = g.reshape(-1, d)
-        _accum(b_out, g_rows.sum(axis=0))
+        _accum(b_out, _column_sums(g_rows))
         _accum(w_out, mixed.reshape(-1, d).T @ g_rows)
-        d_mixed = (g_rows @ w_out.data.T).reshape(batch, rows, heads, d_head)
-        d_mixed = d_mixed.transpose(0, 2, 1, 3)
+        d_mixed = by_head(g_rows @ w_out.data.T)
+        # d(loss)/d(each group's product), filled head by head
+        d_ys = [np.empty((batch, x.shape[1], len(names), d), dtype) for x, names, _ in groups]
+        d_proj = {name: by_head(d_y[:, :, i])
+                  for d_y, (_, names, _) in zip(d_ys, groups) for i, name in enumerate(names)}
+        np.matmul(np.swapaxes(s, -1, -2), d_mixed, out=d_proj["v"])
         d_s = d_mixed @ np.swapaxes(v, -1, -2)
-        d_proj = {"v": np.swapaxes(s, -1, -2) @ d_mixed}
-        d_s -= (d_s * s).sum(axis=-1, keepdims=True)
+        d_s -= np.einsum("...j,...j->...", d_s, s)[..., None]
         d_s *= s
-        d_s *= scale
-        d_proj["q"] = d_s @ k
-        d_proj["k"] = np.swapaxes(d_s, -1, -2) @ q
-        _accum(b_q, d_proj["q"].sum(axis=(0, 2)).reshape(d))
-        _accum(b_v, d_proj["v"].sum(axis=(0, 2)).reshape(d))
-        for x, names, w in groups:
-            d_y = np.empty((batch, x.shape[1], len(names), heads, d_head), x.data.dtype)
-            for i, name in enumerate(names):
-                d_y[:, :, i] = d_proj[name].transpose(0, 2, 1, 3)
+        np.matmul(d_s, k, out=d_proj["q"])
+        np.matmul(np.swapaxes(d_s, -1, -2), q, out=d_proj["k"])
+        for d_y, (x, names, w) in zip(d_ys, groups):
             d_y = d_y.reshape(-1, len(names) * d)
             d_w = x.data.reshape(-1, d).T @ d_y
+            d_b = _column_sums(d_y)
             for i, name in enumerate(names):
-                _accum(weights[name], d_w[:, i * d : (i + 1) * d])
+                weight, bias, factor = projections[name]
+                part = slice(i * d, (i + 1) * d)
+                _accum(weight, d_w[:, part] * factor)
+                if bias is not None:
+                    _accum(bias, d_b[part] * factor)
             if x.requires_grad:
                 _accum(x, (d_y @ w.T).reshape(x.shape))
 
@@ -563,7 +623,9 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """The position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2, as
-    one node over the last axis of x."""
+    one node over the last axis of x. Each product, forward and backward, is
+    one GEMM over all rows, and each bias gradient one matrix-vector
+    product. Backward keeps the ReLU output, whose sign is the ReLU's mask."""
     x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
             or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] \
@@ -571,62 +633,70 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         raise ShapeError(f"ffn: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} "
                          f"and b2 {b2.shape} do not chain")
     d_in, width = w1.shape
-    hidden = x.data @ w1.data
+    hidden = x.data.reshape(-1, d_in) @ w1.data
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
     value = hidden @ w2.data
     value += b2.data
     parents = (x, w1, b1, w2, b2)
     if not _records(parents):
-        return Tensor(value, parents)
+        return Tensor(value.reshape(*x.shape[:-1], -1), parents)
 
     def _bw(g):
         g_rows = g.reshape(-1, w2.shape[1])
-        h_rows = hidden.reshape(-1, width)
-        _accum(b2, g_rows.sum(axis=0))
-        _accum(w2, h_rows.T @ g_rows)
+        _accum(b2, _column_sums(g_rows))
+        _accum(w2, hidden.T @ g_rows)
         d_h = g_rows @ w2.data.T
-        d_h *= h_rows > 0.0
-        _accum(b1, d_h.sum(axis=0))
+        d_h *= hidden > 0.0
+        _accum(b1, _column_sums(d_h))
         _accum(w1, x.data.reshape(-1, d_in).T @ d_h)
         if x.requires_grad:
             _accum(x, (d_h @ w1.data.T).reshape(x.shape))
 
-    return Tensor(value, parents, _bw)
+    return Tensor(value.reshape(*x.shape[:-1], -1), parents, _bw)
 
 
 def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
     """A residual connection and its layer norm as one node: x + y normalized
-    to zero mean and unit variance over the last axis, then gain and bias."""
+    to zero mean and unit variance over the last axis, then gain and bias.
+
+    The row means are einsum passes, which give a row the same bits
+    whatever rows share its batch. Backward keeps the normalized rows and
+    their inverse deviations; its column sums are matrix-vector products,
+    and it forms rowsum(g * gain) as g @ gain and rowsum(g * gain * xhat)
+    as (g * xhat) @ gain, from the product the gain's gradient needs anyway.
+    """
     x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
     d = x.shape[-1]
     if y.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"add_layer_norm: x {x.shape} needs y of the same shape and "
                          f"gain/bias ({d},); got {y.shape}, {gain.shape} and {bias.shape}")
-    xhat = x.data + y.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data + y.data).reshape(-1, d)
+    xhat -= (np.einsum("ij->i", xhat) / d)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
     xhat *= inv
     value = xhat * gain.data
     value += bias.data
     parents = (x, y, gain, bias)
     if not _records(parents):
-        return Tensor(value, parents)
+        return Tensor(value.reshape(x.shape), parents)
 
     def _bw(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        d_sum = g * gain.data
-        m1 = d_sum.mean(axis=-1, keepdims=True)
-        m2 = (d_sum * xhat).mean(axis=-1, keepdims=True)
-        d_sum -= m1
-        d_sum -= xhat * m2
+        g_rows = g.reshape(-1, d)
+        g_xhat = g_rows * xhat
+        _accum(gain, _column_sums(g_xhat))
+        _accum(bias, _column_sums(g_rows))
+        m1 = g_rows @ gain.data / d
+        m2 = g_xhat @ gain.data / d
+        d_sum = g_rows * gain.data
+        d_sum -= m1[:, None]
+        d_sum -= np.multiply(xhat, m2[:, None], out=g_xhat)
         d_sum *= inv
+        d_sum = d_sum.reshape(x.shape)
         _accum(x, d_sum)
         _accum(y, d_sum)
 
-    return Tensor(value, parents, _bw)
+    return Tensor(value.reshape(x.shape), parents, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +721,9 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
                        "data": p.data.reshape(-1).tolist()}
     if config is not None:
         doc["config"] = config
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:

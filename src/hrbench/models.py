@@ -216,12 +216,14 @@ def transformer_forward(config: TransformerConfig, params: ModelParams, context)
         p = f"tf.layer{layer}"
         # the rows this layer's output keeps: all of them, or the pooled one
         rows = hidden[:, -1:, :] if layer == config.layers - 1 else hidden
-        mha, _ = ad.attention(
+        # the output alone: the probabilities, a layer's largest array, are
+        # then freed at once when no tape keeps them
+        mha = ad.attention(
             rows, hidden,
             *(params[f"{p}.attn.{name}"] for name in ("q_w", "q_b", "k_w", "v_w", "v_b",
                                                       "out_w", "out_b")),
             heads=config.heads,
-        )
+        )[0]
         hidden = residual(rows, mha, f"{p}.norm1")
         ffn = ad.ffn(hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
         hidden = residual(hidden, ffn, f"{p}.norm2")

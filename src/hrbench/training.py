@@ -83,21 +83,40 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> None:
-    """Bias-corrected Adam update with decoupled weight decay."""
+    """Bias-corrected Adam update with decoupled weight decay, in place:
+
+        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+
+    Each ufunc runs in that order into two scratch arrays per parameter,
+    so the result is the expression's, bit for bit, without its eleven
+    temporaries. The scratch arrays live for one update: held between
+    steps they would add to the training peak, which a step's freed graph
+    leaves room for here.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for p in params:
         g = p.grad
-        m = state.m.setdefault(p.name, np.zeros_like(p.data))
-        v = state.v.setdefault(p.name, np.zeros_like(p.data))
+        if p.name not in state.m:
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[p.name], state.v[p.name]
+        update, work = np.empty_like(p.data), np.empty_like(p.data)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=update)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= lr * (update + weight_decay * p.data)
+        np.multiply(1.0 - state.beta2, g, out=work)
+        v += np.multiply(work, g, out=work)
+        np.divide(m, bc1, out=update)
+        np.divide(v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += state.eps
+        update /= work
+        update += np.multiply(weight_decay, p.data, out=work)
+        update *= lr
+        p.data -= update
 
 
 # glibc's mallopt parameter numbers

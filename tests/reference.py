@@ -8,7 +8,9 @@ that `autodiff.gru_scan`, `autodiff.attention`, `autodiff.ffn` and
 `autodiff.add_layer_norm` must agree with. `check_gradients` is the
 finite-difference check of backward, and `float64` gives a model the
 precision that these comparisons and their bounds are written for;
-`mae_rmse` and `groups` serve the metric tests. The package does not ship
+`mae_rmse` and `groups` serve the metric tests, and `adamw_step_reference`
+is the AdamW update as one expression per moment, which the in-place
+`training.adamw_step` must equal bit for bit. The package does not ship
 them.
 """
 
@@ -218,3 +220,23 @@ def transformer_forward_reference(config, params, context):
         if config.use_layer_norm:
             hidden = layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
     return hidden[:, -1, :]
+
+
+def adamw_step_reference(params, state, lr: float, weight_decay: float) -> None:
+    """Bias-corrected Adam with decoupled weight decay, each update formed
+    from temporaries: the expression `training.adamw_step` computes in
+    place."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p in params:
+        g = p.grad
+        m = state.m.setdefault(p.name, np.zeros_like(p.data))
+        v = state.v.setdefault(p.name, np.zeros_like(p.data))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= lr * (update + weight_decay * p.data)

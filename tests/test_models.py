@@ -145,18 +145,29 @@ class TestAgainstOpByOpReferences:
         assert nodes(10) == nodes(60) < 60
 
 
+def _worst_against_plain_gru(batch, steps, hidden):
+    """The largest |GRU-D - plain GRU| over 100 fully observed contexts."""
+    rng = np.random.default_rng(0)
+    config = GrudConfig(hidden_dim=hidden)
+    params = float64(init_grud_params(config, rng))
+    worst = 0.0
+    for trial in range(100):
+        context = rng.uniform(-2, 2, (batch, steps))
+        h = grud_forward(config, params, context).data
+        ref = plain_gru_reference(params, project_inputs(params, context))
+        worst = max(worst, float(np.abs(h - ref).max()))
+    return worst
+
+
 class TestGrud:
     def test_reduces_to_plain_gru_when_fully_observed(self):
-        rng = np.random.default_rng(0)
-        config = GrudConfig(hidden_dim=12)
-        params = float64(init_grud_params(config, rng))
-        worst = 0.0
-        for trial in range(100):
-            context = rng.uniform(-2, 2, (2, 15))
-            h = grud_forward(config, params, context).data
-            ref = plain_gru_reference(params, project_inputs(params, context))[:, :]
-            worst = max(worst, float(np.abs(h - ref).max()))
-        assert worst < 1e-12
+        assert _worst_against_plain_gru(batch=2, steps=15, hidden=12) < 1e-12
+
+    # no two of B, T and H equal, and a single row
+    @pytest.mark.parametrize("batch,steps,hidden", [(3, 9, 5), (1, 9, 5)],
+                             ids=["B3xT9xH5", "B1xT9xH5"])
+    def test_reduces_to_plain_gru_at_other_shapes(self, batch, steps, hidden):
+        assert _worst_against_plain_gru(batch, steps, hidden) < 1e-12
 
     def test_large_delta_imputes_toward_train_mean(self):
         rng = np.random.default_rng(1)
@@ -461,16 +472,27 @@ class TestGradientChecks:
         assert check_gradients(closure, bce_params, epsilon=1e-4) < 1e-4
 
 
-@pytest.mark.parametrize("kind", ["grud", "transformer"])
-def test_model_predictions_record_no_graph_and_match_taped_forward(kind):
+# the no-record paths of gru_scan and the layer nodes serve evaluation and
+# the per-epoch validation loss, so they must give the recorded forward's
+# bits: at a toy size, through a full-sequence layer, and at the default
+# float32 sizes
+@pytest.mark.parametrize("kind,encoder,steps", [
+    pytest.param("grud", GrudConfig(hidden_dim=8), 20, id="grud"),
+    pytest.param("transformer", TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16,
+                                                  max_len=20), 20, id="transformer"),
+    pytest.param("transformer", TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16,
+                                                  max_len=20), 20, id="transformer-2-layers"),
+    pytest.param("grud", GrudConfig(), 60, id="grud-default"),
+    pytest.param("transformer", TransformerConfig(), 60, id="transformer-default"),
+])
+def test_model_predictions_record_no_graph_and_match_taped_forward(kind, encoder, steps):
     rng = np.random.default_rng(4)
-    encoder = GrudConfig(hidden_dim=8) if kind == "grud" else TransformerConfig(
-        d_model=8, layers=1, heads=2, ffn_dim=16, max_len=20)
     params = training._build_model(kind, encoder, 0)
+    assert all(p.data.dtype == np.float32 for p in params.values())
     for name, p in params.items():
         if name.startswith("head."):
             p.data[...] = rng.normal(size=p.shape)
-    contexts = rng.normal(size=(10, 20))
+    contexts = rng.normal(size=(10, steps))
     last = contexts[:, -1]
 
     hidden = models.encoder_forward(kind, encoder, params, contexts)

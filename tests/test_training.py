@@ -25,6 +25,8 @@ from hrbench.training import (
 )
 from hrbench.ingest import HrSeries, derive_hr
 
+import reference
+
 
 class TestWeightedBce:
     def test_symmetric_point(self):
@@ -135,6 +137,26 @@ class TestAdamW:
         adamw_step(params, state, lr=1e-2, weight_decay=0.0)
         # update = g / (|g| + eps) = sign(g)
         assert params[0].data[0] == pytest.approx(1.0 - 1e-2, abs=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_equals_the_expression(self, dtype):
+        rng = np.random.default_rng(41)
+        shapes = [(5, 3), (7,), (2, 3, 4)]
+        start = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        ours = [Parameter(f"p{i}", a.copy()) for i, a in enumerate(start)]
+        ref = [Parameter(f"p{i}", a.copy()) for i, a in enumerate(start)]
+        state, ref_state = AdamWState(), AdamWState()
+        for _ in range(3):
+            for p, q in zip(ours, ref):
+                p.grad = rng.normal(size=p.shape).astype(dtype)
+                q.grad = p.grad.copy()
+            adamw_step(ours, state, lr=1e-3, weight_decay=0.01)
+            reference.adamw_step_reference(ref, ref_state, lr=1e-3, weight_decay=0.01)
+        for p, q in zip(ours, ref):
+            assert p.data.dtype == dtype
+            np.testing.assert_array_equal(p.data, q.data)
+            np.testing.assert_array_equal(state.m[p.name], ref_state.m[q.name])
+            np.testing.assert_array_equal(state.v[p.name], ref_state.v[q.name])
 
 
 def small_dataset(seed=0, n_records=8, seconds=500, rate=22.0):
