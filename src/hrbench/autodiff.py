@@ -12,6 +12,19 @@ attention (`attention`), feed-forward block (`ffn`) and residual layer norm
 (`add_layer_norm`). Each records one node and keeps only the arrays its
 backward reads.
 
+The three Transformer nodes use a second core: forward and backward, taped
+or not, the batch is cut into four fixed row chunks (`_row_chunks`), which
+the calling thread and one long-lived helper thread take in turn, each the
+next chunk no thread has taken (`_split_rows`). A core that stalls thus
+holds up at most the one chunk it runs, not half the batch. The chunks do
+not depend on the core count or on scheduling, each chunk runs the node's
+own math, and a parameter gradient is the chunks' gradients summed in row
+order, so the bits are fixed. The helper only computes on arrays: the
+calling thread passes every gradient on and builds the graph. `gru_scan`
+stays on one thread: its step loop is many numpy calls on small (B, H)
+blocks that hold the GIL, and two half-batch scans in two threads were no
+faster than one after the other.
+
 Elementwise operands must match shapes exactly, with three exceptions: `add`
 takes a last-axis bias vector as its second operand, and `t + c`, `t * c`
 and `c - t` take a real number c. Anywhere else a number is a 0-d tensor,
@@ -29,9 +42,13 @@ give float64 silently, so callers cast their data to the parameters' dtype.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import numbers
+import os
+import threading
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -200,8 +217,9 @@ def _column_sums(rows: Array) -> Array:
     return np.ones(rows.shape[-2], rows.dtype) @ rows
 
 
-def _stack_matmul(a: Array, w: Array) -> Array:
-    """A stack a (..., n, m) against one weight matrix w (m, k).
+def _stack_matmul(a: Array, w: Array, out: Array | None = None) -> Array:
+    """A stack a (..., n, m) against one weight matrix w (m, k), into `out`
+    if given (C-contiguous).
 
     numpy runs a stacked product as one GEMM per leading index. Slices of
     many rows are small GEMMs that OpenBLAS runs without packing, as fast
@@ -211,10 +229,107 @@ def _stack_matmul(a: Array, w: Array) -> Array:
     product, which rounds the same.
     """
     if w.shape[0] == 1:
-        return a * w
+        return np.multiply(a, w, out=out)
     if a.shape[-2] == 1:
-        return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
-    return a @ w
+        flat = None if out is None else out.reshape(-1, w.shape[-1])
+        flat = np.matmul(a.reshape(-1, a.shape[-1]), w, out=flat)
+        return flat.reshape(*a.shape[:-1], w.shape[-1])
+    return np.matmul(a, w, out=out)
+
+
+# rows of a batch per node call cut into this many chunks, so that a stalled
+# thread holds up a quarter of the batch at most
+_CHUNKS = 4
+_helper = None  # the one ThreadPoolExecutor of _split_rows, made on first use
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: its first split makes its own."""
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _executor():
+    global _helper
+    if _helper is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hrbench-rows")
+    return _helper
+
+
+def _row_chunks(batch: int) -> list[slice]:
+    """The batch's rows in `_CHUNKS` contiguous chunks of near-equal size
+    (fewer for a batch of fewer rows; one slice for a batch of one)."""
+    n = max(1, min(batch, _CHUNKS))
+    return [slice(batch * i // n, batch * (i + 1) // n) for i in range(n)]
+
+
+def _split_rows(body: Callable, batch: int, *per_chunk: Sequence) -> list:
+    """body(rows, *kept) for each chunk of a batch's rows, on two threads;
+    the results in row order.
+
+    The calling thread and the one helper thread each take the next chunk
+    no thread has taken until none is left, so a thread that stalls (its
+    core busy elsewhere) holds up only the chunk it runs. `kept` holds each
+    sequence of `per_chunk` at that chunk's index (a forward's results, for
+    its backward). A body only computes on arrays: it writes its rows into
+    disjoint slices of arrays the caller made and returns the rest. It
+    makes no Tensor and calls no `_accum`, so the graph and every gradient
+    stay with the calling thread. The chunks are the same whatever the
+    core count, and each chunk's math is the node's own, so the bits depend
+    on neither. A chunk that raises is raised once every chunk has ended,
+    the first in row order.
+    """
+    calls = [functools.partial(body, rows, *(kept[i] for kept in per_chunk))
+             for i, rows in enumerate(_row_chunks(batch))]
+    if len(calls) == 1:
+        return [calls[0]()]
+    left = deque(range(len(calls)))  # chunks no thread has taken; popleft is atomic
+    running = threading.Lock()  # the helper holds it from taking a chunk to its end
+    outcomes: list = [None] * len(calls)
+
+    def run_next() -> bool:
+        try:
+            i = left.popleft()
+        except IndexError:
+            return False
+        try:
+            outcomes[i] = calls[i](), None
+        except BaseException as error:  # raised on the calling thread below
+            outcomes[i] = None, error
+        return True
+
+    def helper():
+        while True:
+            with running:
+                if not run_next():
+                    return
+
+    task = _executor().submit(helper)
+    while run_next():
+        pass
+    task.cancel()  # a helper that has not started takes nothing
+    with running:  # a chunk the helper took writes into the caller's arrays
+        pass
+    ended = outcomes.copy()
+    # a task the helper has not dequeued yet keeps its closure, but no array
+    calls.clear()
+    outcomes.clear()
+    for _, error in ended:
+        if error is not None:
+            raise error
+    return [result for result, _ in ended]
+
+
+def _accum_chunks(chunks: list[list[tuple[Tensor, Array]]]) -> None:
+    """Pass on each chunk's (tensor, gradient) pairs, listed in the same
+    order by every chunk, as the chunks' gradients summed in row order."""
+    for pairs in zip(*chunks):
+        _accum(pairs[0][0], functools.reduce(np.add, [g for _, g in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +656,8 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
     probabilities s, (B, heads, R, T). Backward keeps the projections, s
     and the head outputs, and forms the softmax gradient
     (g - rowsum(g * s)) * s once for all heads, its row sums in one pass.
+    Forward and backward run the chunks of the batch on two threads
+    (`_split_rows`).
     """
     x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out = (
         _coerce(t) for t in (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
@@ -555,105 +672,142 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
             or any(b.shape != (d,) for b in (b_q, b_v, b_out)):
         raise ShapeError(f"attention: weights must be ({d}, {d}) and biases ({d},)")
     d_head = d // heads
-    dtype = x_q.data.dtype
+    parents = (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out)
+    record = _records(parents)
+    dtype = np.result_type(*(t.data for t in parents))
 
-    def by_head(a):
-        """(B, n, d) to the (B, heads, n, d_head) view of its heads."""
-        return a.reshape(batch, -1, heads, d_head).transpose(0, 2, 1, 3)
+    def by_head(a, n):
+        """(n, m, d), or (n * m, d), to the (n, heads, m, d_head) view of its heads."""
+        return a.reshape(n, -1, heads, d_head).transpose(0, 2, 1, 3)
 
     # each projection's weight, bias and the factor folded into both
     projections = {"q": (w_q, b_q, 1.0 / math.sqrt(d_head)), "k": (w_k, None, 1.0),
                    "v": (w_v, b_v, 1.0)}
-    # each input, the projections it feeds, and their weights side by side
+    # each input, the projections it feeds, and their weights and biases
+    # side by side
     sources = [(x_q, "qkv")] if x_q is x_kv else [(x_q, "q"), (x_kv, "kv")]
-    groups = []
-    proj = {}  # name -> (B, heads, rows, d_head) view into its group's product
-    for x, names in sources:
-        w = np.concatenate([projections[n][0].data * projections[n][2] for n in names], axis=1)
-        y = _stack_matmul(x.data, w)
-        y += np.concatenate([np.zeros(d, dtype) if b is None else b.data * f
-                             for b, f in (projections[n][1:] for n in names)])
-        y = y.reshape(batch, x.shape[1], len(names), d)
-        for i, name in enumerate(names):
-            proj[name] = by_head(y[:, :, i])
-        groups.append((x, names, w))
-    q, k, v = proj["q"], proj["k"], proj["v"]
-    s = q @ np.swapaxes(k, -1, -2)
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    mixed = np.empty((batch, rows, d), dtype)
-    np.matmul(s, v, out=by_head(mixed))
-    value = _stack_matmul(mixed, w_out.data)
-    value += b_out.data
-    parents = (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out)
-    if not _records(parents):
-        return Tensor(value, parents), s
+    groups = [(x, names,
+               np.concatenate([projections[n][0].data * projections[n][2] for n in names],
+                              axis=1),
+               np.concatenate([np.zeros(d, dtype) if b is None else b.data * f
+                               for b, f in (projections[n][1:] for n in names)]))
+              for x, names in sources]
+    value = np.empty((batch, rows, d), dtype)
+    probs = np.empty((batch, heads, rows, x_kv.shape[1]), dtype)
+
+    def forward(part):
+        proj = {}  # name -> (n, heads, rows, d_head) view into its group's product
+        for x, names, w, b in groups:
+            y = _stack_matmul(x.data[part], w)
+            y += b
+            y = y.reshape(*y.shape[:2], len(names), d)
+            for i, name in enumerate(names):
+                proj[name] = by_head(y[:, :, i], len(y))
+        q, k, v = proj["q"], proj["k"], proj["v"]
+        s = np.matmul(q, np.swapaxes(k, -1, -2), out=probs[part])
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        mixed = np.empty((len(s), rows, d), dtype)
+        np.matmul(s, v, out=by_head(mixed, len(s)))
+        out = _stack_matmul(mixed, w_out.data, out=value[part])
+        out += b_out.data
+        return (q, k, v, s, mixed) if record else None
+
+    saved = _split_rows(forward, batch)
+    if not record:
+        return Tensor(value, parents), probs
 
     def _bw(g):
-        g_rows = g.reshape(-1, d)
-        _accum(b_out, _column_sums(g_rows))
-        _accum(w_out, mixed.reshape(-1, d).T @ g_rows)
-        d_mixed = by_head(g_rows @ w_out.data.T)
-        # d(loss)/d(each group's product), filled head by head
-        d_ys = [np.empty((batch, x.shape[1], len(names), d), dtype) for x, names, _ in groups]
-        d_proj = {name: by_head(d_y[:, :, i])
-                  for d_y, (_, names, _) in zip(d_ys, groups) for i, name in enumerate(names)}
-        np.matmul(np.swapaxes(s, -1, -2), d_mixed, out=d_proj["v"])
-        d_s = d_mixed @ np.swapaxes(v, -1, -2)
-        d_s -= np.einsum("...j,...j->...", d_s, s)[..., None]
-        d_s *= s
-        np.matmul(d_s, k, out=d_proj["q"])
-        np.matmul(np.swapaxes(d_s, -1, -2), q, out=d_proj["k"])
-        for d_y, (x, names, w) in zip(d_ys, groups):
-            d_y = d_y.reshape(-1, len(names) * d)
-            d_w = x.data.reshape(-1, d).T @ d_y
-            d_b = _column_sums(d_y)
-            for i, name in enumerate(names):
-                weight, bias, factor = projections[name]
-                part = slice(i * d, (i + 1) * d)
-                _accum(weight, d_w[:, part] * factor)
-                if bias is not None:
-                    _accum(bias, d_b[part] * factor)
-            if x.requires_grad:
-                _accum(x, (d_y @ w.T).reshape(x.shape))
+        d_xs = [np.empty(x.shape, dtype) if x.requires_grad else None for x, *_ in groups]
 
-    return Tensor(value, parents, _bw), s
+        def backward(part, kept):
+            q, k, v, s, mixed = kept
+            n = len(s)
+            g_rows = g[part].reshape(-1, d)
+            grads = [(b_out, _column_sums(g_rows)), (w_out, mixed.reshape(-1, d).T @ g_rows)]
+            d_mixed = by_head(g_rows @ w_out.data.T, n)
+            # d(loss)/d(each group's product), filled head by head
+            d_ys = [np.empty((n, x.shape[1], len(names), d), dtype) for x, names, *_ in groups]
+            d_proj = {name: by_head(d_y[:, :, i], n)
+                      for d_y, (_, names, *_) in zip(d_ys, groups)
+                      for i, name in enumerate(names)}
+            np.matmul(np.swapaxes(s, -1, -2), d_mixed, out=d_proj["v"])
+            d_s = d_mixed @ np.swapaxes(v, -1, -2)
+            d_s -= np.einsum("...j,...j->...", d_s, s)[..., None]
+            d_s *= s
+            np.matmul(d_s, k, out=d_proj["q"])
+            np.matmul(np.swapaxes(d_s, -1, -2), q, out=d_proj["k"])
+            for d_y, (x, names, w, _), d_x in zip(d_ys, groups, d_xs):
+                d_y = d_y.reshape(-1, len(names) * d)
+                d_w = x.data[part].reshape(-1, d).T @ d_y
+                d_b = _column_sums(d_y)
+                for i, name in enumerate(names):
+                    weight, bias, factor = projections[name]
+                    columns = slice(i * d, (i + 1) * d)
+                    grads.append((weight, d_w[:, columns] * factor))
+                    if bias is not None:
+                        grads.append((bias, d_b[columns] * factor))
+                if d_x is not None:
+                    np.matmul(d_y, w.T, out=d_x[part].reshape(-1, d))
+            return grads
+
+        _accum_chunks(_split_rows(backward, batch, saved))
+        for (x, *_), d_x in zip(groups, d_xs):
+            if d_x is not None:
+                _accum(x, d_x)
+
+    return Tensor(value, parents, _bw), probs
 
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """The position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2, as
     one node over the last axis of x. Each product, forward and backward, is
-    one GEMM over all rows, and each bias gradient one matrix-vector
-    product. Backward keeps the ReLU output, whose sign is the ReLU's mask."""
+    one GEMM over all rows of a chunk of the batch (`_split_rows`), and each
+    bias gradient one matrix-vector product. Backward keeps the ReLU
+    output, whose sign is the ReLU's mask."""
     x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
             or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] \
             or b2.shape != (w2.shape[1],):
         raise ShapeError(f"ffn: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} "
                          f"and b2 {b2.shape} do not chain")
-    d_in, width = w1.shape
-    hidden = x.data.reshape(-1, d_in) @ w1.data
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
-    value = hidden @ w2.data
-    value += b2.data
+    d_in, d_out = w1.shape[0], w2.shape[1]
     parents = (x, w1, b1, w2, b2)
-    if not _records(parents):
-        return Tensor(value.reshape(*x.shape[:-1], -1), parents)
+    record = _records(parents)
+    dtype = np.result_type(*(t.data for t in parents))
+    value = np.empty((*x.shape[:-1], d_out), dtype)
+
+    def forward(part):
+        hidden = x.data[part].reshape(-1, d_in) @ w1.data
+        hidden += b1.data
+        np.maximum(hidden, 0.0, out=hidden)
+        out = np.matmul(hidden, w2.data, out=value[part].reshape(-1, d_out))
+        out += b2.data
+        return hidden if record else None
+
+    saved = _split_rows(forward, len(value))
+    if not record:
+        return Tensor(value, parents)
 
     def _bw(g):
-        g_rows = g.reshape(-1, w2.shape[1])
-        _accum(b2, _column_sums(g_rows))
-        _accum(w2, hidden.T @ g_rows)
-        d_h = g_rows @ w2.data.T
-        d_h *= hidden > 0.0
-        _accum(b1, _column_sums(d_h))
-        _accum(w1, x.data.reshape(-1, d_in).T @ d_h)
-        if x.requires_grad:
-            _accum(x, (d_h @ w1.data.T).reshape(x.shape))
+        d_x = np.empty(x.shape, dtype) if x.requires_grad else None
 
-    return Tensor(value.reshape(*x.shape[:-1], -1), parents, _bw)
+        def backward(part, hidden):
+            g_rows = g[part].reshape(-1, d_out)
+            grads = [(b2, _column_sums(g_rows)), (w2, hidden.T @ g_rows)]
+            d_h = g_rows @ w2.data.T
+            d_h *= hidden > 0.0
+            grads += [(b1, _column_sums(d_h)), (w1, x.data[part].reshape(-1, d_in).T @ d_h)]
+            if d_x is not None:
+                np.matmul(d_h, w1.data.T, out=d_x[part].reshape(-1, d_in))
+            return grads
+
+        _accum_chunks(_split_rows(backward, len(value), saved))
+        if d_x is not None:
+            _accum(x, d_x)
+
+    return Tensor(value, parents, _bw)
 
 
 def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -665,38 +819,54 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
     their inverse deviations; its column sums are matrix-vector products,
     and it forms rowsum(g * gain) as g @ gain and rowsum(g * gain * xhat)
     as (g * xhat) @ gain, from the product the gain's gradient needs anyway.
+    Forward and backward run the chunks of the batch on two threads
+    (`_split_rows`).
     """
     x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
     d = x.shape[-1]
-    if y.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"add_layer_norm: x {x.shape} needs y of the same shape and "
-                         f"gain/bias ({d},); got {y.shape}, {gain.shape} and {bias.shape}")
-    xhat = (x.data + y.data).reshape(-1, d)
-    xhat -= (np.einsum("ij->i", xhat) / d)[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
-    xhat *= inv
-    value = xhat * gain.data
-    value += bias.data
+    if x.ndim < 2 or y.shape != x.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"add_layer_norm: x {x.shape} needs a batch axis, y of the same "
+                         f"shape and gain/bias ({d},); got {y.shape}, {gain.shape} and "
+                         f"{bias.shape}")
     parents = (x, y, gain, bias)
-    if not _records(parents):
-        return Tensor(value.reshape(x.shape), parents)
+    record = _records(parents)
+    dtype = np.result_type(*(t.data for t in parents))
+    value = np.empty(x.shape, dtype)
+
+    def forward(part):
+        xhat = (x.data[part] + y.data[part]).reshape(-1, d)
+        xhat -= (np.einsum("ij->i", xhat) / d)[:, None]
+        inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
+        xhat *= inv
+        out = np.multiply(xhat, gain.data, out=value[part].reshape(-1, d))
+        out += bias.data
+        return (xhat, inv) if record else None
+
+    saved = _split_rows(forward, len(value))
+    if not record:
+        return Tensor(value, parents)
 
     def _bw(g):
-        g_rows = g.reshape(-1, d)
-        g_xhat = g_rows * xhat
-        _accum(gain, _column_sums(g_xhat))
-        _accum(bias, _column_sums(g_rows))
-        m1 = g_rows @ gain.data / d
-        m2 = g_xhat @ gain.data / d
-        d_sum = g_rows * gain.data
-        d_sum -= m1[:, None]
-        d_sum -= np.multiply(xhat, m2[:, None], out=g_xhat)
-        d_sum *= inv
-        d_sum = d_sum.reshape(x.shape)
+        d_sum = np.empty(x.shape, dtype)
+
+        def backward(part, kept):
+            xhat, inv = kept
+            g_rows = g[part].reshape(-1, d)
+            g_xhat = g_rows * xhat
+            grads = [(gain, _column_sums(g_xhat)), (bias, _column_sums(g_rows))]
+            m1 = g_rows @ gain.data / d
+            m2 = g_xhat @ gain.data / d
+            d_rows = np.multiply(g_rows, gain.data, out=d_sum[part].reshape(-1, d))
+            d_rows -= m1[:, None]
+            d_rows -= np.multiply(xhat, m2[:, None], out=g_xhat)
+            d_rows *= inv
+            return grads
+
+        _accum_chunks(_split_rows(backward, len(value), saved))
         _accum(x, d_sum)
         _accum(y, d_sum)
 
-    return Tensor(value.reshape(x.shape), parents, _bw)
+    return Tensor(value, parents, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -707,23 +877,41 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
     """Write parameters as JSON {name: {shape, dtype, data}}, config under
     "config".
 
-    Floats are serialized with repr (shortest round-trip decimal) of their
-    float64 value, which a float32 value converts to exactly, so reading the
-    file back in the stored dtype reproduces every value bit-exactly.
+    A float64 value is written as its repr, the shortest text that reads
+    back to it. A float32 value is written with nine significant digits:
+    that text is within 5e-9 (relative, about 2^-27.6) of the value,
+    inside its half-ulp of at least 2^-25, so json.load's float64 cast to
+    float32 is the value again. Negative zero is written -0.0 to keep its sign. So
+    reading the file back in the stored dtype reproduces every value
+    bit-exactly. JSON has no token for a non-finite value: a parameter
+    holding one is a ContractViolation.
     """
-    doc: dict = {}
+    entries, names = [], set()
     for p in params:
         if p.name == "config":
             raise ContractViolation('parameter name "config" is reserved')
-        if p.name in doc:
+        if p.name in names:
             raise ContractViolation(f"duplicate parameter name {p.name!r}")
-        doc[p.name] = {"shape": list(p.shape), "dtype": p.data.dtype.name,
-                       "data": p.data.reshape(-1).tolist()}
+        names.add(p.name)
+        flat = p.data.reshape(-1)
+        if not np.isfinite(flat).all():
+            raise ContractViolation(f"parameter {p.name!r} holds a non-finite value, "
+                                    "which JSON cannot store")
+        values = flat.tolist()
+        if p.data.dtype == np.float32:
+            # one %-format over all values: twice as fast as a format() per value
+            text = ("%.9g, " * len(values) % tuple(values))[:-2]
+            if np.any(np.signbit(flat) & (flat == 0)):
+                text = ", ".join("-0.0" if v == "-0" else v for v in text.split(", "))
+            data = f"[{text}]"
+        else:
+            data = json.dumps(values)
+        head = json.dumps({"shape": list(p.shape), "dtype": p.data.dtype.name})
+        entries.append(f'{json.dumps(p.name)}: {head[:-1]}, "data": {data}}}')
     if config is not None:
-        doc["config"] = config
-    # json.dumps runs the C encoder; json.dump streams through the Python one
+        entries.append(f'"config": {json.dumps(config)}')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write("{" + ", ".join(entries) + "}")
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:

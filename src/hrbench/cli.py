@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# BLAS on one thread unless the environment says otherwise, set before numpy
+# loads it. The Transformer's layer nodes keep two cores busy on their own;
+# on a 2-vCPU Xeon, a desk `train` of seed 0 took 8.7-9.3 s with OpenBLAS's
+# default of a thread per core beside them, and 7.0-7.3 s with one
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import pipeline
 from .config import BenchConfig, load_config, override, write_default_config

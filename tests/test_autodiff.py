@@ -1,5 +1,12 @@
+import functools
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -317,6 +324,219 @@ def test_fused_layer_nodes_reject_mismatched_shapes():
         ad.ffn(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((4, 4))), b)
     with pytest.raises(ShapeError):
         ad.add_layer_norm(x, Tensor(np.zeros((2, 1, 4))), b, b)
+
+
+# the fused layer nodes cut their batch into row chunks, which the calling
+# thread and the helper thread take in turn
+SPLIT_NODES = ("attention-self", "attention-pooled", "ffn", "add_layer_norm")
+
+
+def _split_node_case(node, batch, rng):
+    """Float32 batched inputs, weights, the node as a function of both, and
+    its output shape; T = 7, d = 10, 5 heads and an FFN width of 6."""
+    steps, d, heads, width = 7, 10, 5, 6
+    draw = lambda shape, low=-1.0, high=1.0: rng.uniform(low, high, shape).astype(np.float32)
+    if node.startswith("attention"):
+        weights = [draw(shape) for shape in [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]]
+        if node == "attention-self":
+            inputs, rows = [draw((batch, steps, d))], steps
+            run = lambda x, *w: ad.attention(x, x, *w, heads=heads)[0]
+        else:
+            inputs, rows = [draw((batch, 1, d)), draw((batch, steps, d))], 1
+            run = lambda x_q, x_kv, *w: ad.attention(x_q, x_kv, *w, heads=heads)[0]
+        return inputs, weights, run, (batch, rows, d)
+    if node == "ffn":
+        weights = [draw(shape) for shape in [(d, width), (width,), (width, d), (d,)]]
+        return [draw((batch, steps, d))], weights, ad.ffn, (batch, steps, d)
+    weights = [draw(d, 0.5, 1.5), draw(d, -0.5, 0.5)]
+    inputs = [draw((batch, steps, d)), draw((batch, steps, d))]
+    return inputs, weights, ad.add_layer_norm, (batch, steps, d)
+
+
+def _run_node(run, inputs, weights, g):
+    """The node's output and the gradients its backward rule passes to each
+    input and each weight for the output gradient g."""
+    xs = [Parameter(f"x{i}", x) for i, x in enumerate(inputs)]
+    ws = [Parameter(f"w{i}", w) for i, w in enumerate(weights)]
+    out = run(*xs, *ws)
+    out._backward(g)
+    return [out.data, *(t.grad for t in xs + ws)]
+
+
+def _on_helper() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 64])
+@pytest.mark.parametrize("node", SPLIT_NODES)
+def test_split_node_equals_its_chunks_run_alone(monkeypatch, node, batch):
+    rng = np.random.default_rng(batch)
+    inputs, weights, run, out_shape = _split_node_case(node, batch, rng)
+    g = rng.uniform(-1, 1, out_shape).astype(np.float32)
+    whole = _run_node(run, inputs, weights, g)
+    assert len([t for t in threading.enumerate() if t.name.startswith("hrbench-rows")]) <= 1
+    chunks = ad._row_chunks(batch)
+    assert len(chunks) == min(batch, 4)
+    # the node's own math on a whole batch, on the calling thread
+    monkeypatch.setattr(ad, "_row_chunks", lambda n: [slice(0, n)])
+    alone = [_run_node(run, [x[rows] for x in inputs], weights, g[rows]) for rows in chunks]
+    n_rows = 1 + len(inputs)  # the output, then the input gradients
+    for rows, chunk in zip(chunks, alone):
+        for got, want in zip(whole[:n_rows], chunk[:n_rows]):
+            assert got.dtype == np.float32
+            assert np.array_equal(got[rows], want)
+    for i, got in enumerate(whole[n_rows:], n_rows):
+        assert np.array_equal(got, functools.reduce(np.add, [chunk[i] for chunk in alone]))
+
+
+@pytest.mark.parametrize("node", SPLIT_NODES)
+def test_an_error_on_the_helper_thread_reaches_the_caller(monkeypatch, node):
+    rng = np.random.default_rng(5)
+    inputs, weights, run, out_shape = _split_node_case(node, 4, rng)
+    g = rng.uniform(-1, 1, out_shape).astype(np.float32)
+    want = _run_node(run, inputs, weights, g)
+    column_sums = ad._column_sums  # every backward rule of the three calls it
+    helper_started = threading.Event()
+
+    def failing(rows):
+        if _on_helper():
+            helper_started.set()
+            raise FloatingPointError("raised on the helper thread")
+        # the calling thread's chunk waits, so the helper takes one
+        assert helper_started.wait(timeout=30)
+        return column_sums(rows)
+
+    monkeypatch.setattr(ad, "_column_sums", failing)
+    with pytest.raises(FloatingPointError, match="helper thread"):
+        _run_node(run, inputs, weights, g)
+    monkeypatch.setattr(ad, "_column_sums", column_sums)
+    for got, expected in zip(_run_node(run, inputs, weights, g), want):
+        assert np.array_equal(got, expected)
+
+
+def test_split_rows_waits_for_the_helper_when_the_caller_fails():
+    helper_started, started, done = threading.Event(), [], []
+
+    def body(rows):
+        if _on_helper():
+            started.append(rows)
+            helper_started.set()
+            threading.Event().wait(0.05)
+            done.append(rows)
+            return rows
+        assert helper_started.wait(timeout=30)
+        raise KeyError("the calling thread's chunk")
+
+    with pytest.raises(KeyError):
+        ad._split_rows(body, 4)
+    assert started and done == started
+    assert ad._split_rows(lambda rows: rows, 5) == [slice(0, 1), slice(1, 2), slice(2, 3),
+                                                    slice(3, 5)]
+    assert ad._split_rows(lambda rows, kept: (rows, kept), 1, ["one"]) == [(slice(0, 1), "one")]
+
+
+class _SlowDeque(deque):
+    """A deque whose popleft waits after taking an item, which widens any gap
+    between a thread taking a chunk and marking it as running."""
+
+    def popleft(self):
+        item = super().popleft()
+        time.sleep(2e-4)
+        return item
+
+
+def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
+    monkeypatch.setattr(ad, "deque", _SlowDeque)
+    failures = []
+
+    def splits():
+        for batch in range(2, 200):
+            runs = [0] * batch
+
+            def body(rows):
+                for i in range(rows.start, rows.stop):
+                    runs[i] += 1  # each chunk is one thread's, so no update is lost
+                return rows
+
+            try:
+                ok = ad._split_rows(body, batch) == ad._row_chunks(batch)
+            except Exception as error:  # reported by the test's thread below
+                ok = error
+            if ok is not True or runs != [1] * batch:
+                failures.append((batch, ok))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=splits, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not caller.is_alive() and failures == []
+
+
+def test_the_caller_takes_every_chunk_a_stalled_helper_leaves():
+    helper_took, caller_done = threading.Event(), threading.Event()
+    mine = []
+
+    def body(rows):
+        if _on_helper():
+            helper_took.set()
+            # stalled until the calling thread has run every other chunk
+            assert caller_done.wait(timeout=30)
+            return "helper"
+        assert helper_took.wait(timeout=30)
+        mine.append(rows)
+        if len(mine) == 3:
+            caller_done.set()
+        return "caller"
+
+    assert sorted(ad._split_rows(body, 8)) == ["caller"] * 3 + ["helper"]
+
+
+def test_chunks_the_helper_has_not_taken_run_on_the_caller():
+    release = threading.Event()
+    busy = ad._executor().submit(release.wait, 30)  # the helper can take no chunk
+    try:
+        chunks = ad._split_rows(lambda rows: (rows, _on_helper()), 4)
+        # the task still queued for the helper keeps no array alive
+        kept = [np.ones(3) for _ in range(4)]
+        refs = [weakref.ref(a) for a in kept]
+        sums = ad._split_rows(lambda rows, a: a.sum(), 4, kept)
+        del kept
+        alive = [r() is not None for r in refs]
+    finally:
+        release.set()
+    assert busy.result(timeout=30)
+    assert chunks == [(slice(i, i + 1), False) for i in range(4)]
+    assert sums == [3.0] * 4 and not any(alive)
+
+
+def _split_in_a_fork(queue):
+    helper_took = threading.Event()
+
+    def body(rows):
+        if _on_helper():
+            helper_took.set()
+        else:  # the calling thread's chunks wait for the helper to take one
+            helper_took.wait(timeout=10)
+        return rows.stop
+
+    queue.put((ad._split_rows(body, 6), helper_took.is_set()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_starts_its_own_helper():
+    ad._split_rows(lambda rows: rows, 4)  # the parent's helper is running
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_split_in_a_fork, args=(queue,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0 and queue.get(timeout=5) == ([1, 3, 4, 6], True)
 
 
 def test_check_gradients_linear_model_near_exact():

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -596,3 +599,23 @@ class TestGrid:
         sweep = [g for g in grid if g.hidden is not None]
         assert [g.hidden for g in sweep] == [32, 64, 128]
         assert all(g.task == "classification" and g.model_kind == "grud" for g in sweep)
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_cli_runs_blas_on_one_thread_unless_the_environment_says_otherwise(preset):
+    # the variables must be set before numpy loads BLAS, so the package
+    # itself must not load numpy
+    script = ("import os, sys, hrbench\n"
+              "assert 'numpy' not in sys.modules\n"
+              "import hrbench.cli\n"
+              "print(*(os.environ[v] for v in "
+              "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == [preset or "1", "1", "1"]

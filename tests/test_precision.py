@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from hrbench import autodiff as ad
 from hrbench import models, training
 from hrbench.autodiff import Parameter, load_checkpoint, save_checkpoint
+from hrbench.errors import ContractViolation
 from reference import float64
 from test_training import GRUD_SMALL, TF_SMALL, small_dataset
 
@@ -133,6 +134,40 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, values):
     assert loaded.dtype == values.dtype and loaded.shape == values.shape
     # bit patterns, so -0.0 and subnormals count too
     assert loaded.tobytes() == values.tobytes()
+
+
+# float32 bit patterns: every 997th positive subnormal and the largest; and
+# every 40,961st finite pattern of either sign, about 100,000 values
+FLOAT32_PATTERNS = {
+    "subnormal": np.append(np.arange(1, 1 << 23, 997), (1 << 23) - 1),
+    "strided": np.arange(0, 0x7F800000, 40961),
+}
+
+
+@pytest.mark.parametrize("patterns", FLOAT32_PATTERNS.values(), ids=FLOAT32_PATTERNS.keys())
+def test_float32_bit_patterns_round_trip_bit_exact(tmp_path, patterns):
+    values = patterns.astype(np.uint32).view(np.float32)
+    values = np.concatenate([values, -values])
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, [Parameter("w", values)])
+    assert load_checkpoint(path)[0]["w"].data.tobytes() == values.tobytes()
+
+
+def test_float32_values_are_written_with_nine_digits(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, [Parameter("w", np.array([0.1, -0.0, 1.0, 3e38], np.float32))])
+    text = path.read_text(encoding="utf-8")
+    assert '"data": [0.100000001, -0.0, 1, 3.00000001e+38]' in text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_non_finite_parameter_is_a_contract_violation(tmp_path, dtype, bad):
+    path = tmp_path / "checkpoint.json"
+    params = [Parameter("fine", np.ones(2, dtype)), Parameter("w", np.array([0.5, bad], dtype))]
+    with pytest.raises(ContractViolation, match="'w'"):
+        save_checkpoint(path, params)
+    assert not path.exists()
 
 
 def test_a_checkpoint_without_dtypes_loads_as_float64(tmp_path):

@@ -1,7 +1,11 @@
 import math
+import os
 import platform
 import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,35 @@ GRUD_SMALL = GrudConfig(hidden_dim=8)
 TF_SMALL = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16, max_len=60)
 
 
+def train_transformer_checkpoint(path) -> None:
+    """One epoch of a micro two-layer Transformer, written as checkpoint.json:
+    a full-sequence and a pooled-row layer, whose nodes split their batches."""
+    config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16, max_len=60)
+    run = train_model("classification", "transformer", small_dataset(), TrainConfig(epochs=1),
+                      0, encoder_config=config)
+    ad.save_checkpoint(path, run.params.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pinning a process to one CPU needs sched_setaffinity")
+def test_trained_bits_do_not_depend_on_the_core_count(tmp_path):
+    paths = [tmp_path / "in_process_a.json", tmp_path / "in_process_b.json"]
+    for path in paths:
+        train_transformer_checkpoint(path)
+    pinned = tmp_path / "one_cpu.json"
+    script = ("import os, sys\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "assert len(os.sched_getaffinity(0)) == 1\n"
+              "from test_training import train_transformer_checkpoint\n"
+              "train_transformer_checkpoint(sys.argv[1])\n")
+    here = Path(__file__).resolve().parent
+    path_var = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                             os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, str(pinned)], check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=path_var))
+    assert paths[0].read_bytes() == paths[1].read_bytes() == pinned.read_bytes()
+
+
 class TestTrainModel:
     def test_same_seed_bit_identical(self):
         dataset = small_dataset()
@@ -267,6 +300,31 @@ class TestTrainModel:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         step()
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are set on glibc only")
+    def test_the_helper_thread_allocates_from_the_main_arena(self):
+        # a fresh process, so that the helper thread first allocates after
+        # hold_freed_memory, and a calling thread that waits in its chunk
+        # until the helper has allocated in the other; glibc's malloc_stats
+        # prints one "Arena n:" per arena
+        script = ("import ctypes, threading, numpy as np\n"
+                  "from hrbench import autodiff as ad, training\n"
+                  "training.hold_freed_memory()\n"
+                  "allocated = threading.Event()\n"
+                  "def body(rows):\n"
+                  "    if threading.current_thread() is not threading.main_thread():\n"
+                  "        allocated.set()\n"
+                  "        return np.ones(1 << 16)\n"
+                  "    assert allocated.wait(timeout=30)\n"
+                  "ad._split_rows(body, 2)\n"
+                  "ctypes.CDLL(None).malloc_stats()\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        stats = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stderr
+        assert [line for line in stats.splitlines() if line.startswith("Arena")] == ["Arena 0:"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator thresholds are set on glibc only")
