@@ -15,10 +15,11 @@ plus their normalized columns.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
-from array import array
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from collections.abc import Mapping, Sequence
@@ -359,21 +360,47 @@ def _not_a_number(text: str, where: str) -> DataError:
     return DataError(f"{where}: {text.strip()!r} is not a finite number")
 
 
+def _loadtxt(source, **options) -> np.ndarray:
+    """`np.loadtxt` without its warning on a source that holds no row: such
+    a file is an empty table here."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, comments=None, **options)
+
+
+def _parse_fields(fields: Sequence[str], dtype) -> np.ndarray:
+    """`fields` as one record of `dtype`, read by numpy's text parser: the
+    number rules of the one-pass parses, applied to one line's fields. Each
+    field is quoted, so it is read whole, whatever it holds."""
+    line = ",".join('"' + field.replace('"', '""') + '"' for field in fields)
+    return _loadtxt([line], dtype=dtype, delimiter=",", quotechar='"', ndmin=1)
+
+
 def read_peak_file(path) -> np.ndarray:
-    """One peak time per non-blank line."""
+    """One peak time per non-blank line, in one pass of numpy's text parser.
+
+    A number is what that parser reads: Python's float() also takes digit
+    separators (`1_0`) and non-ASCII digits, this does not. Only a file that
+    fails is scanned line by line, with the same rules, to name the first
+    line that holds no number, more than one, or a non-finite one.
+    """
+    try:
+        times = _loadtxt(path, encoding="utf-8", ndmin=2)
+        if times.shape[1] == 1 and np.isfinite(times).all():
+            return times.reshape(-1)
+    except ValueError:
+        pass
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    try:
-        times = np.array([float(line) for line in lines if line.strip()])
-        valid = bool(np.isfinite(times).all())
-    except ValueError:
-        valid = False
-    if not valid:
-        # only a file that fails is scanned line by line, to name the line
-        lineno, line = next((n, line) for n, line in enumerate(lines, 1)
-                            if line.strip() and not math.isfinite(_number(line)))
-        raise _not_a_number(line, f"{path}:{lineno}")
-    return times
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                valid = bool(np.isfinite(_parse_fields([line], np.float64)).all())
+            except ValueError:
+                valid = False
+            if not valid:
+                raise _not_a_number(line, f"{path}:{lineno}")
+    raise DataError(f"{path}: not a peak file")
 
 
 def read_manifest(manifest_path) -> list[RPeakRecord]:
@@ -419,6 +446,20 @@ def read_combined_peaks(path) -> list[RPeakRecord]:
     return [_peak_record(r, t, str(path)) for r, t in times.items()]
 
 
+# windows.csv is formatted this many rows at a time: the whole table as Python
+# floats and strings would be several times the size of its arrays
+_CHUNK_ROWS = 256
+_HEADER = ["record_id", "start_index", "cls_label", "fc_target"]
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it among other fields: quoted only when
+    it holds a comma, a quote or a line break, with each quote doubled."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def save_prepared(
     out_dir,
     windows: Windows,
@@ -427,24 +468,26 @@ def save_prepared(
     theta: float,
     H: int = HORIZON,
 ) -> None:
-    """Dataset CSV (raw bpm) plus a sidecar JSON with stats and the split map."""
+    """Dataset CSV (raw bpm) plus a sidecar JSON with stats and the split map.
+
+    `windows.csv` holds the bytes `csv.writer` would write: CRLF rows, a
+    record id quoted only when it must be, each value as its `repr`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     T = windows.contexts_bpm.shape[1]
+    field = {r: _csv_field(r) for r in set(windows.record_ids.tolist())}
     with open(out / "windows.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["record_id", "start_index", "cls_label", "fc_target"]
-            + [f"ctx_{i}" for i in range(T)]
-        )
-        # one row at a time: the whole table as Python floats would be
-        # several times the size of its arrays
-        for record_id, start, label, target, context in zip(
-                windows.record_ids.tolist(), windows.start_indices.tolist(),
-                windows.cls_labels.tolist(), windows.fc_targets_bpm.tolist(),
-                windows.contexts_bpm):
-            writer.writerow([record_id, start, label, repr(target),
-                             *map(repr, context.tolist())])
+        fh.write(",".join(_HEADER + [f"ctx_{i}" for i in range(T)]) + "\r\n")
+        for lo in range(0, len(windows), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            values = np.column_stack([windows.fc_targets_bpm[rows],
+                                      windows.contexts_bpm[rows]]).tolist()
+            fh.write("".join(
+                f"{field[record_id]},{start},{label},{','.join(map(repr, row))}\r\n"
+                for record_id, start, label, row in zip(
+                    windows.record_ids[rows].tolist(), windows.start_indices[rows].tolist(),
+                    windows.cls_labels[rows].tolist(), values)))
     sidecar = {
         "mu": stats.mu,
         "sigma": stats.sigma,
@@ -457,7 +500,84 @@ def save_prepared(
         json.dump(sidecar, fh, indent=2)
 
 
+def _table(record_ids: np.ndarray, numbers: np.ndarray) -> Windows:
+    """The columns of a parsed `windows.csv` body, as views of `numbers`."""
+    values = numbers["values"]
+    return Windows(record_ids=record_ids, start_indices=numbers["start"],
+                   contexts_bpm=values[:, 1:], cls_labels=numbers["label"],
+                   fc_targets_bpm=values[:, 0])
+
+
+def _until_blank(lines):
+    # loadtxt skips an empty line, which the loader rejects
+    for line in lines:
+        if line in ("\n", "\r\n", "\r"):
+            raise ValueError("blank line")
+        yield line
+
+
+def _parse_windows(fh, T: int, split: Mapping[str, str]) -> Windows:
+    """The body of `windows.csv` in one pass of numpy's text parser; a
+    ValueError on anything the row-by-row scan must look at."""
+    # one character wider than any split id, so that a longer id is not
+    # truncated into a known one
+    width = max(map(len, split), default=0) + 1
+    dtype = np.dtype([("id", f"U{width}"), ("start", "i8"), ("label", "i8"),
+                      ("values", "f8", (T + 1,))])
+    table = _loadtxt(_until_blank(fh), dtype=dtype, delimiter=",", quotechar='"', ndmin=1)
+    # a set, as np.unique without indices would import numpy.ma
+    present = set(table["id"].tolist())
+    if any(record_id not in split for record_id in present):
+        raise ValueError("a record outside the split")
+    # the width np.array(ids, dtype=str) gives
+    longest = max(map(len, present), default=0)
+    return _table(table["id"].astype(f"U{max(longest, 1)}"), table)
+
+
+def _scan_windows(path, T: int, split: Mapping[str, str]) -> Windows:
+    """The body of `windows.csv` row by row, as `csv.reader` splits it, with
+    each row's numbers read as `_parse_windows` reads them: a DataError names
+    the first faulty line, and a file without one gives the same table."""
+    dtype = np.dtype([("start", "i8"), ("label", "i8"), ("values", "f8", (T + 1,))])
+    names = _HEADER[1:] + [f"ctx_{i}" for i in range(T)]
+    record_ids, rows = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4 + T:
+                raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
+            if row[0] not in split:
+                raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
+            try:
+                rows.append(_parse_fields(row[1:], dtype))
+            except ValueError:
+                raise _bad_field(names, row[1:], where) from None
+            record_ids.append(row[0])
+    numbers = np.concatenate(rows) if rows else np.empty(0, dtype)
+    return _table(np.array(record_ids, dtype=str), numbers)
+
+
+def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataError:
+    """The error naming the first of a row's number fields that does not parse."""
+    for i, (name, text) in enumerate(zip(names, fields)):
+        dtype, kind = (np.int64, "an integer") if i < 2 else (np.float64, "a number")
+        try:
+            _parse_fields([text], dtype)
+        except ValueError:
+            return DataError(f"{where}: {name} {text!r} is not {kind}")
+    return DataError(f"{where}: not a row of numbers")
+
+
 def load_prepared(dataset_dir) -> WindowedDataset:
+    """The dataset `save_prepared` wrote.
+
+    The body of `windows.csv` is read in one pass of numpy's text parser,
+    whose numbers are those of `read_peak_file`. Only a file that pass
+    rejects, or one with a blank line or a record outside the split, is
+    scanned row by row, to name the first faulty line in a DataError.
+    """
     base = Path(dataset_dir)
     meta = base / "dataset.json"
     try:
@@ -469,33 +589,19 @@ def load_prepared(dataset_dir) -> WindowedDataset:
         raise DataError(f"{meta}: no {exc} entry") from None
     except (ValueError, TypeError) as exc:
         raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
+    if T < 1:
+        raise DataError(f"{meta}: T must be >= 1, got {T}")
+    if not isinstance(split, dict):
+        raise DataError(f"{meta}: split is not a record -> split map")
     path = base / "windows.csv"
-    record_ids, starts, labels = [], [], []
-    targets, contexts = array("d"), array("d")
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:4] != ["record_id", "start_index", "cls_label", "fc_target"]:
+        header = next(csv.reader([fh.readline()]), [])
+        if header[:4] != _HEADER:
             raise DataError(f"{path}: not a prepared windows file (header {header[:4]})")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 4 + T:
-                raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
-            if row[0] not in split:
-                raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
-            try:
-                starts.append(int(row[1]))
-                labels.append(int(row[2]))
-                targets.append(float(row[3]))
-                contexts.extend(map(float, row[4:]))
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
-            record_ids.append(row[0])
-    windows = Windows(
-        record_ids=np.array(record_ids, dtype=str),
-        start_indices=np.array(starts, dtype=np.int64),
-        contexts_bpm=np.frombuffer(contexts).reshape(-1, T),
-        cls_labels=np.array(labels, dtype=np.int64),
-        fc_targets_bpm=np.frombuffer(targets),
-    )
+        try:
+            windows = _parse_windows(fh, T, split)
+        except ValueError:
+            windows = None
+    if windows is None:
+        windows = _scan_windows(path, T, split)
     return WindowedDataset(windows, split, stats, theta)

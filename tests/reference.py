@@ -10,14 +10,21 @@ finite-difference check of backward, and `float64` gives a model the
 precision that these comparisons and their bounds are written for;
 `mae_rmse` and `groups` serve the metric tests, and `adamw_step_reference`
 is the AdamW update as one expression per moment, which the in-place
-`training.adamw_step` must equal bit for bit. The package does not ship
-them.
+`training.adamw_step` must equal bit for bit. `save_prepared_reference`
+and `load_prepared_reference` are the prepared-dataset codec through the
+`csv` module and Python's `int` and `float`, one row at a time: the bytes
+`ingest.save_prepared` must write and the columns `ingest.load_prepared`
+must read. The package does not ship them.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
-from collections.abc import Callable, Sequence
+from array import array
+from collections.abc import Callable, Mapping, Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +32,8 @@ from hrbench import autodiff as ad
 from hrbench import metrics as met
 from hrbench import models
 from hrbench.autodiff import Parameter, Tensor, _accum, _coerce
-from hrbench.errors import ShapeError
+from hrbench.errors import DataError, ShapeError
+from hrbench.ingest import HORIZON, StandardizationStats, WindowedDataset, Windows
 
 
 def sigmoid(a) -> Tensor:
@@ -240,3 +248,85 @@ def adamw_step_reference(params, state, lr: float, weight_decay: float) -> None:
         v += (1.0 - state.beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         p.data -= lr * (update + weight_decay * p.data)
+
+
+def save_prepared_reference(
+    out_dir,
+    windows: Windows,
+    stats: StandardizationStats,
+    split: Mapping[str, str],
+    theta: float,
+    H: int = HORIZON,
+) -> None:
+    """`ingest.save_prepared` one `csv.writer` row at a time."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    T = windows.contexts_bpm.shape[1]
+    with open(out / "windows.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["record_id", "start_index", "cls_label", "fc_target"]
+            + [f"ctx_{i}" for i in range(T)]
+        )
+        for record_id, start, label, target, context in zip(
+                windows.record_ids.tolist(), windows.start_indices.tolist(),
+                windows.cls_labels.tolist(), windows.fc_targets_bpm.tolist(),
+                windows.contexts_bpm):
+            writer.writerow([record_id, start, label, repr(target),
+                             *map(repr, context.tolist())])
+    sidecar = {
+        "mu": stats.mu,
+        "sigma": stats.sigma,
+        "theta": theta,
+        "T": T,
+        "H": H,
+        "split": dict(sorted(split.items())),
+    }
+    with open(out / "dataset.json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2)
+
+
+def load_prepared_reference(dataset_dir) -> WindowedDataset:
+    """`ingest.load_prepared` one `csv.reader` row at a time, each number
+    through Python's `int` or `float`."""
+    base = Path(dataset_dir)
+    meta = base / "dataset.json"
+    try:
+        with open(meta, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
+        T, theta, split = int(sidecar["T"]), float(sidecar["theta"]), sidecar["split"]
+    except KeyError as exc:
+        raise DataError(f"{meta}: no {exc} entry") from None
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
+    path = base / "windows.csv"
+    record_ids, starts, labels = [], [], []
+    targets, contexts = array("d"), array("d")
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:4] != ["record_id", "start_index", "cls_label", "fc_target"]:
+            raise DataError(f"{path}: not a prepared windows file (header {header[:4]})")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4 + T:
+                raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
+            if row[0] not in split:
+                raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
+            try:
+                starts.append(int(row[1]))
+                labels.append(int(row[2]))
+                targets.append(float(row[3]))
+                contexts.extend(map(float, row[4:]))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            record_ids.append(row[0])
+    windows = Windows(
+        record_ids=np.array(record_ids, dtype=str),
+        start_indices=np.array(starts, dtype=np.int64),
+        contexts_bpm=np.frombuffer(contexts).reshape(-1, T),
+        cls_labels=np.array(labels, dtype=np.int64),
+        fc_targets_bpm=np.frombuffer(targets),
+    )
+    return WindowedDataset(windows, split, stats, theta)

@@ -1,12 +1,18 @@
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import load_prepared_reference, save_prepared_reference
 
+from hrbench import ingest
 from hrbench.errors import DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
 from hrbench.ingest import (
     HrSeries,
     RPeakRecord,
+    SplitData,
     StandardizationStats,
     WindowedDataset,
     Windows,
@@ -283,12 +289,19 @@ class TestStandardize:
         assert stats.sigma == pytest.approx(samples.std())
 
 
+# record ids with inner and outer spaces, the CSV delimiter and quote, the
+# comment character and non-ASCII letters, all of which csv.writer and the
+# loader must carry through
+ID_ALPHABET = "abcxyz_-0123456789 ,\"#éü─😀"
+
+
 def _assert_same_columns(a, b):
-    for name in ("record_ids", "start_indices", "contexts_bpm", "cls_labels", "fc_targets_bpm",
-                 "contexts_norm", "fc_targets_norm", "last_context_norm", "residuals"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        np.testing.assert_array_equal(x, y, err_msg=name)
+    """Every column of two splits holds the same dtype, shape and bytes: -0.0
+    and each NaN's bits included."""
+    for f in fields(SplitData):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+        assert x.tobytes() == y.tobytes(), f.name
 
 
 class TestPreparedFiles:
@@ -329,7 +342,7 @@ class TestPreparedFiles:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
         T = data.draw(st.integers(1, 60))
-        ids = data.draw(st.lists(st.text("abcxyz_-0123456789", min_size=1, max_size=8),
+        ids = data.draw(st.lists(st.text(ID_ALPHABET, min_size=1, max_size=8),
                                  min_size=2, max_size=6, unique=True))
         names = ("train", "val", "test")
         empty = data.draw(st.sampled_from(names[1:]))
@@ -360,6 +373,62 @@ class TestPreparedFiles:
         assert loaded.split_sizes()[empty] == 0
         for name in names:
             _assert_same_columns(dataset.split(name), loaded.split(name))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_codec_matches_the_csv_module_reference(self, tmp_path_factory, data):
+        """The chunked writer writes the reference's bytes, and the one-pass
+        loader, and the row-by-row scan it falls back on, read the
+        reference's columns bit for bit, dtypes included."""
+        T = data.draw(st.integers(1, 6))
+        # line breaks in an id make csv.writer quote it across lines
+        ids = data.draw(st.lists(st.text(ID_ALPHABET + "\r\n", min_size=1, max_size=6),
+                                 min_size=1, max_size=5, unique=True))
+        split = {r: data.draw(st.sampled_from(("train", "val", "test"))) for r in ids}
+        n = data.draw(st.integers(0, 9))
+        values = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                                         1e16, 72.30000000000001]))
+        windows = Windows(
+            record_ids=np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)),
+                                dtype=str),
+            start_indices=np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                                      min_size=n, max_size=n)), dtype=np.int64),
+            contexts_bpm=np.array(data.draw(st.lists(values, min_size=n * T, max_size=n * T)),
+                                  dtype=np.float64).reshape(n, T),
+            cls_labels=np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                                dtype=np.int64),
+            fc_targets_bpm=np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
+                                    dtype=np.float64),
+        )
+        stats = StandardizationStats(mu=70.0, sigma=10.0)
+        ours, theirs = tmp_path_factory.mktemp("ours"), tmp_path_factory.mktemp("theirs")
+        with mock.patch.object(ingest, "_CHUNK_ROWS", data.draw(st.integers(1, 4))):
+            save_prepared(ours, windows, stats, split, theta=95.0)
+        save_prepared_reference(theirs, windows, stats, split, theta=95.0)
+        for name in ("windows.csv", "dataset.json"):
+            assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+        # drawn infinities make NaN residuals
+        with np.errstate(invalid="ignore"):
+            expected = load_prepared_reference(theirs)
+            loaded = load_prepared(ours)
+            scanned = WindowedDataset(ingest._scan_windows(ours / "windows.csv", T, split),
+                                      split, stats, 95.0)
+        for name in ("train", "val", "test"):
+            _assert_same_columns(loaded.split(name), expected.split(name))
+            _assert_same_columns(scanned.split(name), expected.split(name))
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_loads_as_empty_splits(self, tmp_path):
+        T = 7
+        empty = Windows(np.array([], dtype=str), np.array([], dtype=np.int64),
+                        np.empty((0, T)), np.array([], dtype=np.int64), np.empty(0))
+        split = {"a": "train", "b": "val", "c": "test"}
+        save_prepared(tmp_path, empty, StandardizationStats(70.0, 10.0), split, theta=100.0)
+        assert (tmp_path / "windows.csv").read_bytes().count(b"\r\n") == 1
+        loaded, expected = load_prepared(tmp_path), load_prepared_reference(tmp_path)
+        for name in ("train", "val", "test"):
+            assert loaded.split(name).contexts_bpm.shape == (0, T)
+            _assert_same_columns(loaded.split(name), expected.split(name))
 
     def test_access_log_records_reads(self):
         windows, assignment = _toy_windows(), _toy_assignment()

@@ -430,10 +430,10 @@ def _sidecar_without(key: str) -> str:
     return json.dumps({k: v for k, v in SIDECAR.items() if k != key})
 
 
-def _windows_row(tmp_path, row: str) -> str:
+def _windows_row(tmp_path, row: str, sidecar=SIDECAR) -> str:
     header = ",".join(["record_id", "start_index", "cls_label", "fc_target"]
                       + [f"ctx_{i}" for i in range(60)])
-    return _bad_windows_file(tmp_path, f"{header}\n{row}\n")
+    return _bad_windows_file(tmp_path, f"{header}\n{row}\n", json.dumps(sidecar))
 
 
 def _full_row(record_id="r1", start="0", value="70.0") -> str:
@@ -573,6 +573,28 @@ MALFORMED = {
     "checkpoint_without_dtypes": ("evaluate", lambda t: _edited_checkpoint(t, _without_dtypes),
                                   "has float64 (1, 8), the model float32 (1, 8)",
                                   EvaluationError.exit_code),
+    "dataset_json_with_negative_T": ("train", lambda t: _windows_row(
+        t, _full_row(), sidecar={**SIDECAR, "T": -5}), "dataset.json: T"),
+    "dataset_json_split_not_a_map": ("train", lambda t: _windows_row(
+        t, _full_row(), sidecar={**SIDECAR, "split": ["r1"]}), "dataset.json: split"),
+    "blank_windows_line": ("train", lambda t: _windows_row(t, f"{_full_row()}\n\n{_full_row()}"),
+                           "windows.csv:3"),
+    # split ids are at most two characters long, so a parse that cut ids to
+    # that width would read r10 as r1
+    "windows_row_of_a_longer_id": ("train", lambda t: _windows_row(t, _full_row("r10")),
+                                   "windows.csv:2"),
+    "digit_separator_in_context": ("train", lambda t: _windows_row(t, _full_row(value="1_0")),
+                                   "windows.csv:2"),
+    "fullwidth_digit_in_context": ("train", lambda t: _windows_row(t, _full_row(value="１.5")),
+                                   "windows.csv:2"),
+    "digit_separator_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\n1_0\n"), "r1.txt:2"),
+    "fullwidth_digit_peak": ("prepare", lambda t: _peak_manifest(t, "１.5\n2.0\n"), "r1.txt:1"),
+    "two_numbers_on_a_peak_line": ("prepare", lambda t: _peak_manifest(t, "1.0\n2.0 3.0\n"),
+                                   "r1.txt:2"),
+    "two_numbers_on_every_peak_line": ("prepare", lambda t: _peak_manifest(t, "1.0 2.0\n"),
+                                       "r1.txt:1"),
+    "comment_line_in_peak_file": ("prepare", lambda t: _peak_manifest(t, "# peaks\n1.0\n2.0\n"),
+                                  "r1.txt:1"),
 }
 
 
