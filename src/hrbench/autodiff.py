@@ -54,6 +54,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
+from .files import reading, writing
 
 Array = np.ndarray
 
@@ -910,18 +911,20 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
         entries.append(f'{json.dumps(p.name)}: {head[:-1]}, "data": {data}}}')
     if config is not None:
         entries.append(f'"config": {json.dumps(config)}')
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write("{" + ", ".join(entries) + "}")
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:
     """Parameters in their stored dtype (float64 where a file names none, as
     files written before the dtype was stored), and the config blob."""
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         doc = json.load(fh)
     config = doc.pop("config", None)
     params = {}
     for name, entry in doc.items():
         data = np.array(entry["data"], dtype=entry.get("dtype", "float64")).reshape(entry["shape"])
+        if not np.isfinite(data).all():
+            raise ValueError(f"parameter {name!r} holds a value that is not finite")
         params[name] = Parameter(name, data)
     return params, config

@@ -101,9 +101,6 @@ def main(argv=None) -> int:
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

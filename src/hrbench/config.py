@@ -12,11 +12,12 @@ and type: `load_config` parses a key by its field's annotation,
 from __future__ import annotations
 
 import configparser
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
-from pathlib import Path
 
 from .errors import DataError
+from .files import reading, writing
 from .ingest import CONTEXT_LEN, HORIZON, SPLIT_RATIOS, THETA_CANDIDATES
 from .models import GrudConfig, TransformerConfig
 from .synth import SyntheticSpec
@@ -26,7 +27,6 @@ from .training import TrainConfig
 @dataclass(frozen=True)
 class DataConfig:
     peaks_manifest: str = ""
-    peaks_combined: str = ""
     exclude: tuple[str, ...] = ()
     dataset_dir: str = "out/dataset"
     synth_dir: str = "data/synthetic"
@@ -154,7 +154,10 @@ def _parse(raw: str, annotation):
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"not a boolean (one of {', '.join(_BOOLEANS)})")
         return _BOOLEANS[raw.lower()]
-    return annotation(raw)
+    value = annotation(raw)
+    if annotation is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _sections() -> list[tuple[str, type]]:
@@ -171,11 +174,10 @@ def load_config(path) -> BenchConfig:
     # and `;` included; `#` and `;` start a comment only at the start of a line
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        with reading(path) as fh:
+            parser.read_file(fh)
     except configparser.Error as exc:
         raise DataError(f"{path}: {' '.join(str(exc).split())}") from None
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
     sections = dict(_sections())
     for name in parser.sections():
         if name not in sections:
@@ -219,9 +221,8 @@ def _text(value) -> str:
 
 
 _DATA_COMMENT = [
-    "# Either a manifest CSV (record_id,path to one peak-times file per record)",
-    "# or a single combined CSV (record_id,peak_time). With neither,",
-    "# `bench prepare` reads the manifest that `bench synth` writes to synth_dir.",
+    "# A manifest CSV (record_id,path to one peak-times file per record). Without",
+    "# one, `bench prepare` reads the manifest that `bench synth` writes to synth_dir.",
 ]
 
 
@@ -240,4 +241,5 @@ def render_config(config: BenchConfig) -> str:
 
 def write_default_config(path) -> None:
     header = "# Benchmark configuration. Every key shows its default; delete or edit freely.\n"
-    Path(path).write_text(header + render_config(BenchConfig()), encoding="utf-8")
+    with writing(path) as fh:
+        fh.write(header + render_config(BenchConfig()))

@@ -27,6 +27,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
+from .files import reading, write_json, writing
 
 HR_MIN = 20.0
 HR_MAX = 220.0
@@ -49,6 +50,8 @@ class RPeakRecord:
     def __post_init__(self):
         times = np.asarray(self.peak_times, dtype=np.float64)
         object.__setattr__(self, "peak_times", times)
+        if "\0" in self.record_id:
+            raise ValueError(f"{self.record_id!r}: a record id cannot hold a NUL byte")
         if not np.isfinite(times).all():
             raise ValueError(f"{self.record_id}: peak times must be finite")
         if times.size and times[0] < 0.0:
@@ -105,8 +108,9 @@ class StandardizationStats:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DegenerateScale(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
+            raise DegenerateScale(f"need a finite mu and a finite sigma > 0, got "
+                                  f"{self.mu}, {self.sigma}")
 
     def normalize(self, x):
         return (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
@@ -341,25 +345,6 @@ def standardize(windows: Windows, split: Mapping[str, str]) -> StandardizationSt
 # file formats
 
 
-def _peak_record(record_id: str, times, where: str) -> RPeakRecord:
-    try:
-        return RPeakRecord(record_id, times)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
-
-
-def _number(text: str) -> float:
-    """`text` as a float; NaN if it is not a number."""
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
-def _not_a_number(text: str, where: str) -> DataError:
-    return DataError(f"{where}: {text.strip()!r} is not a finite number")
-
-
 def _loadtxt(source, **options) -> np.ndarray:
     """`np.loadtxt` without its warning on a source that holds no row: such
     a file is an empty table here."""
@@ -382,15 +367,18 @@ def read_peak_file(path) -> np.ndarray:
     A number is what that parser reads: Python's float() also takes digit
     separators (`1_0`) and non-ASCII digits, this does not. Only a file that
     fails is scanned line by line, with the same rules, to name the first
-    line that holds no number, more than one, or a non-finite one.
+    line that holds no number, more than one, or a non-finite one, or to
+    raise the DataError of a file that cannot be read.
     """
     try:
+        # by path, not through `reading`: numpy reads an open text handle
+        # about a third slower
         times = _loadtxt(path, encoding="utf-8", ndmin=2)
         if times.shape[1] == 1 and np.isfinite(times).all():
             return times.reshape(-1)
-    except ValueError:
+    except (ValueError, OSError):
         pass
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(lines, 1):
         if line.strip():
@@ -399,16 +387,17 @@ def read_peak_file(path) -> np.ndarray:
             except ValueError:
                 valid = False
             if not valid:
-                raise _not_a_number(line, f"{path}:{lineno}")
+                raise DataError(f"{path}:{lineno}: {line.strip()!r} is not a finite number")
     raise DataError(f"{path}: not a peak file")
 
 
 def read_manifest(manifest_path) -> list[RPeakRecord]:
-    """Manifest CSV `record_id,path`; paths resolve relative to the manifest."""
+    """Manifest CSV `record_id,path`; paths resolve relative to the manifest.
+    A fault in a listed record's peaks is a DataError naming the manifest line."""
     base = Path(manifest_path).parent
     records = []
     seen: dict[str, int] = {}
-    with open(manifest_path, encoding="utf-8", newline="") as fh:
+    with reading(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0] == "record_id":
@@ -421,29 +410,11 @@ def read_manifest(manifest_path) -> list[RPeakRecord]:
                 raise DataError(f"{where}: record {record_id!r} is listed twice "
                                 f"(first at line {seen[record_id]})")
             seen[record_id] = reader.line_num
-            path = Path(rel)
-            if not path.is_absolute():
-                path = base / path
-            records.append(_peak_record(record_id, read_peak_file(path), where))
+            try:
+                records.append(RPeakRecord(record_id, read_peak_file(base / rel)))
+            except (DataError, ValueError) as exc:
+                raise DataError(f"{where}: {exc}") from None
     return records
-
-
-def read_combined_peaks(path) -> list[RPeakRecord]:
-    """Single CSV `record_id,peak_time` sorted by (record_id, peak_time)."""
-    times: dict[str, list[float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0] == "record_id":
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{reader.line_num}: expected `record_id,peak_time`, "
-                                f"got {row}")
-            peak = _number(row[1])
-            if not math.isfinite(peak):
-                raise _not_a_number(row[1], f"{path}:{reader.line_num}")
-            times.setdefault(row[0].strip(), []).append(peak)
-    return [_peak_record(r, t, str(path)) for r, t in times.items()]
 
 
 # windows.csv is formatted this many rows at a time: the whole table as Python
@@ -474,10 +445,9 @@ def save_prepared(
     record id quoted only when it must be, each value as its `repr`.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     T = windows.contexts_bpm.shape[1]
     field = {r: _csv_field(r) for r in set(windows.record_ids.tolist())}
-    with open(out / "windows.csv", "w", encoding="utf-8", newline="") as fh:
+    with writing(out / "windows.csv", newline="") as fh:
         fh.write(",".join(_HEADER + [f"ctx_{i}" for i in range(T)]) + "\r\n")
         for lo in range(0, len(windows), _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
@@ -496,8 +466,7 @@ def save_prepared(
         "H": H,
         "split": dict(sorted(split.items())),
     }
-    with open(out / "dataset.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+    write_json(out / "dataset.json", sidecar)
 
 
 def _table(record_ids: np.ndarray, numbers: np.ndarray) -> Windows:
@@ -541,7 +510,7 @@ def _scan_windows(path, T: int, split: Mapping[str, str]) -> Windows:
     dtype = np.dtype([("start", "i8"), ("label", "i8"), ("values", "f8", (T + 1,))])
     names = _HEADER[1:] + [f"ctx_{i}" for i in range(T)]
     record_ids, rows = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, already checked
         for row in reader:
@@ -581,20 +550,24 @@ def load_prepared(dataset_dir) -> WindowedDataset:
     base = Path(dataset_dir)
     meta = base / "dataset.json"
     try:
-        with open(meta, encoding="utf-8") as fh:
+        with reading(meta) as fh:
             sidecar = json.load(fh)
         stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
         T, theta, split = int(sidecar["T"]), float(sidecar["theta"]), sidecar["split"]
     except KeyError as exc:
         raise DataError(f"{meta}: no {exc} entry") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, DegenerateScale) as exc:
         raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
     if T < 1:
         raise DataError(f"{meta}: T must be >= 1, got {T}")
     if not isinstance(split, dict):
         raise DataError(f"{meta}: split is not a record -> split map")
+    for record_id, name in split.items():
+        if name not in SPLIT_NAMES:
+            raise DataError(f"{meta}: record {record_id!r} has split {name!r}, "
+                            f"not one of {', '.join(SPLIT_NAMES)}")
     path = base / "windows.csv"
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if header[:4] != _HEADER:
             raise DataError(f"{path}: not a prepared windows file (header {header[:4]})")

@@ -7,7 +7,6 @@ independently; identical configs and inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,13 +19,13 @@ from . import models, synth, training
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import BenchConfig
 from .errors import DataError, EvaluationError
+from .files import reading, write_csv, write_json
 from .ingest import (
     SplitData,
     Windows,
     build_windows,
     derive_hr,
     load_prepared,
-    read_combined_peaks,
     read_manifest,
     save_prepared,
     select_threshold,
@@ -59,20 +58,11 @@ def run_synth(config: BenchConfig) -> Path:
 
 def _load_peak_records(config: BenchConfig):
     data = config.data
-    if data.peaks_manifest:
-        records = read_manifest(data.peaks_manifest)
-    elif data.peaks_combined:
-        records = read_combined_peaks(data.peaks_combined)
-    else:
-        fallback = Path(data.synth_dir) / "manifest.csv"
-        if not fallback.exists():
-            raise DataError(
-                "no records: set data.peaks_manifest or data.peaks_combined, "
-                "or run `bench synth` first"
-            )
-        records = read_manifest(fallback)
+    manifest = data.peaks_manifest or Path(data.synth_dir) / "manifest.csv"
+    if not data.peaks_manifest and not manifest.exists():
+        raise DataError("no records: set data.peaks_manifest, or run `bench synth` first")
     excluded = set(data.exclude)
-    records = [r for r in records if r.record_id not in excluded]
+    records = [r for r in read_manifest(manifest) if r.record_id not in excluded]
     if not records:
         raise DataError("no records: the peak source is empty after exclusions")
     return records
@@ -163,10 +153,24 @@ def _encoder_from_blob(blob: dict):
     return kind, encoder(**values)
 
 
+def _load_finite(config: BenchConfig, names):
+    """The prepared dataset, whose splits `names` must hold only finite
+    values: windows.csv stores any float, but a model input must be finite."""
+    with np.errstate(invalid="ignore"):  # an infinity makes NaN residuals
+        dataset = load_prepared(config.data.dataset_dir)
+    for name in names:
+        split = dataset.split(name)
+        if not (np.isfinite(split.contexts_bpm).all() and np.isfinite(split.fc_targets_bpm).all()):
+            raise DataError(f"{Path(config.data.dataset_dir) / 'windows.csv'}: a {name} "
+                            "window holds a value that is not finite")
+    return dataset
+
+
 def run_train(config: BenchConfig) -> list[str]:
-    dataset = load_prepared(config.data.dataset_dir)
+    """Train the grid. Each run's checkpoint.json is written last, so a run
+    that stopped part way has none, which `run_evaluate` reports."""
+    dataset = _load_finite(config, ("train", "val"))
     base = Path(config.runs_dir)
-    base.mkdir(parents=True, exist_ok=True)
     run_ids = []
     for spec in _grid(config):
         run_id = spec.run_id
@@ -176,26 +180,21 @@ def run_train(config: BenchConfig) -> list[str]:
             encoder_config=enc_config,
         )
         run_dir = base / run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(
-            run_dir / "checkpoint.json",
-            trained.params.values(),
-            config={"model_kind": spec.model_kind, **asdict(enc_config)},
-        )
         manifest = {
             "run_id": run_id,
             **asdict(spec),
             "train": asdict(config.train),
             "dataset_dir": str(config.data.dataset_dir),
         }
-        with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-        with open(run_dir / "train_log.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run_id", "epoch", "split", "loss"])
-            for row in trained.history:
-                writer.writerow([run_id, row["epoch"], "train", repr(row["train_loss"])])
-                writer.writerow([run_id, row["epoch"], "val", repr(row["val_loss"])])
+        write_json(run_dir / "manifest.json", manifest)
+        write_csv(run_dir / "train_log.csv", [["run_id", "epoch", "split", "loss"]] + [
+            [run_id, row["epoch"], split, repr(row[f"{split}_loss"])]
+            for row in trained.history for split in ("train", "val")])
+        save_checkpoint(
+            run_dir / "checkpoint.json",
+            trained.params.values(),
+            config={"model_kind": spec.model_kind, **asdict(enc_config)},
+        )
         run_ids.append(run_id)
         final = trained.history[-1]
         print(f"{run_id}: train_loss={final['train_loss']:.4f} val_loss={final['val_loss']:.4f}")
@@ -259,8 +258,7 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     probs_val = cal.apply_temperature(logits_val, fit.temperature)
     tau = cal.select_threshold_fbeta(probs_val, val.cls_labels, config.calibration.beta)
     sidecar = {"temperature": fit.temperature, "threshold": tau, "beta": config.calibration.beta}
-    with open(run_dir / "calibration.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+    write_json(run_dir / "calibration.json", sidecar)
     return fit.temperature, tau
 
 
@@ -297,7 +295,7 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
     if outside:
         print(f"warning: not scoring {len(outside)} trained run(s) under {base} outside "
               f"the config's grid: {', '.join(outside)}", file=sys.stderr)
-    dataset = load_prepared(config.data.dataset_dir)
+    dataset = _load_finite(config, ("val", "test", "train"))
     val, test = dataset.split("val"), dataset.split("test")
     labels = test.cls_labels.astype(np.float64)
     rows: list[dict] = []
@@ -306,11 +304,12 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
         try:
             params, blob = load_checkpoint(run_dir / "checkpoint.json")
             kind, enc_config = _encoder_from_blob(blob)
+            # building the model the config describes can fail too
+            _check_checkpoint(spec.run_id, base, params, kind, enc_config)
         except (ValueError, KeyError, TypeError) as exc:
-            # for example a file cut short by a killed `train`
+            # for example a file cut short or edited by hand
             raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
                                   f"({type(exc).__name__}: {exc}); train the run again") from None
-        _check_checkpoint(spec.run_id, base, params, kind, enc_config)
 
         def predict(split: SplitData):
             return models.model_predictions(kind, enc_config, params,
@@ -348,22 +347,14 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
     for seed in config.train.seeds:
         rows.extend({**row, "seed": seed} for row in baselines)
 
-    _write_report(base, rows)
+    write_csv(base / "report.csv",
+              [REPORT_COLUMNS, *([row[key] for key in REPORT_COLUMNS] for row in rows)])
+    write_json(base / "report.json", rows)
     return rows
 
 
-def _write_report(base: Path, rows: list[dict]) -> None:
-    # csv writes None as an empty field and a float as its repr()
-    with open(base / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(base / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-
-
 def _number(text: str):
-    # the int or float that `_write_report` wrote (a float's repr always has
+    # the int or float that `run_evaluate` wrote (a float's repr always has
     # a point, an exponent or a letter), or None for an empty field
     if not text:
         return None
@@ -372,7 +363,7 @@ def _number(text: str):
 
 def read_report(runs_dir) -> list[dict]:
     path = Path(runs_dir) / "report.csv"
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != REPORT_COLUMNS:
             raise DataError(f"{path}: not a report file (header {reader.fieldnames})")
@@ -404,27 +395,23 @@ def run_report(runs_dir) -> list[dict]:
     rows = read_report(runs_dir)
     aggregated = aggregate_rows(rows)
     base = Path(runs_dir)
-    with open(base / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        # std across seeds is the sample (n-1) standard deviation
-        writer.writerow(["task", "model", "metric", "mean", "std", "n_seeds"])
-        for r in aggregated:
-            writer.writerow([r["task"], r["model"], r["metric"],
-                             repr(r["mean"]), repr(r["std"]), r["n_seeds"]])
+    # std across seeds is the sample (n-1) standard deviation
+    write_csv(base / "summary.csv", [["task", "model", "metric", "mean", "std", "n_seeds"]] + [
+        [r["task"], r["model"], r["metric"], repr(r["mean"]), repr(r["std"]), r["n_seeds"]]
+        for r in aggregated])
     for task in TASKS:
         metric_names = metric_table(task)
         found = {(r["model"], r["metric"]): r for r in aggregated if r["task"] == task}
-        with open(base / f"summary_{task}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["model"]
+        header = ["model"]
+        for m in metric_names:
+            header += [m, f"{m}_std"]
+        rows = [header]
+        for model in sorted({model for model, _ in found}):
+            row = [model]
             for m in metric_names:
-                header += [m, f"{m}_std"]
-            writer.writerow(header)
-            for model in sorted({model for model, _ in found}):
-                row = [model]
-                for m in metric_names:
-                    r = found.get((model, m))
-                    row += [repr(r["mean"]), repr(r["std"])] if r else ["", ""]
-                writer.writerow(row)
+                r = found.get((model, m))
+                row += [repr(r["mean"]), repr(r["std"])] if r else ["", ""]
+            rows.append(row)
+        write_csv(base / f"summary_{task}.csv", rows)
     print(f"wrote {base / 'summary.csv'}")
     return aggregated

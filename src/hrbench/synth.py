@@ -8,13 +8,12 @@ walking RR = 60/HR, which is what the ingest pipeline consumes.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .files import write_csv, write_json, writing
 from .ingest import HR_MAX, HR_MIN, HrSeries, RPeakRecord, build_windows
 
 
@@ -41,6 +40,8 @@ class SyntheticSpec:
             raise ValueError("need at least one record of at least one second")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.noise_scale >= 0.0 and self.osc_period_s > 0.0):
+            raise ValueError("noise_scale must be >= 0 and osc_period_s > 0")
 
 
 def _episode_level(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, list]:
@@ -126,16 +127,10 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[list[RPeakRecord], dict]:
 def write_corpus(out_dir, records: list[RPeakRecord], bookkeeping: dict) -> Path:
     """Peak files (one float per line), a manifest CSV, and bookkeeping JSON."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "path"])
-        for record in records:
-            name = f"{record.record_id}.txt"
-            writer.writerow([record.record_id, name])
-            with open(out / name, "w", encoding="utf-8") as peaks_fh:
-                peaks_fh.write("\n".join(f"{t:.6f}" for t in record.peak_times.tolist()))
-                peaks_fh.write("\n")
-    with open(out / "bookkeeping.json", "w", encoding="utf-8") as fh:
-        json.dump(bookkeeping, fh, indent=2)
+    for record in records:
+        with writing(out / f"{record.record_id}.txt") as fh:
+            fh.write("".join(f"{t:.6f}\n" for t in record.peak_times.tolist()))
+    write_csv(out / "manifest.csv",
+              [["record_id", "path"]] + [[r.record_id, f"{r.record_id}.txt"] for r in records])
+    write_json(out / "bookkeeping.json", bookkeeping)
     return out / "manifest.csv"

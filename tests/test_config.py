@@ -47,7 +47,7 @@ def models_configs(draw):
 
 configs = st.builds(
     BenchConfig,
-    data=st.builds(DataConfig, peaks_manifest=paths, peaks_combined=paths,
+    data=st.builds(DataConfig, peaks_manifest=paths,
                    exclude=tuples(names), dataset_dir=paths, synth_dir=paths),
     windows=st.builds(WindowConfig, context_seconds=counts, horizon_seconds=counts,
                       theta_candidates=tuples(floats, min_size=1)),

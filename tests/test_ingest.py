@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from reference import load_prepared_reference, save_prepared_reference
 
 from hrbench import ingest
-from hrbench.errors import DegenerateScale, EmptySignal, GuardUnsatisfied, SplitInfeasible
+from hrbench.errors import (
+    DataError,
+    DegenerateScale,
+    EmptySignal,
+    GuardUnsatisfied,
+    SplitInfeasible,
+)
 from hrbench.ingest import (
     HrSeries,
     RPeakRecord,
@@ -19,6 +25,7 @@ from hrbench.ingest import (
     build_windows,
     derive_hr,
     load_prepared,
+    read_manifest,
     save_prepared,
     select_threshold,
     split_records,
@@ -429,6 +436,15 @@ class TestPreparedFiles:
         for name in ("train", "val", "test"):
             assert loaded.split(name).contexts_bpm.shape == (0, T)
             _assert_same_columns(loaded.split(name), expected.split(name))
+
+    def test_a_missing_peak_file_names_its_manifest_line(self, tmp_path):
+        (tmp_path / "r1.txt").write_text("1.0\n2.0\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("record_id,path\nr1,r1.txt\nr2,r2.txt\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            read_manifest(manifest)
+        assert str(raised.value) == (f"{manifest}:3: {tmp_path / 'r2.txt'}: "
+                                     "No such file or directory")
 
     def test_access_log_records_reads(self):
         windows, assignment = _toy_windows(), _toy_assignment()

@@ -19,9 +19,10 @@ from hrbench.config import (
     ModelsConfig,
     SplitConfig,
     load_config,
+    render_config,
     write_default_config,
 )
-from hrbench.errors import EvaluationError
+from hrbench.errors import DataError, EvaluationError
 from hrbench.ingest import load_prepared
 from hrbench.models import GrudConfig
 from hrbench.synth import SyntheticSpec
@@ -114,6 +115,16 @@ class TestTrain:
             a = (a_dir / run_id / "checkpoint.json").read_bytes()
             b = (b_dir / run_id / "checkpoint.json").read_bytes()
             assert a == b
+
+    def test_a_run_whose_log_cannot_be_written_has_no_checkpoint(self, prepared):
+        config, _ = prepared
+        run_dir = Path(config.runs_dir) / "classification_grud_seed0"
+        (run_dir / "train_log.csv").mkdir(parents=True)
+        with pytest.raises(DataError, match="train_log.csv"):
+            pipeline.run_train(config)
+        assert (run_dir / "manifest.json").exists()
+        assert not (run_dir / "checkpoint.json").exists()
+        assert not list(run_dir.glob("*.tmp"))
 
     def test_sweep_and_absolute_runs_evaluate_under_their_labels(self, prepared):
         config, _ = prepared
@@ -409,12 +420,6 @@ def _peak_manifest(tmp_path, peaks: str, row: str = "r1,r1.txt") -> str:
     return f"[data]\npeaks_manifest = {manifest}\n"
 
 
-def _combined(tmp_path, body: str) -> str:
-    combined = tmp_path / "peaks.csv"
-    combined.write_text("record_id,peak_time\n" + body, encoding="utf-8")
-    return f"[data]\npeaks_combined = {combined}\n"
-
-
 SIDECAR = {"mu": 80.0, "sigma": 10.0, "theta": 100.0, "T": 60, "H": 10, "split": {"r1": "train"}}
 
 
@@ -452,6 +457,16 @@ def _truncated_checkpoint(tmp_path) -> str:
         f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
 
 
+def _checkpoint_directory(tmp_path) -> str:
+    """A prepared dataset and a GRU-D grid whose checkpoint.json is a
+    directory."""
+    ini = _truncated_checkpoint(tmp_path)
+    for path in (tmp_path / "runs").glob("*/checkpoint.json"):
+        path.unlink()
+        path.mkdir()
+    return ini
+
+
 def _edited_checkpoint(tmp_path, edit) -> str:
     """A prepared dataset and a GRU-D grid whose checkpoints parse but were
     changed by `edit(doc)` after a hidden-8 model's was written."""
@@ -475,6 +490,40 @@ def _without_dtypes(doc):
             del entry["dtype"]
 
 
+def _non_utf8(build, name: str):
+    """The case `build` makes, with a byte that is not UTF-8 appended to its
+    file `name`."""
+    def case(tmp_path):
+        ini = build(tmp_path)
+        with open(next(tmp_path.rglob(name)), "ab") as fh:
+            fh.write(b"\xff")
+        return ini
+    return case
+
+
+def _a_file(tmp_path) -> Path:
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    return taken
+
+
+def _micro_ini(tmp_path, synth=False, **data) -> str:
+    """The micro config with `data` settings replaced, after a synth run if
+    `synth`."""
+    config = micro_config(tmp_path)
+    if synth:
+        pipeline.run_synth(config)
+    return render_config(replace(config, data=replace(config.data, **data)))
+
+
+def _nul_in_a_record_id(tmp_path) -> str:
+    ini = _micro_ini(tmp_path, synth=True)
+    manifest = tmp_path / "synth" / "manifest.csv"
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace("synth000,", "synth000\0,"),
+                        encoding="utf-8")
+    return ini
+
+
 def _report(tmp_path, row: str,
             header="task,model,seed,metric,point,ci_low,ci_high,n_valid_draws") -> str:
     runs = tmp_path / "runs"
@@ -491,8 +540,6 @@ MALFORMED = {
     "non_numeric_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\nabc\n"), "r1.txt:2"),
     "non_increasing_peaks": ("prepare", lambda t: _peak_manifest(t, "1.0\n0.5\n"),
                              "manifest.csv:2"),
-    "non_numeric_combined": ("prepare", lambda t: _combined(t, "r1,1.0\nr1,x\n"),
-                             "peaks.csv:3"),
     "unknown_key": ("prepare", lambda t: "[train]\nbogus = 1\n", "bogus"),
     "unparsable_value": ("prepare", lambda t: "[train]\nepochs = six\n", "[train] epochs"),
     "zero_epochs": ("prepare", lambda t: "[train]\nepochs = 0\n", "[train]"),
@@ -549,8 +596,6 @@ MALFORMED = {
     "infinite_peak": ("prepare", lambda t: _peak_manifest(t, "1.0\n2.0\ninf\n"), "r1.txt:3"),
     "duplicate_key": ("prepare", lambda t: "[train]\nepochs = 1\nepochs = 2\n", "'epochs'"),
     "no_section_header": ("prepare", lambda t: "epochs = 1\n", "no section headers"),
-    "infinite_combined_peak": ("prepare", lambda t: _combined(t, "r1,1.0\nr1,inf\n"),
-                               "peaks.csv:3"),
     "truncated_dataset_json": ("train", lambda t: _bad_windows_file(t, sidecar='{"mu": 80.0, "si'),
                                "dataset.json"),
     "dataset_json_without_mu": ("train", lambda t: _bad_windows_file(
@@ -595,6 +640,62 @@ MALFORMED = {
                                        "r1.txt:1"),
     "comment_line_in_peak_file": ("prepare", lambda t: _peak_manifest(t, "# peaks\n1.0\n2.0\n"),
                                   "r1.txt:1"),
+    "non_utf8_peak_file": ("prepare", _non_utf8(lambda t: _peak_manifest(t, "1.0\n2.0\n"),
+                                                "r1.txt"), "r1.txt: not UTF-8 text"),
+    "non_utf8_manifest": ("prepare", _non_utf8(lambda t: _peak_manifest(t, "1.0\n2.0\n"),
+                                               "manifest.csv"), "manifest.csv: not UTF-8 text"),
+    "non_utf8_windows_csv": ("train", _non_utf8(lambda t: _windows_row(t, _full_row()),
+                                                "windows.csv"), "windows.csv: not UTF-8 text"),
+    "non_utf8_report": ("report", _non_utf8(lambda t: _report(
+        t, "classification,grud,0,auroc,0.5,0.4,0.6,40"), "report.csv"),
+        "report.csv: not UTF-8 text"),
+    "manifest_is_a_directory": ("prepare", lambda t: f"[data]\npeaks_manifest = {t}\n",
+                                "Is a directory"),
+    "dataset_dir_is_a_file_on_prepare": ("prepare", lambda t: _micro_ini(
+        t, synth=True, dataset_dir=str(_a_file(t))), "taken: File exists"),
+    "dataset_dir_is_a_file_on_train": ("train", lambda t: _micro_ini(
+        t, dataset_dir=str(_a_file(t))), "taken/dataset.json: Not a directory"),
+    "checkpoint_is_a_directory": ("evaluate", _checkpoint_directory,
+                                  "checkpoint.json: Is a directory"),
+    "runs_dir_is_a_file_on_report": ("report", lambda t: f"[train]\nruns_dir = {_a_file(t)}\n",
+                                     "taken/report.csv: Not a directory"),
+    "synth_dir_is_a_file": ("synth", lambda t: _micro_ini(t, synth_dir=str(_a_file(t))),
+                            "taken: File exists"),
+    "combined_peaks_key": ("prepare", lambda t: "[data]\npeaks_combined = peaks.csv\n",
+                           "unknown key 'peaks_combined'"),
+    "misspelt_split_name": ("train", lambda t: _windows_row(
+        t, _full_row(), sidecar={**SIDECAR, "split": {"r1": "tset"}}),
+        "dataset.json: record 'r1' has split 'tset'"),
+    # found by tests/test_fuzz_cli.py, or by probing by hand the settings it
+    # mutates
+    "nul_in_a_peak_file_name": ("prepare", lambda t: _peak_manifest(
+        t, "1.0\n2.0\n", row="r1,r\0.txt"), "a file name cannot hold a NUL byte"),
+    "nul_in_dataset_dir": ("prepare", lambda t: _micro_ini(t, synth=True, dataset_dir=f"{t}/d\0"),
+                           "d\\x00': a file name cannot hold a NUL byte"),
+    # numpy drops a string's trailing NULs, so synth000 and synth000\0 would
+    # name one record in the window table and two in the split
+    "nul_in_a_record_id": ("prepare", _nul_in_a_record_id,
+                           "manifest.csv:2: 'synth000\\x00': a record id cannot hold a NUL"),
+    "infinite_context_value": ("train", lambda t: _windows_row(t, _full_row(value="inf")),
+                               "windows.csv: a train window holds a value that is not finite"),
+    "nan_forecast_target": ("train", lambda t: _windows_row(
+        t, _full_row().replace(",80.0,", ",nan,", 1)), "windows.csv: a train window"),
+    "infinite_mu": ("train", lambda t: _windows_row(
+        t, _full_row(), sidecar={**SIDECAR, "mu": float("inf")}), "dataset.json: not a prepared"),
+    "infinite_T": ("train", lambda t: _windows_row(
+        t, _full_row(), sidecar={**SIDECAR, "T": float("inf")}), "dataset.json: not a prepared"),
+    "zero_oscillation_period": ("synth", lambda t: "[synth]\nosc_period_s = -0\n", "[synth]"),
+    "negative_noise_scale": ("synth", lambda t: "[synth]\nnoise_scale = -1\n", "[synth]"),
+    "infinite_synth_setting": ("synth", lambda t: "[synth]\nepisode_rate_per_hour = inf\n",
+                               "[synth] episode_rate_per_hour = 'inf': not a finite number"),
+    "nan_learning_rate": ("train", lambda t: "[train]\nlr = nan\n",
+                          "[train] lr = 'nan': not a finite number"),
+    "checkpoint_of_a_fractional_hidden_size": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc["config"].update(hidden_dim=8.5)),
+        "run classification_grud_seed0: unreadable checkpoint.json", EvaluationError.exit_code),
+    "infinite_checkpoint_parameter": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc["grud.proj.b"]["data"].__setitem__(0, float("inf"))),
+        "parameter 'grud.proj.b' holds a value that is not finite", EvaluationError.exit_code),
 }
 
 
@@ -607,6 +708,18 @@ def test_malformed_input_is_a_data_error(case, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert where in err[0]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non_utf8"])
+def test_an_unreadable_config_file_is_a_data_error(case, tmp_path, capsys):
+    ini = tmp_path / "bench.ini"
+    if case == "directory":
+        ini.mkdir()
+    elif case == "non_utf8":
+        ini.write_bytes(b"[train]\nepochs = 1\xff\n")
+    assert cli.main(["prepare", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {ini}: ")
 
 
 class TestGrid:
