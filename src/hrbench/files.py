@@ -52,6 +52,11 @@ def writing(path, newline=None):
             raise
 
 
+def remove(path) -> None:
+    with _named(path):
+        Path(path).unlink(missing_ok=True)
+
+
 def write_json(path, value) -> None:
     with writing(path) as fh:
         json.dump(value, fh, indent=2)

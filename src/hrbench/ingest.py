@@ -284,25 +284,20 @@ class SplitData(Windows):
 
 
 class WindowedDataset:
-    """Standardized windows grouped by split, with read-access logging.
-
-    The access log exists so the pipeline can assert that nothing touched the
-    test split before evaluation.
-    """
+    """Standardized windows of the splits `names`, in `SPLIT_NAMES` order:
+    a split left out is not built, so nothing can read it."""
 
     def __init__(self, windows: Windows, split: Mapping[str, str],
-                 stats: StandardizationStats, theta: float):
+                 stats: StandardizationStats, theta: float, names=SPLIT_NAMES):
         split_of = _split_of(windows, split)
         self._splits = {name: _split_data(windows.rows(split_of == name), stats)
-                        for name in SPLIT_NAMES}
+                        for name in SPLIT_NAMES if name in names}
         self.stats = stats
         self.theta = theta
-        self.access_log: list[str] = []
 
     def split(self, name: str) -> SplitData:
         if name not in self._splits:
-            raise KeyError(f"unknown split {name!r}")
-        self.access_log.append(name)
+            raise KeyError(f"split {name!r} is not loaded")
         return self._splits[name]
 
     def split_sizes(self) -> dict[str, int]:
@@ -368,8 +363,11 @@ def read_peak_file(path) -> np.ndarray:
     separators (`1_0`) and non-ASCII digits, this does not. Only a file that
     fails is scanned line by line, with the same rules, to name the first
     line that holds no number, more than one, or a non-finite one, or to
-    raise the DataError of a file that cannot be read.
+    raise the DataError of a file that cannot be read. A name numpy would
+    decompress a file by is refused, as the line scan would not.
     """
+    if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        raise DataError(f"{path}: a compressed peak file is not read; decompress it first")
     try:
         # by path, not through `reading`: numpy reads an open text handle
         # about a third slower
@@ -539,8 +537,8 @@ def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataE
     return DataError(f"{where}: not a row of numbers")
 
 
-def load_prepared(dataset_dir) -> WindowedDataset:
-    """The dataset `save_prepared` wrote.
+def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
+    """The splits `names` of the dataset `save_prepared` wrote.
 
     The body of `windows.csv` is read in one pass of numpy's text parser,
     whose numbers are those of `read_peak_file`. Only a file that pass
@@ -577,4 +575,4 @@ def load_prepared(dataset_dir) -> WindowedDataset:
             windows = None
     if windows is None:
         windows = _scan_windows(path, T, split)
-    return WindowedDataset(windows, split, stats, theta)
+    return WindowedDataset(windows, split, stats, theta, names)

@@ -34,8 +34,6 @@ class GrudConfig:
     train_mean: tuple[float, ...] = (0.0,)  # normalized units, one per feature
 
     def __post_init__(self):
-        # any sequence, such as the list in a checkpoint's config blob
-        object.__setattr__(self, "train_mean", tuple(self.train_mean))
         if self.hidden_dim <= 0:
             raise ValueError("hidden_dim must be positive")
         if len(self.train_mean) != self.input_dim:
@@ -243,6 +241,21 @@ def init_head_params(hidden_dim: int, rng: np.random.Generator) -> ModelParams:
     for name in ("cls", "mu", "sigma"):
         params[f"head.{name}.w"] = Parameter(f"head.{name}.w", np.zeros((hidden_dim, 1), DTYPE))
         params[f"head.{name}.b"] = Parameter(f"head.{name}.b", np.zeros(1, DTYPE))
+    return params
+
+
+def build_params(model_kind: str, encoder_config, seed: int) -> ModelParams:
+    """The initial encoder and head parameters of a `model_kind` model."""
+    rng = np.random.default_rng(seed)
+    if model_kind == "grud":
+        params = init_grud_params(encoder_config, rng)
+        head_dim = encoder_config.hidden_dim
+    elif model_kind == "transformer":
+        params = init_transformer_params(encoder_config, rng)
+        head_dim = encoder_config.d_model
+    else:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    params.update(init_head_params(head_dim, rng))
     return params
 
 

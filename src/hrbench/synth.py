@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 from .files import write_csv, write_json, writing
 from .ingest import HR_MAX, HR_MIN, HrSeries, RPeakRecord, build_windows
 
@@ -48,7 +49,11 @@ def _episode_level(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.nd
     """Trapezoid bump per episode; onsets jittered inside evenly spaced slots."""
     secs = spec.record_seconds
     level = np.zeros(secs)
-    n_episodes = int(round(spec.episode_rate_per_hour * secs / 3600.0))
+    expected = spec.episode_rate_per_hour * secs / 3600.0
+    if expected > secs:  # each episode is a pass over the record
+        raise DataError(f"[synth] episode_rate_per_hour = {spec.episode_rate_per_hour:g}: "
+                        f"{expected:g} episodes in a {secs} s record, more than one a second")
+    n_episodes = int(round(expected))
     episodes = []
     if n_episodes == 0 or spec.episode_amplitude == 0.0:
         return level, episodes

@@ -172,20 +172,6 @@ class TrainedRun:
     history: list[dict]  # one row per epoch: train/val losses
 
 
-def _build_model(model_kind: str, encoder_config, seed: int) -> models.ModelParams:
-    rng = np.random.default_rng(seed)
-    if model_kind == "grud":
-        params = models.init_grud_params(encoder_config, rng)
-        head_dim = encoder_config.hidden_dim
-    elif model_kind == "transformer":
-        params = models.init_transformer_params(encoder_config, rng)
-        head_dim = encoder_config.d_model
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    params.update(models.init_head_params(head_dim, rng))
-    return params
-
-
 def _inverse_softplus(y: float) -> float:
     return y + math.log1p(-math.exp(-y))
 
@@ -233,7 +219,7 @@ def train_model(
         raise TrainingDiverged("empty training split")
 
     hold_freed_memory()
-    params = _build_model(model_kind, encoder_config, seed)
+    params = models.build_params(model_kind, encoder_config, seed)
     if task == "forecasting":
         _seed_scale_head(params, train, config.target_mode)
     param_list = list(params.values())

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrbench import models, training
+from hrbench import models
 from hrbench.ingest import (
     CONTEXT_LEN,
     HORIZON,
@@ -25,7 +25,7 @@ ENCODERS = {
 
 
 def _params(kind):
-    params = training._build_model(kind, ENCODERS[kind], 0)
+    params = models.build_params(kind, ENCODERS[kind], 0)
     rng = np.random.default_rng(1)
     for name, p in params.items():
         if name.startswith("head."):  # zero heads would hide the encoder

@@ -446,11 +446,15 @@ class TestPreparedFiles:
         assert str(raised.value) == (f"{manifest}:3: {tmp_path / 'r2.txt'}: "
                                      "No such file or directory")
 
-    def test_access_log_records_reads(self):
-        windows, assignment = _toy_windows(), _toy_assignment()
-        dataset = WindowedDataset(windows, assignment, standardize(windows, assignment), 100.0)
-        assert dataset.access_log == []
-        dataset.split("train")
-        dataset.split("val")
-        assert dataset.access_log == ["train", "val"]
-        assert "test" not in dataset.access_log
+    def test_a_dataset_loaded_for_training_holds_no_test_split(self, tmp_path):
+        windows, assignment = _toy_windows(), {"a": "train", "b": "val", "c": "test"}
+        save_prepared(tmp_path, windows, standardize(windows, assignment), assignment,
+                      theta=100.0)
+        full, loaded = load_prepared(tmp_path), load_prepared(tmp_path, ("train", "val"))
+        assert full.split_sizes()["test"] > 0
+        assert loaded.split_sizes() == {"train": full.split_sizes()["train"],
+                                        "val": full.split_sizes()["val"]}
+        for name in ("train", "val"):
+            _assert_same_columns(loaded.split(name), full.split(name))
+        with pytest.raises(KeyError, match="'test' is not loaded"):
+            loaded.split("test")

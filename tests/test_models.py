@@ -487,7 +487,7 @@ class TestGradientChecks:
 ])
 def test_model_predictions_record_no_graph_and_match_taped_forward(kind, encoder, steps):
     rng = np.random.default_rng(4)
-    params = training._build_model(kind, encoder, 0)
+    params = models.build_params(kind, encoder, 0)
     assert all(p.data.dtype == np.float32 for p in params.values())
     for name, p in params.items():
         if name.startswith("head."):

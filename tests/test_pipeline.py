@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrbench import cli, pipeline, training
+from hrbench import cli, models, pipeline
 from hrbench.autodiff import save_checkpoint
 from hrbench.config import (
     BenchConfig,
@@ -116,15 +117,33 @@ class TestTrain:
             b = (b_dir / run_id / "checkpoint.json").read_bytes()
             assert a == b
 
-    def test_a_run_whose_log_cannot_be_written_has_no_checkpoint(self, prepared):
+    def test_a_run_whose_log_cannot_be_written_has_no_checkpoint(self, prepared, capsys):
         config, _ = prepared
         run_dir = Path(config.runs_dir) / "classification_grud_seed0"
-        (run_dir / "train_log.csv").mkdir(parents=True)
-        with pytest.raises(DataError, match="train_log.csv"):
-            pipeline.run_train(config)
-        assert (run_dir / "manifest.json").exists()
-        assert not (run_dir / "checkpoint.json").exists()
-        assert not list(run_dir.glob("*.tmp"))
+        ini = Path(config.runs_dir).parent / "bench.ini"
+        ini.write_text(render_config(replace(config, train=replace(config.train, epochs=1))),
+                       encoding="utf-8")
+
+        def train_with_an_unwritable_log():
+            (run_dir / "train_log.csv").mkdir(parents=True)
+            assert cli.main(["train", "--config", str(ini)]) == DataError.exit_code
+            assert "train_log.csv" in capsys.readouterr().err
+            assert json.loads((run_dir / "manifest.json").read_text(
+                encoding="utf-8"))["train"]["epochs"] == 1
+            assert not (run_dir / "checkpoint.json").exists()
+            assert not list(run_dir.glob("*.tmp"))
+            assert cli.main(["evaluate", "--config", str(ini)]) == EvaluationError.exit_code
+            assert ("grid run classification_grud_seed0 has no checkpoint"
+                    in capsys.readouterr().err)
+
+        train_with_an_unwritable_log()
+        # a rerun over a whole two-epoch grid that stops at the same run
+        # removes that run's old checkpoint, which the new manifest no
+        # longer describes
+        (run_dir / "train_log.csv").rmdir()
+        pipeline.run_train(config)
+        (run_dir / "train_log.csv").unlink()
+        train_with_an_unwritable_log()
 
     def test_sweep_and_absolute_runs_evaluate_under_their_labels(self, prepared):
         config, _ = prepared
@@ -144,15 +163,14 @@ class TestTrain:
 
     def test_training_never_reads_test_split(self, prepared):
         config, _ = prepared
-        dataset = load_prepared(config.data.dataset_dir)
+        # without the test split, a read of it would raise
+        dataset = load_prepared(config.data.dataset_dir, ("train", "val"))
         from hrbench.training import train_model
-        from hrbench.models import GrudConfig
 
         train_model(
             "classification", "grud", dataset, config.train, 0,
             encoder_config=GrudConfig(hidden_dim=8),
         )
-        assert "test" not in dataset.access_log
 
 
 class TestEvaluate:
@@ -474,13 +492,14 @@ def _edited_checkpoint(tmp_path, edit) -> str:
         run = tmp_path / "runs" / run_id
         run.mkdir(parents=True)
         config = GrudConfig(hidden_dim=8)
-        save_checkpoint(run / "checkpoint.json", training._build_model("grud", config, 0).values(),
+        save_checkpoint(run / "checkpoint.json", models.build_params("grud", config, 0).values(),
                         config={"model_kind": "grud", **asdict(config)})
         doc = json.loads((run / "checkpoint.json").read_text(encoding="utf-8"))
         edit(doc)
         (run / "checkpoint.json").write_text(json.dumps(doc), encoding="utf-8")
     return _windows_row(tmp_path, _full_row()) + (
-        f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
+        f"[models]\nkinds = grud\ngrud_hidden = 8\n"
+        f"[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
 
 
 def _without_dtypes(doc):
@@ -522,6 +541,25 @@ def _nul_in_a_record_id(tmp_path) -> str:
     manifest.write_text(manifest.read_text(encoding="utf-8").replace("synth000,", "synth000\0,"),
                         encoding="utf-8")
     return ini
+
+
+def _trained_under_other_models(tmp_path, kind: str, **settings) -> str:
+    """A one-epoch micro grid of `kind`, trained from synth on, and the INI
+    of its config with the [models] `settings` changed."""
+    config = micro_config(tmp_path)
+    config = replace(config, models=replace(config.models, kinds=(kind,)),
+                     train=replace(config.train, epochs=1))
+    pipeline.run_synth(config)
+    pipeline.run_prepare(config)
+    pipeline.run_train(config)
+    return render_config(replace(config, models=replace(config.models, **settings)))
+
+
+def _compressed_peak_file(tmp_path) -> str:
+    with gzip.open(tmp_path / "r1.txt.gz", "wt", encoding="utf-8") as fh:
+        fh.write("1.0\n2.0\n")
+    (tmp_path / "manifest.csv").write_text("record_id,path\nr1,r1.txt.gz\n", encoding="utf-8")
+    return f"[data]\npeaks_manifest = {tmp_path / 'manifest.csv'}\n"
 
 
 def _report(tmp_path, row: str,
@@ -696,6 +734,17 @@ MALFORMED = {
     "infinite_checkpoint_parameter": ("evaluate", lambda t: _edited_checkpoint(
         t, lambda doc: doc["grud.proj.b"]["data"].__setitem__(0, float("inf"))),
         "parameter 'grud.proj.b' holds a value that is not finite", EvaluationError.exit_code),
+    "grud_trained_under_another_hidden_size": ("evaluate", lambda t: _trained_under_other_models(
+        t, "grud", grud_hidden=12), "(ValueError: trained with hidden_dim = 8, the config gives 12)",
+        EvaluationError.exit_code),
+    "transformer_trained_under_other_heads": ("evaluate", lambda t: _trained_under_other_models(
+        t, "transformer", heads=4), "(ValueError: trained with heads = 2, the config gives 4)",
+        EvaluationError.exit_code),
+    "episode_rate_beyond_one_a_second": ("synth", lambda t: (
+        f"[data]\nsynth_dir = {t / 'synth'}\n[synth]\nn_records = 3\nrecord_seconds = 200\n"
+        "episode_rate_per_hour = 1e12\n"), "[synth] episode_rate_per_hour = 1e+12"),
+    "compressed_peak_file": ("prepare", _compressed_peak_file,
+                             "r1.txt.gz: a compressed peak file is not read"),
 }
 
 

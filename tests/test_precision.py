@@ -34,7 +34,7 @@ def train_split():
 def _model(kind):
     """A freshly built model with live heads: zero head weights would give
     the encoder no gradient."""
-    params = training._build_model(kind, ENCODERS[kind], 0)
+    params = models.build_params(kind, ENCODERS[kind], 0)
     rng = np.random.default_rng(1)
     for name, p in params.items():
         if name.startswith("head."):

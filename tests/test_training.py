@@ -282,7 +282,7 @@ class TestTrainModel:
         # each step faults thousands of pages back in
         training.hold_freed_memory()
         config = TransformerConfig()
-        params = training._build_model("transformer", config, 0)
+        params = models.build_params("transformer", config, 0)
         param_list = list(params.values())
         rng = np.random.default_rng(0)
         contexts, labels = rng.normal(size=(64, 60)), rng.integers(0, 2, 64)
@@ -338,7 +338,7 @@ class TestTrainModel:
         del blocks[::2]
         live = np.ones(1 << 17)  # noqa: F841
         config = GrudConfig() if kind == "grud" else TransformerConfig()
-        params = training._build_model(kind, config, 0)
+        params = models.build_params(kind, config, 0)
         param_list = list(params.values())
         rng = np.random.default_rng(0)
         contexts, labels = rng.normal(size=(64, 60)), rng.integers(0, 2, 64)
