@@ -65,7 +65,6 @@ class ModelsConfig:
     layers: int = TransformerConfig.layers
     heads: int = TransformerConfig.heads
     ffn_dim: int = TransformerConfig.ffn_dim
-    layer_norm: bool = TransformerConfig.use_layer_norm
 
     def __post_init__(self):
         if not self.kinds:
@@ -132,7 +131,6 @@ class BenchConfig:
                 heads=m.heads,
                 ffn_dim=m.ffn_dim,
                 max_len=self.windows.context_seconds,
-                use_layer_norm=m.layer_norm,
             )
         raise ValueError(f"unknown model kind {model_kind!r}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -50,6 +51,12 @@ def writing(path, newline=None):
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+
+
+def sha256(path) -> str:
+    """The hex sha256 of the bytes of `path`."""
+    with _named(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def remove(path) -> None:

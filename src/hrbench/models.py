@@ -49,7 +49,6 @@ class TransformerConfig:
     heads: int = 4
     ffn_dim: int = 256
     max_len: int = CONTEXT_LEN
-    use_layer_norm: bool = True
 
     def __post_init__(self):
         if self.d_model <= 0 or self.layers < 1:
@@ -175,10 +174,9 @@ def init_transformer_params(config: TransformerConfig, rng: np.random.Generator)
         params[f"{p}.ffn.b1"] = Parameter(f"{p}.ffn.b1", np.zeros(f, DTYPE))
         params[f"{p}.ffn.w2"] = Parameter(f"{p}.ffn.w2", _uniform(rng, (f, d), f))
         params[f"{p}.ffn.b2"] = Parameter(f"{p}.ffn.b2", np.zeros(d, DTYPE))
-        if config.use_layer_norm:
-            for norm in ("norm1", "norm2"):
-                params[f"{p}.{norm}.g"] = Parameter(f"{p}.{norm}.g", np.ones(d, DTYPE))
-                params[f"{p}.{norm}.b"] = Parameter(f"{p}.{norm}.b", np.zeros(d, DTYPE))
+        for norm in ("norm1", "norm2"):
+            params[f"{p}.{norm}.g"] = Parameter(f"{p}.{norm}.g", np.ones(d, DTYPE))
+            params[f"{p}.{norm}.b"] = Parameter(f"{p}.{norm}.b", np.zeros(d, DTYPE))
     return params
 
 
@@ -188,11 +186,11 @@ def transformer_forward(config: TransformerConfig, params: ModelParams, context)
     Every context sample precedes the prediction time, so full attention over
     the window is causal with respect to the targets. A layer is three kinds
     of autodiff node, each with its own backward: `attention`, `ffn`, and
-    `add_layer_norm` for each residual connection (a plain add without layer
-    norm). Pooling reads only the last position, so the final layer passes
-    that row alone as the attention's queries: it computes keys and values
-    for every position but everything else (queries, attention,
-    out-projection, residual, layer norms, FFN) for the last row only.
+    `add_layer_norm` for each residual connection. Pooling reads only the
+    last position, so the final layer passes that row alone as the
+    attention's queries: it computes keys and values for every position but
+    everything else (queries, attention, out-projection, residual, layer
+    norms, FFN) for the last row only.
     """
     dtype = params["tf.embed.w"].data.dtype
     x = _normalize_context(context, 1, dtype)
@@ -204,11 +202,6 @@ def transformer_forward(config: TransformerConfig, params: ModelParams, context)
     hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
         np.broadcast_to(pos, (batch, steps, d)).astype(dtype)
     )
-
-    def residual(base, update, norm):
-        if config.use_layer_norm:
-            return ad.add_layer_norm(base, update, params[f"{norm}.g"], params[f"{norm}.b"])
-        return base + update
 
     for layer in range(config.layers):
         p = f"tf.layer{layer}"
@@ -222,9 +215,9 @@ def transformer_forward(config: TransformerConfig, params: ModelParams, context)
                                                       "out_w", "out_b")),
             heads=config.heads,
         )[0]
-        hidden = residual(rows, mha, f"{p}.norm1")
+        hidden = ad.add_layer_norm(rows, mha, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
         ffn = ad.ffn(hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
-        hidden = residual(hidden, ffn, f"{p}.norm2")
+        hidden = ad.add_layer_norm(hidden, ffn, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
 
     return hidden[:, -1, :]
 

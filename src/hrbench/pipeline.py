@@ -20,7 +20,7 @@ from . import models, synth, training
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import BenchConfig
 from .errors import DataError, EvaluationError
-from .files import reading, remove, write_csv, write_json
+from .files import reading, remove, sha256, write_csv, write_json
 from .ingest import (
     SplitData,
     Windows,
@@ -161,8 +161,10 @@ def _load_finite(config: BenchConfig, names):
 def run_train(config: BenchConfig) -> list[str]:
     """Train the grid; the test split is not loaded. A run's old checkpoint.json
     goes before its new manifest is written, and the new one is written last,
-    so a run that stopped part way has none, which `run_evaluate` reports."""
+    so a run that stopped part way has none, which `run_evaluate` reports.
+    Each manifest holds the sha256 of the dataset.json it was trained on."""
     dataset = _load_finite(config, ("train", "val"))
+    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
     base = Path(config.runs_dir)
     run_ids = []
     for spec in _grid(config):
@@ -179,6 +181,7 @@ def run_train(config: BenchConfig) -> list[str]:
             **asdict(spec),
             "train": asdict(config.train),
             "dataset_dir": str(config.data.dataset_dir),
+            "dataset_sha256": dataset_sha256,
         }
         write_json(run_dir / "manifest.json", manifest)
         write_csv(run_dir / "train_log.csv", [["run_id", "epoch", "split", "loss"]] + [
@@ -273,9 +276,11 @@ def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_conf
 
 def run_evaluate(config: BenchConfig) -> list[dict]:
     """Score the runs of the config's grid plus the non-learned baselines;
-    write reports. Run directories outside the grid are not read; those that
-    hold a checkpoint (other seeds, a capacity sweep the config leaves out)
-    are named in a warning on stderr."""
+    write reports. A grid run trained on another dataset.json than the one
+    under the config's dataset_dir is an EvaluationError. Run directories
+    outside the grid are not read; those that hold a checkpoint (other seeds,
+    a capacity sweep the config leaves out) are named in a warning on
+    stderr."""
     base = Path(config.runs_dir)
     specs = sorted(_grid(config), key=lambda spec: spec.run_id)
     for spec in specs:
@@ -288,6 +293,8 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
         print(f"warning: not scoring {len(outside)} trained run(s) under {base} outside "
               f"the config's grid: {', '.join(outside)}", file=sys.stderr)
     dataset = _load_finite(config, ("val", "test", "train"))
+    dataset_json = Path(config.data.dataset_dir) / "dataset.json"
+    dataset_sha256 = sha256(dataset_json)
     val, test = dataset.split("val"), dataset.split("test")
     labels = test.cls_labels.astype(np.float64)
     rows: list[dict] = []
@@ -308,6 +315,17 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
             raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
                                   f"({type(exc).__name__}: {exc}); train the run again") from None
         _check_checkpoint(spec.run_id, base, params, spec.model_kind, enc_config)
+        manifest = run_dir / "manifest.json"
+        try:
+            with reading(manifest) as fh:
+                trained = json.load(fh)
+        except ValueError as exc:
+            raise EvaluationError(f"run {spec.run_id}: {manifest} is not a run manifest "
+                                  f"({exc}); train the run again") from None
+        if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset_sha256:
+            raise EvaluationError(f"run {spec.run_id} was trained on another prepared dataset "
+                                  f"than {dataset_json} (its manifest's dataset_sha256 is "
+                                  "missing or differs); train the run again")
 
         def predict(split: SplitData):
             return models.model_predictions(spec.model_kind, enc_config, params,

@@ -18,39 +18,43 @@ from .files import write_csv, write_json, writing
 from .ingest import HR_MAX, HR_MIN, HrSeries, RPeakRecord, build_windows
 
 
+# the shape of every synthetic record; the spec sets its size, base rate,
+# episode rate and height, and seed
+AR_COEFF = 0.9  # persistence of the bpm-per-second velocity
+REVERSION = 0.9  # pull of the deviation back toward base
+NOISE_SCALE = 0.25  # innovation of the velocity process, bpm/s
+EPISODE_DURATION_S = 110.0
+EPISODE_RAMP_S = 40.0
+OSC_AMPLITUDE = 10.0  # slow sinusoidal drift, bpm
+OSC_PERIOD_S = 100.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_records: int = 20
     record_seconds: int = 1800
     base_hr: float = 78.0
-    ar_coeff: float = 0.9  # persistence of the bpm-per-second velocity
-    reversion: float = 0.9  # pull of the deviation back toward base
-    noise_scale: float = 0.25  # innovation of the velocity process, bpm/s
     episode_rate_per_hour: float = 4.0
-    episode_duration_s: float = 110.0
     episode_amplitude: float = 42.0
-    episode_ramp_s: float = 40.0
-    osc_amplitude: float = 10.0  # slow sinusoidal drift, bpm
-    osc_period_s: float = 100.0
     seed: int = 7
 
     def __post_init__(self):
-        if not 0.0 <= self.ar_coeff < 1.0 or not 0.0 <= self.reversion < 1.0:
-            raise ValueError("ar_coeff and reversion must be in [0, 1)")
         if self.record_seconds < 1 or self.n_records < 1:
             raise ValueError("need at least one record of at least one second")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.noise_scale >= 0.0 and self.osc_period_s > 0.0):
-            raise ValueError("noise_scale must be >= 0 and osc_period_s > 0")
 
 
 def _episode_level(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.ndarray, list]:
-    """Trapezoid bump per episode; onsets jittered inside evenly spaced slots."""
+    """Trapezoid bump per episode; onsets jittered inside evenly spaced slots.
+
+    A bump is added over its own span only: outside (onset, end) its term is
+    an exact zero, so the level is bit for bit the sum over the whole record.
+    """
     secs = spec.record_seconds
     level = np.zeros(secs)
     expected = spec.episode_rate_per_hour * secs / 3600.0
-    if expected > secs:  # each episode is a pass over the record
+    if expected > secs:  # each episode is a pass of the loop below
         raise DataError(f"[synth] episode_rate_per_hour = {spec.episode_rate_per_hour:g}: "
                         f"{expected:g} episodes in a {secs} s record, more than one a second")
     n_episodes = int(round(expected))
@@ -58,17 +62,17 @@ def _episode_level(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[np.nd
     if n_episodes == 0 or spec.episode_amplitude == 0.0:
         return level, episodes
     slot = secs / n_episodes
-    duration = spec.episode_duration_s
-    ramp = min(spec.episode_ramp_s, duration / 2.0)
-    plateau = duration - 2.0 * ramp
+    plateau = EPISODE_DURATION_S - 2.0 * EPISODE_RAMP_S
     for k in range(n_episodes):
-        latest = slot - duration - 1.0
+        latest = slot - EPISODE_DURATION_S - 1.0
         onset = k * slot + rng.uniform(0.0, max(latest, 0.0))
-        t = np.arange(secs, dtype=np.float64)
-        up = np.clip((t - onset) / max(ramp, 1e-9), 0.0, 1.0)
-        down = np.clip((onset + ramp + plateau + ramp - t) / max(ramp, 1e-9), 0.0, 1.0)
-        level += spec.episode_amplitude * np.minimum(up, down)
-        episodes.append({"onset": float(onset), "duration": float(duration)})
+        end = onset + EPISODE_RAMP_S + plateau + EPISODE_RAMP_S
+        span = slice(int(onset), min(int(end) + 1, secs))
+        t = np.arange(span.start, span.stop, dtype=np.float64)
+        up = np.clip((t - onset) / EPISODE_RAMP_S, 0.0, 1.0)
+        down = np.clip((end - t) / EPISODE_RAMP_S, 0.0, 1.0)
+        level[span] += spec.episode_amplitude * np.minimum(up, down)
+        episodes.append({"onset": float(onset), "duration": EPISODE_DURATION_S})
     return level, episodes
 
 
@@ -79,16 +83,16 @@ def _record_hr(spec: SyntheticSpec, index: int) -> tuple[np.ndarray, list]:
     rng = np.random.default_rng([spec.seed, index])
     level, episodes = _episode_level(spec, rng)
     t = np.arange(spec.record_seconds, dtype=np.float64)
-    period = spec.osc_period_s * rng.uniform(0.7, 1.3)
+    period = OSC_PERIOD_S * rng.uniform(0.7, 1.3)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    osc = spec.osc_amplitude * np.sin(2.0 * np.pi * t / period + phase)
-    noise = rng.normal(0.0, spec.noise_scale, size=spec.record_seconds)
+    osc = OSC_AMPLITUDE * np.sin(2.0 * np.pi * t / period + phase)
+    noise = rng.normal(0.0, NOISE_SCALE, size=spec.record_seconds)
     dev = np.empty(spec.record_seconds)
     velocity = 0.0
     value = 0.0
     for k in range(spec.record_seconds):
-        velocity = spec.ar_coeff * velocity + noise[k]
-        value = spec.reversion * value + velocity
+        velocity = AR_COEFF * velocity + noise[k]
+        value = REVERSION * value + velocity
         dev[k] = value
     hr = np.clip(spec.base_hr + level + osc + dev, HR_MIN, HR_MAX)
     return hr, episodes

@@ -27,12 +27,11 @@ class TrainConfig:
     epochs: int = 6
     seeds: tuple[int, ...] = (0, 1, 2)
     weight_decay: float = 0.01
-    prevalence_eps: float = 1e-6
     target_mode: str = "residual"  # or "absolute"
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.prevalence_eps <= 0:
-            raise ValueError("lr, epochs, batch_size and prevalence_eps must be positive")
+        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("lr, epochs and batch_size must be positive")
         if self.target_mode not in ("residual", "absolute"):
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
         if not self.seeds or min(self.seeds) < 0:
@@ -225,7 +224,7 @@ def train_model(
     param_list = list(params.values())
     state = AdamWState()
     rng = np.random.default_rng(seed)
-    alpha = class_weight(train.cls_labels, config.prevalence_eps) if task == "classification" else None
+    alpha = class_weight(train.cls_labels) if task == "classification" else None
 
     history = []
     step = 0

@@ -14,7 +14,10 @@ is the AdamW update as one expression per moment, which the in-place
 and `load_prepared_reference` are the prepared-dataset codec through the
 `csv` module and Python's `int` and `float`, one row at a time: the bytes
 `ingest.save_prepared` must write and the columns `ingest.load_prepared`
-must read. The package does not ship them.
+must read. `episode_level_reference` is the synthetic episode level with
+every bump evaluated over the whole record, which `synth._episode_level`,
+adding each bump over its own span, must equal bit for bit. The package
+does not ship them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from hrbench import autodiff as ad
 from hrbench import metrics as met
-from hrbench import models
+from hrbench import models, synth
 from hrbench.autodiff import Parameter, Tensor, _accum, _coerce
 from hrbench.errors import DataError, ShapeError
 from hrbench.ingest import HORIZON, StandardizationStats, WindowedDataset, Windows
@@ -220,13 +223,10 @@ def transformer_forward_reference(config, params, context):
             *(params[f"{p}.attn.{name}"] for name in ("q_w", "q_b", "k_w", "v_w", "v_b",
                                                       "out_w", "out_b")),
             heads=config.heads)
-        hidden = hidden + mha
-        if config.use_layer_norm:
-            hidden = layer_norm(hidden, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
+        hidden = layer_norm(hidden + mha, params[f"{p}.norm1.g"], params[f"{p}.norm1.b"])
         hidden = hidden + ffn_reference(
             hidden, *(params[f"{p}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
-        if config.use_layer_norm:
-            hidden = layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
+        hidden = layer_norm(hidden, params[f"{p}.norm2.g"], params[f"{p}.norm2.b"])
     return hidden[:, -1, :]
 
 
@@ -330,3 +330,23 @@ def load_prepared_reference(dataset_dir) -> WindowedDataset:
         fc_targets_bpm=np.frombuffer(targets),
     )
     return WindowedDataset(windows, split, stats, theta)
+
+
+def episode_level_reference(spec: synth.SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """The episode level of a record, one pass over the whole record per
+    episode, with the same draws from `rng` as `synth._episode_level`."""
+    secs = spec.record_seconds
+    level = np.zeros(secs)
+    n_episodes = int(round(spec.episode_rate_per_hour * secs / 3600.0))
+    if n_episodes == 0 or spec.episode_amplitude == 0.0:
+        return level
+    slot = secs / n_episodes
+    duration, ramp = synth.EPISODE_DURATION_S, synth.EPISODE_RAMP_S
+    plateau = duration - 2.0 * ramp
+    t = np.arange(secs, dtype=np.float64)
+    for k in range(n_episodes):
+        onset = k * slot + rng.uniform(0.0, max(slot - duration - 1.0, 0.0))
+        up = np.clip((t - onset) / ramp, 0.0, 1.0)
+        down = np.clip((onset + ramp + plateau + ramp - t) / ramp, 0.0, 1.0)
+        level += spec.episode_amplitude * np.minimum(up, down)
+    return level

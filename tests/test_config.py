@@ -25,7 +25,6 @@ from hrbench.training import TrainConfig
 paths = st.text("abcXYZ019_-./%#; ", max_size=12).map(str.strip)
 names = st.text("abcXYZ019_-", min_size=1, max_size=6)
 floats = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False, allow_infinity=False)
-fractions = st.floats(min_value=0.0, max_value=0.999, allow_nan=False)
 counts = st.integers(1, 200)
 seeds = st.integers(0, 2**31)
 
@@ -41,7 +40,6 @@ def models_configs(draw):
         kinds=draw(tuples(st.sampled_from(["grud", "transformer"]), min_size=1)),
         grud_hidden=draw(counts), d_model=heads * draw(st.integers(1, 8)),
         layers=draw(st.integers(1, 3)), heads=heads, ffn_dim=draw(counts),
-        layer_norm=draw(st.booleans()),
     )
 
 
@@ -57,16 +55,13 @@ configs = st.builds(
     models=models_configs(),
     train=st.builds(TrainConfig, lr=floats, batch_size=counts, epochs=counts,
                     seeds=tuples(seeds, min_size=1), weight_decay=floats,
-                    prevalence_eps=floats, target_mode=st.sampled_from(["residual", "absolute"])),
+                    target_mode=st.sampled_from(["residual", "absolute"])),
     hidden_sweep=tuples(counts),
     calibration=st.builds(CalibrationConfig, enabled=st.booleans(), beta=floats),
     evaluation=st.builds(EvaluationConfig, bootstrap_draws=counts, bootstrap_seed=seeds,
                          ece_bins=counts),
     synth=st.builds(SyntheticSpec, n_records=counts, record_seconds=counts, base_hr=floats,
-                    ar_coeff=fractions, reversion=fractions, noise_scale=floats,
-                    episode_rate_per_hour=floats, episode_duration_s=floats,
-                    episode_amplitude=floats, episode_ramp_s=floats, osc_amplitude=floats,
-                    osc_period_s=floats, seed=seeds),
+                    episode_rate_per_hour=floats, episode_amplitude=floats, seed=seeds),
     runs_dir=paths,
 )
 
@@ -83,13 +78,29 @@ def test_rendered_config_loads_back(tmp_path_factory, config):
 def test_rendered_values():
     config = BenchConfig(
         data=DataConfig(exclude=("r1", "r2"), dataset_dir="out/ds"),
-        train=TrainConfig(seeds=(3,), prevalence_eps=1e-6),
+        train=TrainConfig(seeds=(3,)),
         calibration=CalibrationConfig(enabled=False),
     )
     lines = set(render_config(config).splitlines())
     assert {"exclude = r1,r2", "dataset_dir = out/ds", "seeds = 3", "hidden_sweep =",
-            "prevalence_eps = 1e-06", "enabled = false", "layer_norm = true",
-            "ratios = 0.7,0.15,0.15"} <= lines
+            "enabled = false", "ratios = 0.7,0.15,0.15"} <= lines
+
+
+# settings that became constants of the code: an INI that still sets one
+# names it as an unknown key
+REMOVED = [("synth", key) for key in ("ar_coeff", "reversion", "noise_scale",
+                                      "episode_duration_s", "episode_ramp_s",
+                                      "osc_amplitude", "osc_period_s")]
+REMOVED += [("models", "layer_norm"), ("train", "prevalence_eps")]
+
+
+@pytest.mark.parametrize("section,key", REMOVED)
+def test_a_removed_setting_is_an_unknown_key(section, key, tmp_path, capsys):
+    ini = tmp_path / "bench.ini"
+    ini.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {ini}: unknown key {key!r} in section [{section}]"]
 
 
 # flag destination -> (command line, INI text that sets the same setting)

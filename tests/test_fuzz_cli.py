@@ -37,6 +37,7 @@ TARGETS = [
     ("evaluate", "dataset/dataset.json"),
     ("evaluate", "runs/classification_grud_seed0/checkpoint.json"),
     ("evaluate", "runs/forecasting_transformer_seed0/checkpoint.json"),
+    ("evaluate", "runs/forecasting_transformer_seed0/manifest.json"),
     ("report", "runs/report.csv"),
 ]
 EXIT_CODES = {0} | {cls.exit_code for cls in vars(errors).values()

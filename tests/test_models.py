@@ -116,11 +116,9 @@ class TestAgainstOpByOpReferences:
             assert np.abs(ref[1]["grud.decay_h.w"]).max() > 1e-3  # the decay path is live
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("layer_norm", [True, False])
-    def test_transformer_matches_the_full_sequence_layers(self, layer_norm, layers):
+    def test_transformer_matches_the_full_sequence_layers(self, layers):
         rng = np.random.default_rng(31)
-        config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12, max_len=15,
-                                   use_layer_norm=layer_norm)
+        config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12, max_len=15)
         params = float64(_random_model(init_transformer_params(config, rng), 8, rng))
         context = rng.normal(size=(4, 15))
         last = context[:, -1]

@@ -265,14 +265,21 @@ class TestEvaluate:
             pipeline.run_evaluate(config)
 
     def test_end_to_end_reports_byte_identical(self, prepared, tmp_path):
+        # every file of a run, not only the report: times and other
+        # run-to-run values belong in none of them
         config, _ = prepared
+        files = {}
         for sub in ("x", "y"):
             runs = replace(config, runs_dir=str(tmp_path / f"runs_{sub}"))
             pipeline.run_train(runs)
             pipeline.run_evaluate(runs)
-        a = (tmp_path / "runs_x" / "report.csv").read_bytes()
-        b = (tmp_path / "runs_y" / "report.csv").read_bytes()
-        assert a == b
+            base = Path(runs.runs_dir)
+            files[sub] = {path.relative_to(base).as_posix(): path.read_bytes()
+                          for path in base.rglob("*") if path.is_file()}
+        run = "classification_grud_seed0"
+        assert {"report.csv", "report.json", f"{run}/manifest.json", f"{run}/train_log.csv",
+                f"{run}/calibration.json", f"{run}/checkpoint.json"} <= set(files["x"])
+        assert files["x"] == files["y"]
 
 
 class TestReport:
@@ -543,16 +550,39 @@ def _nul_in_a_record_id(tmp_path) -> str:
     return ini
 
 
-def _trained_under_other_models(tmp_path, kind: str, **settings) -> str:
-    """A one-epoch micro grid of `kind`, trained from synth on, and the INI
-    of its config with the [models] `settings` changed."""
+def _trained_micro_grid(tmp_path, kind: str) -> BenchConfig:
+    """The micro config of a one-epoch grid of `kind`, trained from synth on."""
     config = micro_config(tmp_path)
     config = replace(config, models=replace(config.models, kinds=(kind,)),
                      train=replace(config.train, epochs=1))
     pipeline.run_synth(config)
     pipeline.run_prepare(config)
     pipeline.run_train(config)
+    return config
+
+
+def _trained_under_other_models(tmp_path, kind: str, **settings) -> str:
+    """The INI of a trained micro grid of `kind` with the [models] `settings`
+    changed."""
+    config = _trained_micro_grid(tmp_path, kind)
     return render_config(replace(config, models=replace(config.models, **settings)))
+
+
+def _prepared_again(tmp_path) -> str:
+    """A trained GRU-D micro grid whose dataset was then prepared again under
+    another split seed, which puts train records of the runs in the test
+    split."""
+    config = _trained_micro_grid(tmp_path, "grud")
+    config = replace(config, split=replace(config.split, seed=1))
+    pipeline.run_prepare(config)
+    return render_config(config)
+
+
+def _run_manifest_cut_short(tmp_path) -> str:
+    config = _trained_micro_grid(tmp_path, "grud")
+    manifest = Path(config.runs_dir) / "classification_grud_seed0" / "manifest.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    return render_config(config)
 
 
 def _compressed_peak_file(tmp_path) -> str:
@@ -591,8 +621,8 @@ MALFORMED = {
     "non_numeric_context": ("train", lambda t: _windows_row(t, _full_row(value="abc")),
                             "windows.csv:2"),
     "unknown_section": ("prepare", lambda t: "[trian]\nepochs = 1\n", "[trian]"),
-    "misspelt_boolean": ("prepare", lambda t: "[models]\nlayer_norm = ture\n",
-                         "[models] layer_norm"),
+    "misspelt_boolean": ("prepare", lambda t: "[calibration]\nenabled = ture\n",
+                         "[calibration] enabled"),
     "heads_not_dividing_d_model": ("prepare", lambda t: "[models]\nheads = 3\n", "[models]"),
     "unknown_model_kind": ("prepare", lambda t: "[models]\nkinds = gru\n", "'gru'"),
     "zero_d_model": ("train", lambda t: "[models]\nd_model = 0\n", "[models]"),
@@ -722,8 +752,6 @@ MALFORMED = {
         t, _full_row(), sidecar={**SIDECAR, "mu": float("inf")}), "dataset.json: not a prepared"),
     "infinite_T": ("train", lambda t: _windows_row(
         t, _full_row(), sidecar={**SIDECAR, "T": float("inf")}), "dataset.json: not a prepared"),
-    "zero_oscillation_period": ("synth", lambda t: "[synth]\nosc_period_s = -0\n", "[synth]"),
-    "negative_noise_scale": ("synth", lambda t: "[synth]\nnoise_scale = -1\n", "[synth]"),
     "infinite_synth_setting": ("synth", lambda t: "[synth]\nepisode_rate_per_hour = inf\n",
                                "[synth] episode_rate_per_hour = 'inf': not a finite number"),
     "nan_learning_rate": ("train", lambda t: "[train]\nlr = nan\n",
@@ -745,6 +773,12 @@ MALFORMED = {
         "episode_rate_per_hour = 1e12\n"), "[synth] episode_rate_per_hour = 1e+12"),
     "compressed_peak_file": ("prepare", _compressed_peak_file,
                              "r1.txt.gz: a compressed peak file is not read"),
+    "dataset_prepared_again_after_training": (
+        "evaluate", _prepared_again, "run classification_grud_seed0 was trained on another",
+        EvaluationError.exit_code),
+    "run_manifest_cut_short": ("evaluate", _run_manifest_cut_short,
+                               "classification_grud_seed0/manifest.json is not a run manifest",
+                               EvaluationError.exit_code),
 }
 
 

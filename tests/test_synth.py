@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import episode_level_reference
 
+from hrbench import synth
 from hrbench.ingest import HrSeries, build_windows, derive_hr, read_manifest
 from hrbench.synth import SyntheticSpec, generate_corpus, hr_to_peaks, write_corpus
 
@@ -54,6 +58,18 @@ class TestGenerate:
             series = derive_hr(record)
             assert series.hr.min() >= 20.0
             assert series.hr.max() <= 220.0
+
+
+# rates up to 3600 an hour make episodes overlap and run past the record's end
+@given(seconds=st.integers(1, 3000), rate=st.floats(0.0, 3600.0),
+       amplitude=st.floats(-60.0, 60.0), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_episode_level_equals_the_whole_record_sum(seconds, rate, amplitude, seed):
+    spec = SyntheticSpec(record_seconds=seconds, episode_rate_per_hour=rate,
+                         episode_amplitude=amplitude, seed=seed)
+    level, _ = synth._episode_level(spec, np.random.default_rng(seed))
+    want = episode_level_reference(spec, np.random.default_rng(seed))
+    assert level.tobytes() == want.tobytes()
 
 
 class TestPeakRoundTrip:
