@@ -17,7 +17,6 @@ LOG_T_TOL = 1e-4
 @dataclass(frozen=True)
 class TemperatureFit:
     temperature: float
-    skipped: bool = False  # single-class validation leaves T at 1
 
 
 def mean_bce(logits, labels, temperature: float = 1.0) -> float:
@@ -36,8 +35,9 @@ def fit_temperature(val_logits, val_labels) -> TemperatureFit:
     validation BCE.
     """
     labels = np.asarray(val_labels)
+    # single-class validation leaves T at 1
     if len(np.unique(labels)) < 2:
-        return TemperatureFit(temperature=1.0, skipped=True)
+        return TemperatureFit(temperature=1.0)
     logits = np.asarray(val_logits, dtype=np.float64)
 
     def objective(log_t: float) -> float:

@@ -2,7 +2,10 @@
 
 Every training-protocol hyperparameter has a key whose default is the
 published protocol value (AdamW at 1e-3, batch 64, 6 epochs, seeds 0/1/2,
-theta candidates 100/95/90/85, 1000 bootstrap draws, F-beta with beta 2).
+1000 bootstrap draws, F-beta with beta 2). The task and metric definitions
+are constants, not keys, the same ones the benchmark's oracles restate: the
+60 s context, 10 s horizon and theta candidates 100/95/90/85 of `ingest`,
+and the 10 ECE bins of `metrics.ece`.
 The dataclasses below are the only declaration of a setting's name, default
 and type: `load_config` parses a key by its field's annotation,
 `render_config` writes the file `bench init-config` starts from, and
@@ -18,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import DataError
 from .files import reading, writing
-from .ingest import CONTEXT_LEN, HORIZON, SPLIT_RATIOS, THETA_CANDIDATES
+from .ingest import SPLIT_RATIOS
 from .models import GrudConfig, TransformerConfig
 from .synth import SyntheticSpec
 from .training import TrainConfig
@@ -30,19 +33,6 @@ class DataConfig:
     exclude: tuple[str, ...] = ()
     dataset_dir: str = "out/dataset"
     synth_dir: str = "data/synthetic"
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    context_seconds: int = CONTEXT_LEN
-    horizon_seconds: int = HORIZON
-    theta_candidates: tuple[float, ...] = THETA_CANDIDATES
-
-    def __post_init__(self):
-        if self.context_seconds < 1 or self.horizon_seconds < 1:
-            raise ValueError("context_seconds and horizon_seconds must be >= 1")
-        if not self.theta_candidates or not all(t > 0 for t in self.theta_candidates):
-            raise ValueError("theta_candidates must be a non-empty list of positive values")
 
 
 @dataclass(frozen=True)
@@ -69,6 +59,8 @@ class ModelsConfig:
     def __post_init__(self):
         if not self.kinds:
             raise ValueError("kinds must name at least one model")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError(f"kinds repeats a model: {self.kinds}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +77,10 @@ class CalibrationConfig:
 class EvaluationConfig:
     bootstrap_draws: int = 1000
     bootstrap_seed: int = 1234
-    ece_bins: int = 10
 
     def __post_init__(self):
-        if self.bootstrap_draws < 1 or self.ece_bins < 1:
-            raise ValueError("bootstrap_draws and ece_bins must be >= 1")
+        if self.bootstrap_draws < 1:
+            raise ValueError(f"bootstrap_draws must be >= 1, got {self.bootstrap_draws}")
         if self.bootstrap_seed < 0:
             raise ValueError(f"bootstrap_seed must be >= 0, got {self.bootstrap_seed}")
 
@@ -97,7 +88,6 @@ class EvaluationConfig:
 @dataclass(frozen=True)
 class BenchConfig:
     data: DataConfig = field(default_factory=DataConfig)
-    windows: WindowConfig = field(default_factory=WindowConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     models: ModelsConfig = field(default_factory=ModelsConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -108,6 +98,8 @@ class BenchConfig:
     runs_dir: str = "out/runs"
 
     def __post_init__(self):
+        if len(set(self.hidden_sweep)) < len(self.hidden_sweep):
+            raise ValueError(f"[train] hidden_sweep repeats a size: {self.hidden_sweep}")
         # every encoder the grid names is built here, so that the encoder
         # configs' own checks fail when the config is made, not in training
         named = [("[models]", kind, None) for kind in self.models.kinds]
@@ -130,7 +122,6 @@ class BenchConfig:
                 layers=m.layers,
                 heads=m.heads,
                 ffn_dim=m.ffn_dim,
-                max_len=self.windows.context_seconds,
             )
         raise ValueError(f"unknown model kind {model_kind!r}")
 

@@ -63,7 +63,12 @@ def _load_peak_records(config: BenchConfig):
     if not data.peaks_manifest and not manifest.exists():
         raise DataError("no records: set data.peaks_manifest, or run `bench synth` first")
     excluded = set(data.exclude)
-    records = [r for r in read_manifest(manifest) if r.record_id not in excluded]
+    records = read_manifest(manifest)
+    unknown = excluded - {r.record_id for r in records}
+    if unknown:
+        raise DataError(f"{manifest}: exclude names records the manifest does not list: "
+                        f"{', '.join(map(repr, sorted(unknown)))}")
+    records = [r for r in records if r.record_id not in excluded]
     if not records:
         raise DataError("no records: the peak source is empty after exclusions")
     return records
@@ -71,18 +76,17 @@ def _load_peak_records(config: BenchConfig):
 
 def run_prepare(config: BenchConfig) -> PrepareSummary:
     """derive -> threshold guard -> windows -> record split -> standardize."""
-    T, H = config.windows.context_seconds, config.windows.horizon_seconds
     # the peak times outsize the HR series; nothing after derive_hr reads them
     corpus = [derive_hr(r) for r in _load_peak_records(config)]
-    guard = select_threshold(corpus, config.windows.theta_candidates, T=T, H=H)
+    guard = select_threshold(corpus)
 
-    tables = [build_windows(series, T=T, H=H, theta=guard.theta) for series in corpus]
+    tables = [build_windows(series, theta=guard.theta) for series in corpus]
     positivity = {series.record_id: bool(t.cls_labels.any())
                   for series, t in zip(corpus, tables)}
     windows = Windows.concat(tables)
     split = split_records(positivity, config.split.ratios, config.split.seed)
     stats = standardize(windows, split)
-    save_prepared(config.data.dataset_dir, windows, stats, split, guard.theta, H=H)
+    save_prepared(config.data.dataset_dir, windows, stats, split, guard.theta)
 
     summary = PrepareSummary(
         theta=guard.theta,
@@ -198,13 +202,13 @@ def run_train(config: BenchConfig) -> list[str]:
     return run_ids
 
 
-def metric_table(task: str, ece_bins: int | None = None, threshold: float | None = None) -> dict:
+def metric_table(task: str, threshold: float | None = None) -> dict:
     """The report's metrics for `task`, in column order: name -> metric of a
     PredictionSet, or None where the model has no value for it.
 
     Classification predictions are the columns `probs` and `labels`;
     forecasting predictions are `mu`, `sigma` and `target` in bpm. ECE (over
-    `ece_bins` bins) and F1 (at the F-beta `threshold`) score a calibration
+    10 bins) and F1 (at the F-beta `threshold`) score a calibration
     step's output, so a model without one (no threshold), such as
     always-negative, gets them undefined.
     """
@@ -223,7 +227,7 @@ def metric_table(task: str, ece_bins: int | None = None, threshold: float | None
         "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
         "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
         "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
-        "ece": calibrated(lambda p: met.ece(p["probs"], p["labels"], ece_bins, p.weights)),
+        "ece": calibrated(lambda p: met.ece(p["probs"], p["labels"], weights=p.weights)),
         "f1_at_threshold": calibrated(
             lambda p: met.f1_at_threshold(p["probs"], p["labels"], threshold, p.weights)),
         "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
@@ -249,7 +253,7 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     if config.calibration.enabled:
         fit = cal.fit_temperature(logits_val, val.cls_labels)
     else:
-        fit = cal.TemperatureFit(temperature=1.0, skipped=True)
+        fit = cal.TemperatureFit(temperature=1.0)
     probs_val = cal.apply_temperature(logits_val, fit.temperature)
     tau = cal.select_threshold_fbeta(probs_val, val.cls_labels, config.calibration.beta)
     sidecar = {"temperature": fit.temperature, "threshold": tau, "beta": config.calibration.beta}
@@ -336,7 +340,7 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
             temperature, tau = _calibrate(run_dir, val, predict(val)["cls_logit"], config)
             columns = {"probs": cal.apply_temperature(out["cls_logit"], temperature),
                        "labels": labels}
-            table = metric_table(spec.task, config.evaluation.ece_bins, tau)
+            table = metric_table(spec.task, tau)
         else:
             mu = out["mu_tilde"] if spec.target_mode == "residual" else out["delta_mu"]
             columns = {"mu": dataset.stats.denormalize(mu),

@@ -36,6 +36,8 @@ class TrainConfig:
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be a non-empty list of values >= 0, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds repeats a value: {self.seeds}")
 
 
 @dataclass

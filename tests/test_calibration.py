@@ -48,7 +48,6 @@ class TestFitTemperature:
 
     def test_single_class_skipped(self):
         fit = fit_temperature([0.2, 1.4, -0.3], [1, 1, 1])
-        assert fit.skipped
         assert fit.temperature == 1.0
 
     @pytest.mark.parametrize("seed", range(5))

@@ -12,7 +12,6 @@ from hrbench.config import (
     EvaluationConfig,
     ModelsConfig,
     SplitConfig,
-    WindowConfig,
     load_config,
     render_config,
 )
@@ -29,15 +28,15 @@ counts = st.integers(1, 200)
 seeds = st.integers(0, 2**31)
 
 
-def tuples(elements, min_size=0):
-    return st.lists(elements, min_size=min_size, max_size=4).map(tuple)
+def tuples(elements, min_size=0, unique=False):
+    return st.lists(elements, min_size=min_size, max_size=4, unique=unique).map(tuple)
 
 
 @st.composite
 def models_configs(draw):
     heads = draw(st.integers(1, 4))
     return ModelsConfig(
-        kinds=draw(tuples(st.sampled_from(["grud", "transformer"]), min_size=1)),
+        kinds=draw(tuples(st.sampled_from(["grud", "transformer"]), min_size=1, unique=True)),
         grud_hidden=draw(counts), d_model=heads * draw(st.integers(1, 8)),
         layers=draw(st.integers(1, 3)), heads=heads, ffn_dim=draw(counts),
     )
@@ -47,19 +46,16 @@ configs = st.builds(
     BenchConfig,
     data=st.builds(DataConfig, peaks_manifest=paths,
                    exclude=tuples(names), dataset_dir=paths, synth_dir=paths),
-    windows=st.builds(WindowConfig, context_seconds=counts, horizon_seconds=counts,
-                      theta_candidates=tuples(floats, min_size=1)),
     split=st.builds(SplitConfig, ratios=st.sampled_from([(0.5, 0.25, 0.25), (1.0, 0.0, 0.0),
                                                          (0.6, 0.3, 0.1)]),
                     seed=seeds),
     models=models_configs(),
     train=st.builds(TrainConfig, lr=floats, batch_size=counts, epochs=counts,
-                    seeds=tuples(seeds, min_size=1), weight_decay=floats,
+                    seeds=tuples(seeds, min_size=1, unique=True), weight_decay=floats,
                     target_mode=st.sampled_from(["residual", "absolute"])),
-    hidden_sweep=tuples(counts),
+    hidden_sweep=tuples(counts, unique=True),
     calibration=st.builds(CalibrationConfig, enabled=st.booleans(), beta=floats),
-    evaluation=st.builds(EvaluationConfig, bootstrap_draws=counts, bootstrap_seed=seeds,
-                         ece_bins=counts),
+    evaluation=st.builds(EvaluationConfig, bootstrap_draws=counts, bootstrap_seed=seeds),
     synth=st.builds(SyntheticSpec, n_records=counts, record_seconds=counts, base_hr=floats,
                     episode_rate_per_hour=floats, episode_amplitude=floats, seed=seeds),
     runs_dir=paths,
@@ -91,7 +87,7 @@ def test_rendered_values():
 REMOVED = [("synth", key) for key in ("ar_coeff", "reversion", "noise_scale",
                                       "episode_duration_s", "episode_ramp_s",
                                       "osc_amplitude", "osc_period_s")]
-REMOVED += [("models", "layer_norm"), ("train", "prevalence_eps")]
+REMOVED += [("models", "layer_norm"), ("train", "prevalence_eps"), ("evaluation", "ece_bins")]
 
 
 @pytest.mark.parametrize("section,key", REMOVED)
@@ -101,6 +97,16 @@ def test_a_removed_setting_is_an_unknown_key(section, key, tmp_path, capsys):
     assert cli.main(["prepare", "--config", str(ini)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {ini}: unknown key {key!r} in section [{section}]"]
+
+
+# the task's window, horizon and theta candidates are constants of `ingest`
+@pytest.mark.parametrize("key", ["context_seconds", "horizon_seconds", "theta_candidates"])
+def test_the_removed_windows_section_is_an_unknown_section(key, tmp_path, capsys):
+    ini = tmp_path / "bench.ini"
+    ini.write_text(f"[windows]\n{key} = 60\n", encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {ini}: unknown section [windows]"]
 
 
 # flag destination -> (command line, INI text that sets the same setting)

@@ -336,7 +336,6 @@ class TestCli:
         config = load_config(out)
         assert config.train.epochs == 6
         assert config.train.seeds == (0, 1, 2)
-        assert config.windows.theta_candidates == (100.0, 95.0, 90.0, 85.0)
         assert config.evaluation.bootstrap_draws == 1000
         assert config.calibration.beta == 2.0
         # every key the file repeats from the dataclasses holds their default
@@ -550,15 +549,31 @@ def _nul_in_a_record_id(tmp_path) -> str:
     return ini
 
 
-def _trained_micro_grid(tmp_path, kind: str) -> BenchConfig:
-    """The micro config of a one-epoch grid of `kind`, trained from synth on."""
+def _prepared_micro_grid(tmp_path, kind: str) -> BenchConfig:
+    """The micro config of a one-epoch grid of `kind`, prepared from synth on."""
     config = micro_config(tmp_path)
     config = replace(config, models=replace(config.models, kinds=(kind,)),
                      train=replace(config.train, epochs=1))
     pipeline.run_synth(config)
     pipeline.run_prepare(config)
+    return config
+
+
+def _trained_micro_grid(tmp_path, kind: str) -> BenchConfig:
+    """The micro config of a one-epoch grid of `kind`, trained from synth on."""
+    config = _prepared_micro_grid(tmp_path, kind)
     pipeline.run_train(config)
     return config
+
+
+def _prepared_grud_ini(tmp_path, old: str = "", new: str = "") -> str:
+    """The INI of a prepared GRU-D micro grid with its line `old`, if given,
+    replaced by `new`, a value the config dataclasses would reject."""
+    ini = render_config(_prepared_micro_grid(tmp_path, "grud"))
+    if old:
+        assert ini.count(f"\n{old}\n") == 1
+        ini = ini.replace(f"\n{old}\n", f"\n{new}\n")
+    return ini
 
 
 def _trained_under_other_models(tmp_path, kind: str, **settings) -> str:
@@ -633,18 +648,9 @@ MALFORMED = {
     "zero_sweep_key": ("prepare", lambda t: "[train]\nhidden_sweep = 0\n", "hidden_sweep"),
     "duplicate_manifest_record": ("prepare", lambda t: _peak_manifest(
         t, "1.0\n2.0\n", row="r1,r1.txt\nr1,r1.txt"), "manifest.csv:3"),
-    "zero_context_seconds": ("prepare", lambda t: "[windows]\ncontext_seconds = 0\n",
-                             "[windows]"),
-    "negative_context_seconds": ("prepare", lambda t: "[windows]\ncontext_seconds = -5\n",
-                                 "[windows]"),
-    "zero_horizon_seconds": ("prepare", lambda t: "[windows]\nhorizon_seconds = 0\n",
-                             "[windows]"),
-    "empty_theta_candidates": ("prepare", lambda t: "[windows]\ntheta_candidates =\n",
-                               "[windows]"),
     "two_split_ratios": ("prepare", lambda t: "[split]\nratios = 0.5,0.5\n", "[split]"),
     "zero_batch_size": ("train", lambda t: "[train]\nbatch_size = 0\n", "[train]"),
     "negative_batch_size": ("train", lambda t: "[train]\nbatch_size = -3\n", "[train]"),
-    "zero_ece_bins": ("evaluate", lambda t: "[evaluation]\nece_bins = 0\n", "[evaluation]"),
     "zero_bootstrap_draws": ("evaluate", lambda t: "[evaluation]\nbootstrap_draws = 0\n",
                              "[evaluation]"),
     "zero_beta": ("evaluate", lambda t: "[calibration]\nbeta = 0\n", "[calibration]"),
@@ -779,6 +785,20 @@ MALFORMED = {
     "run_manifest_cut_short": ("evaluate", _run_manifest_cut_short,
                                "classification_grud_seed0/manifest.json is not a run manifest",
                                EvaluationError.exit_code),
+    # a repeated grid value trained the same run into one directory again,
+    # and the report counted each repeat as a seed
+    "repeated_seed": ("train", lambda t: _prepared_grud_ini(t, "seeds = 0", "seeds = 0,0"),
+                      "[train]: seeds repeats a value: (0, 0)"),
+    "repeated_model_kind": ("train", lambda t: _prepared_grud_ini(
+        t, "kinds = grud", "kinds = grud,grud"), "[models]: kinds repeats a model"),
+    "repeated_sweep_size": ("train", lambda t: _prepared_grud_ini(
+        t, "hidden_sweep =", "hidden_sweep = 8,8"), "[train] hidden_sweep repeats a size"),
+    "repeated_sweep_size_flag": ("train --hidden-sweep 8,8", _prepared_grud_ini,
+                                 "--hidden-sweep '8,8': [train] hidden_sweep repeats a size"),
+    # a misspelt id kept the record it was meant to leave out
+    "exclude_id_not_in_the_manifest": ("prepare", lambda t: _micro_ini(
+        t, synth=True, exclude=("synth0001",)),
+        "manifest.csv: exclude names records the manifest does not list: 'synth0001'"),
 }
 
 
