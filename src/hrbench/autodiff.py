@@ -916,14 +916,13 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:
-    """Parameters in their stored dtype (float64 where a file names none, as
-    files written before the dtype was stored), and the config blob."""
+    """Parameters in their stored dtype, and the config blob."""
     with reading(path) as fh:
         doc = json.load(fh)
     config = doc.pop("config", None)
     params = {}
     for name, entry in doc.items():
-        data = np.array(entry["data"], dtype=entry.get("dtype", "float64")).reshape(entry["shape"])
+        data = np.array(entry["data"], dtype=entry["dtype"]).reshape(entry["shape"])
         if not np.isfinite(data).all():
             raise ValueError(f"parameter {name!r} holds a value that is not finite")
         params[name] = Parameter(name, data)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,11 +13,6 @@ LOG_T_HIGH = math.log(20.0)
 LOG_T_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class TemperatureFit:
-    temperature: float
-
-
 def mean_bce(logits, labels, temperature: float = 1.0) -> float:
     """Mean binary cross-entropy of sigmoid(s/T); stable at any |s|."""
     s = np.asarray(logits, dtype=np.float64) / temperature
@@ -27,7 +21,7 @@ def mean_bce(logits, labels, temperature: float = 1.0) -> float:
     return float(np.mean(softplus - y * s))
 
 
-def fit_temperature(val_logits, val_labels) -> TemperatureFit:
+def fit_temperature(val_logits, val_labels) -> float:
     """Minimize validation BCE over T by golden-section search on log T.
 
     The bracket is [0.05, 20]; if (numerically) no interior point beats the
@@ -37,7 +31,7 @@ def fit_temperature(val_logits, val_labels) -> TemperatureFit:
     labels = np.asarray(val_labels)
     # single-class validation leaves T at 1
     if len(np.unique(labels)) < 2:
-        return TemperatureFit(temperature=1.0)
+        return 1.0
     logits = np.asarray(val_logits, dtype=np.float64)
 
     def objective(log_t: float) -> float:
@@ -59,8 +53,8 @@ def fit_temperature(val_logits, val_labels) -> TemperatureFit:
             fd = objective(d)
     t_star = math.exp(0.5 * (lo + hi))
     if mean_bce(logits, labels, t_star) > mean_bce(logits, labels, 1.0):
-        return TemperatureFit(temperature=1.0)
-    return TemperatureFit(temperature=t_star)
+        return 1.0
+    return t_star
 
 
 def apply_temperature(logits, temperature: float) -> np.ndarray:

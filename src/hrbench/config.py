@@ -5,7 +5,7 @@ published protocol value (AdamW at 1e-3, batch 64, 6 epochs, seeds 0/1/2,
 1000 bootstrap draws, F-beta with beta 2). The task and metric definitions
 are constants, not keys, the same ones the benchmark's oracles restate: the
 60 s context, 10 s horizon and theta candidates 100/95/90/85 of `ingest`,
-and the 10 ECE bins of `metrics.ece`.
+and the `ECE_BINS` (10) of `metrics`.
 The dataclasses below are the only declaration of a setting's name, default
 and type: `load_config` parses a key by its field's annotation,
 `render_config` writes the file `bench init-config` starts from, and

@@ -152,49 +152,40 @@ def derive_hr(record: RPeakRecord) -> HrSeries:
     return HrSeries(record.record_id, hr)
 
 
-def _window_starts(n: int, T: int, H: int) -> np.ndarray:
+def _window_starts(n: int) -> np.ndarray:
     """Offsets of the windows whose context and horizon lie within n samples."""
-    return np.arange(0, max(n - T - H, -1) + 1, T, dtype=np.int64)
+    return np.arange(0, max(n - CONTEXT_LEN - HORIZON, -1) + 1, CONTEXT_LEN, dtype=np.int64)
 
 
-def _horizon_means(hr: np.ndarray, T: int, H: int) -> np.ndarray:
-    """Mean over the H samples after each window's context, one per window."""
-    starts = _window_starts(len(hr), T, H)
-    return hr[starts[:, None] + T + np.arange(H)].mean(axis=1)
+def _horizon_means(hr: np.ndarray) -> np.ndarray:
+    """Mean over the HORIZON samples after each window's context, one per window."""
+    starts = _window_starts(len(hr))
+    return hr[starts[:, None] + CONTEXT_LEN + np.arange(HORIZON)].mean(axis=1)
 
 
-def build_windows(
-    series: HrSeries,
-    T: int = CONTEXT_LEN,
-    H: int = HORIZON,
-    theta: float = THETA_CANDIDATES[0],
-) -> Windows:
-    """Non-overlapping T-second contexts at stride T.
+def build_windows(series: HrSeries, theta: float = THETA_CANDIDATES[0]) -> Windows:
+    """Non-overlapping CONTEXT_LEN-second contexts at stride CONTEXT_LEN.
 
     A window at offset o is emitted only when the series covers all of
-    o .. o+T+H-1; the label is 1 iff the mean over the H samples after the
-    context is >= theta, and the forecast target is the first of them.
+    o .. o+CONTEXT_LEN+HORIZON-1; the label is 1 iff the mean over the
+    HORIZON samples after the context is >= theta, and the forecast target
+    is the first of them.
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
     hr = series.hr
-    starts = _window_starts(len(hr), T, H)
+    starts = _window_starts(len(hr))
     return Windows(
         record_ids=np.full(len(starts), series.record_id),
         start_indices=starts,
-        contexts_bpm=hr[starts[:, None] + np.arange(T)],
-        cls_labels=(_horizon_means(hr, T, H) >= theta).astype(np.int64),
-        fc_targets_bpm=hr[starts + T],
+        contexts_bpm=hr[starts[:, None] + np.arange(CONTEXT_LEN)],
+        cls_labels=(_horizon_means(hr) >= theta).astype(np.int64),
+        fc_targets_bpm=hr[starts + CONTEXT_LEN],
     )
 
 
-def select_threshold(
-    corpus: Sequence[HrSeries],
-    candidates: Sequence[float] = THETA_CANDIDATES,
-    T: int = CONTEXT_LEN,
-    H: int = HORIZON,
-) -> ThresholdGuardResult:
-    """First candidate (in the given order) with enough positive support.
+def select_threshold(corpus: Sequence[HrSeries]) -> ThresholdGuardResult:
+    """First of THETA_CANDIDATES, in their order, with enough positive support.
 
     The guard requires at least MIN_POSITIVE_RECORDS records holding a
     positive window and at least MIN_POSITIVE_WINDOWS positive windows
@@ -202,9 +193,9 @@ def select_threshold(
     """
     if not corpus:
         raise GuardUnsatisfied("empty corpus")
-    means = [_horizon_means(series.hr, T, H) for series in corpus]
+    means = [_horizon_means(series.hr) for series in corpus]
     results = []
-    for theta in candidates:
+    for theta in THETA_CANDIDATES:
         positives = [int((m >= theta).sum()) for m in means]
         result = ThresholdGuardResult(theta, sum(positives), sum(p > 0 for p in positives))
         if (result.n_positive_records >= MIN_POSITIVE_RECORDS
@@ -213,7 +204,7 @@ def select_threshold(
         results.append(result)
     best = max(results, key=lambda r: (r.n_positive_records, r.n_positive_windows))
     raise GuardUnsatisfied(
-        f"no theta in {list(candidates)} reaches {MIN_POSITIVE_RECORDS} positive "
+        f"no theta in {list(THETA_CANDIDATES)} reaches {MIN_POSITIVE_RECORDS} positive "
         f"records and {MIN_POSITIVE_WINDOWS} positive windows; best was "
         f"theta={best.theta} with {best.n_positive_records} records / "
         f"{best.n_positive_windows} windows"
@@ -435,7 +426,6 @@ def save_prepared(
     stats: StandardizationStats,
     split: Mapping[str, str],
     theta: float,
-    H: int = HORIZON,
 ) -> None:
     """Dataset CSV (raw bpm) plus a sidecar JSON with stats and the split map.
 
@@ -461,7 +451,7 @@ def save_prepared(
         "sigma": stats.sigma,
         "theta": theta,
         "T": T,
-        "H": H,
+        "H": HORIZON,
         "split": dict(sorted(split.items())),
     }
     write_json(out / "dataset.json", sidecar)
@@ -483,14 +473,14 @@ def _until_blank(lines):
         yield line
 
 
-def _parse_windows(fh, T: int, split: Mapping[str, str]) -> Windows:
+def _parse_windows(fh, split: Mapping[str, str]) -> Windows:
     """The body of `windows.csv` in one pass of numpy's text parser; a
     ValueError on anything the row-by-row scan must look at."""
     # one character wider than any split id, so that a longer id is not
     # truncated into a known one
     width = max(map(len, split), default=0) + 1
     dtype = np.dtype([("id", f"U{width}"), ("start", "i8"), ("label", "i8"),
-                      ("values", "f8", (T + 1,))])
+                      ("values", "f8", (CONTEXT_LEN + 1,))])
     table = _loadtxt(_until_blank(fh), dtype=dtype, delimiter=",", quotechar='"', ndmin=1)
     # a set, as np.unique without indices would import numpy.ma
     present = set(table["id"].tolist())
@@ -501,20 +491,20 @@ def _parse_windows(fh, T: int, split: Mapping[str, str]) -> Windows:
     return _table(table["id"].astype(f"U{max(longest, 1)}"), table)
 
 
-def _scan_windows(path, T: int, split: Mapping[str, str]) -> Windows:
+def _scan_windows(path, split: Mapping[str, str]) -> Windows:
     """The body of `windows.csv` row by row, as `csv.reader` splits it, with
     each row's numbers read as `_parse_windows` reads them: a DataError names
     the first faulty line, and a file without one gives the same table."""
-    dtype = np.dtype([("start", "i8"), ("label", "i8"), ("values", "f8", (T + 1,))])
-    names = _HEADER[1:] + [f"ctx_{i}" for i in range(T)]
+    dtype = np.dtype([("start", "i8"), ("label", "i8"), ("values", "f8", (CONTEXT_LEN + 1,))])
+    names = _HEADER[1:] + [f"ctx_{i}" for i in range(CONTEXT_LEN)]
     record_ids, rows = [], []
     with reading(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, already checked
         for row in reader:
             where = f"{path}:{reader.line_num}"
-            if len(row) != 4 + T:
-                raise DataError(f"{where}: expected {4 + T} fields, got {len(row)}")
+            if len(row) != 4 + CONTEXT_LEN:
+                raise DataError(f"{where}: expected {4 + CONTEXT_LEN} fields, got {len(row)}")
             if row[0] not in split:
                 raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
             try:
@@ -540,10 +530,12 @@ def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataE
 def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
     """The splits `names` of the dataset `save_prepared` wrote.
 
-    The body of `windows.csv` is read in one pass of numpy's text parser,
-    whose numbers are those of `read_peak_file`. Only a file that pass
-    rejects, or one with a blank line or a record outside the split, is
-    scanned row by row, to name the first faulty line in a DataError.
+    A dataset whose `T`, `H` or `theta` is not the task's (an older version
+    could prepare one under other settings) is a DataError. The body of
+    `windows.csv` is read in one pass of numpy's text parser, whose numbers
+    are those of `read_peak_file`. Only a file that pass rejects, or one
+    with a blank line or a record outside the split, is scanned row by row,
+    to name the first faulty line in a DataError.
     """
     base = Path(dataset_dir)
     meta = base / "dataset.json"
@@ -551,13 +543,16 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
         with reading(meta) as fh:
             sidecar = json.load(fh)
         stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
-        T, theta, split = int(sidecar["T"]), float(sidecar["theta"]), sidecar["split"]
+        T, H, theta = int(sidecar["T"]), int(sidecar["H"]), float(sidecar["theta"])
+        split = sidecar["split"]
     except KeyError as exc:
         raise DataError(f"{meta}: no {exc} entry") from None
     except (ValueError, TypeError, OverflowError, DegenerateScale) as exc:
         raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
-    if T < 1:
-        raise DataError(f"{meta}: T must be >= 1, got {T}")
+    if (T, H) != (CONTEXT_LEN, HORIZON) or theta not in THETA_CANDIDATES:
+        raise DataError(f"{meta}: T = {T}, H = {H}, theta = {theta}, not the task's "
+                        f"T = {CONTEXT_LEN}, H = {HORIZON} and theta one of "
+                        f"{list(THETA_CANDIDATES)}; prepare the dataset again")
     if not isinstance(split, dict):
         raise DataError(f"{meta}: split is not a record -> split map")
     for record_id, name in split.items():
@@ -570,9 +565,9 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
         if header[:4] != _HEADER:
             raise DataError(f"{path}: not a prepared windows file (header {header[:4]})")
         try:
-            windows = _parse_windows(fh, T, split)
+            windows = _parse_windows(fh, split)
         except ValueError:
             windows = None
     if windows is None:
-        windows = _scan_windows(path, T, split)
+        windows = _scan_windows(path, split)
     return WindowedDataset(windows, split, stats, theta, names)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CIUndefined, ContractViolation, UndefinedMetric
 
 _ERF = np.frompyfunc(math.erf, 1, 1)
+ECE_BINS = 10
 
 
 def _weight_rows(weights, n: int) -> np.ndarray:
@@ -108,19 +109,17 @@ def brier(probs, labels, weights=None):
     return weighted_mean(sq_err, weights)
 
 
-def ece(probs, labels, n_bins: int = 10, weights=None):
-    """Expected calibration error over equal-width bins.
+def ece(probs, labels, weights=None):
+    """Expected calibration error over ECE_BINS equal-width bins.
 
     Bins are left-closed/right-open with the last bin closed; empty bins
     contribute nothing, and no examples at all give 0.
     """
-    if n_bins < 1:
-        raise ContractViolation("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     w = _weight_rows(weights, len(probs))
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
-    member = (bins[:, None] == np.arange(n_bins)).astype(np.float64)
+    bins = np.minimum((probs * ECE_BINS).astype(int), ECE_BINS - 1)
+    member = (bins[:, None] == np.arange(ECE_BINS)).astype(np.float64)
     count = w @ member
     gap = np.abs(_ratio(w @ (member * labels[:, None]), count)
                  - _ratio(w @ (member * probs[:, None]), count))

@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ContractViolation, ShapeError
-from .ingest import CONTEXT_LEN
 
 ModelParams = dict[str, Parameter]
 
@@ -48,7 +47,6 @@ class TransformerConfig:
     layers: int = 2
     heads: int = 4
     ffn_dim: int = 256
-    max_len: int = CONTEXT_LEN
 
     def __post_init__(self):
         if self.d_model <= 0 or self.layers < 1:
@@ -195,8 +193,6 @@ def transformer_forward(config: TransformerConfig, params: ModelParams, context)
     dtype = params["tf.embed.w"].data.dtype
     x = _normalize_context(context, 1, dtype)
     batch, steps, _ = x.shape
-    if steps > config.max_len:
-        raise ContractViolation(f"context length {steps} exceeds max_len {config.max_len}")
     d = config.d_model
     pos = sinusoidal_positions(steps, d)
     hidden = ad.matmul(Tensor(x), params["tf.embed.w"]) + Tensor(
@@ -294,6 +290,8 @@ def persistence_forecast(contexts_bpm: np.ndarray, sigma_bpm: float) -> tuple[np
 # ---------------------------------------------------------------------------
 # batched inference used by evaluation
 
+PREDICT_BATCH = 256
+
 
 def encoder_forward(model_kind: str, config, params: ModelParams, contexts_norm) -> Tensor:
     if model_kind == "grud":
@@ -309,14 +307,13 @@ def model_predictions(
     params: ModelParams,
     contexts_norm: np.ndarray,
     x_last_norm: np.ndarray,
-    batch_size: int = 256,
 ) -> dict[str, np.ndarray]:
-    """Forward a whole split in chunks, recording no graph; returns plain
-    float64 numpy head outputs."""
+    """Forward a whole split in chunks of PREDICT_BATCH windows, recording no
+    graph; returns plain float64 numpy head outputs."""
     outs = {"cls_logit": [], "delta_mu": [], "sigma_n": [], "mu_tilde": []}
     n = len(contexts_norm)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, PREDICT_BATCH):
+        stop = min(start + PREDICT_BATCH, n)
         with ad.no_grad():
             hidden = encoder_forward(model_kind, config, params, contexts_norm[start:stop])
             heads = heads_forward(hidden, params, x_last_norm[start:stop])

@@ -227,7 +227,7 @@ def metric_table(task: str, threshold: float | None = None) -> dict:
         "auroc": lambda p: met.auroc(p["probs"], p["labels"], p.weights),
         "auprc": lambda p: met.auprc(p["probs"], p["labels"], p.weights),
         "brier": lambda p: met.brier(p["probs"], p["labels"], p.weights),
-        "ece": calibrated(lambda p: met.ece(p["probs"], p["labels"], weights=p.weights)),
+        "ece": calibrated(lambda p: met.ece(p["probs"], p["labels"], p.weights)),
         "f1_at_threshold": calibrated(
             lambda p: met.f1_at_threshold(p["probs"], p["labels"], threshold, p.weights)),
         "prevalence": lambda p: met.weighted_mean(p["labels"], p.weights),
@@ -250,21 +250,18 @@ def _scored_rows(task, model, seed, split: SplitData, columns: dict, table: dict
 def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     """Temperature and F-beta threshold from the validation logits, written to
     the run's calibration.json."""
-    if config.calibration.enabled:
-        fit = cal.fit_temperature(logits_val, val.cls_labels)
-    else:
-        fit = cal.TemperatureFit(temperature=1.0)
-    probs_val = cal.apply_temperature(logits_val, fit.temperature)
+    temperature = (cal.fit_temperature(logits_val, val.cls_labels)
+                   if config.calibration.enabled else 1.0)
+    probs_val = cal.apply_temperature(logits_val, temperature)
     tau = cal.select_threshold_fbeta(probs_val, val.cls_labels, config.calibration.beta)
-    sidecar = {"temperature": fit.temperature, "threshold": tau, "beta": config.calibration.beta}
+    sidecar = {"temperature": temperature, "threshold": tau, "beta": config.calibration.beta}
     write_json(run_dir / "calibration.json", sidecar)
-    return fit.temperature, tau
+    return temperature, tau
 
 
 def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_config) -> None:
     """Raise an EvaluationError naming the run and the first parameter whose
-    name, shape or dtype differs from the model `kind` and `enc_config` build:
-    a checkpoint written before the dtype was stored loads as float64."""
+    name, shape or dtype differs from the model `kind` and `enc_config` build."""
     model = models.build_params(kind, enc_config, 0)
 
     def held(p):

@@ -18,6 +18,7 @@ from .ingest import SplitData, WindowedDataset
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PREVALENCE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,6 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def weighted_bce(logits: Tensor, labels: np.ndarray, alpha: float) -> Tensor:
@@ -72,10 +70,10 @@ def gaussian_nll(mu_tilde: Tensor, sigma_n: Tensor, targets: np.ndarray) -> Tens
     return ad.mean(z * z) * 0.5 + ad.mean(ad.log(sigma_n))
 
 
-def class_weight(labels: np.ndarray, eps: float = 1e-6) -> float:
-    """alpha = (1 - p) / max(p, eps) from train prevalence p."""
+def class_weight(labels: np.ndarray) -> float:
+    """alpha = (1 - p) / max(p, PREVALENCE_EPS) from train prevalence p."""
     p = float(np.asarray(labels, dtype=np.float64).mean())
-    return (1.0 - p) / max(p, eps)
+    return (1.0 - p) / max(p, PREVALENCE_EPS)
 
 
 def adamw_step(
@@ -84,7 +82,8 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> None:
-    """Bias-corrected Adam update with decoupled weight decay, in place:
+    """Bias-corrected Adam update with decoupled weight decay, in place,
+    with beta1, beta2 and eps the ADAM_* constants:
 
         m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
         p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
@@ -97,23 +96,23 @@ def adamw_step(
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p in params:
         g = p.grad
         if p.name not in state.m:
             state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
         m, v = state.m[p.name], state.v[p.name]
         update, work = np.empty_like(p.data), np.empty_like(p.data)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=update)
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=work)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=work)
         v += np.multiply(work, g, out=work)
         np.divide(m, bc1, out=update)
         np.divide(v, bc2, out=work)
         np.sqrt(work, out=work)
-        work += state.eps
+        work += ADAM_EPS
         update /= work
         update += np.multiply(weight_decay, p.data, out=work)
         update *= lr

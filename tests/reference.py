@@ -33,7 +33,7 @@ import numpy as np
 
 from hrbench import autodiff as ad
 from hrbench import metrics as met
-from hrbench import models, synth
+from hrbench import models, synth, training
 from hrbench.autodiff import Parameter, Tensor, _accum, _coerce
 from hrbench.errors import DataError, ShapeError
 from hrbench.ingest import HORIZON, StandardizationStats, WindowedDataset, Windows
@@ -236,17 +236,18 @@ def adamw_step_reference(params, state, lr: float, weight_decay: float) -> None:
     place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    beta1, beta2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for p in params:
         g = p.grad
         m = state.m.setdefault(p.name, np.zeros_like(p.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         p.data -= lr * (update + weight_decay * p.data)
 
 
@@ -256,7 +257,6 @@ def save_prepared_reference(
     stats: StandardizationStats,
     split: Mapping[str, str],
     theta: float,
-    H: int = HORIZON,
 ) -> None:
     """`ingest.save_prepared` one `csv.writer` row at a time."""
     out = Path(out_dir)
@@ -279,7 +279,7 @@ def save_prepared_reference(
         "sigma": stats.sigma,
         "theta": theta,
         "T": T,
-        "H": H,
+        "H": HORIZON,
         "split": dict(sorted(split.items())),
     }
     with open(out / "dataset.json", "w", encoding="utf-8") as fh:

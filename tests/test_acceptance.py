@@ -108,7 +108,7 @@ def test_c4_gradient_checks_full_models():
             params = models.init_grud_params(config, rng)
             head_dim = 5
         else:
-            config = models.TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=8)
+            config = models.TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12)
             params = models.init_transformer_params(config, rng)
             head_dim = 8
         params = float64({**params, **models.init_head_params(head_dim, rng)})
@@ -141,13 +141,13 @@ def test_c5_temperature_scaling_contract():
         logits = rng.normal(0, 3, 120)
         labels = rng.integers(0, 2, 120)
         labels[:2] = [0, 1]
-        fit = fit_temperature(logits, labels)
+        temperature = fit_temperature(logits, labels)
         worst_bce = max(
             worst_bce,
-            mean_bce(logits, labels, fit.temperature) - mean_bce(logits, labels, 1.0),
+            mean_bce(logits, labels, temperature) - mean_bce(logits, labels, 1.0),
         )
         before = apply_temperature(logits, 1.0)
-        after = apply_temperature(logits, fit.temperature)
+        after = apply_temperature(logits, temperature)
         worst_rank = max(worst_rank, abs(auroc(after, labels) - auroc(before, labels)))
         worst_rank = max(worst_rank, abs(auprc(after, labels) - auprc(before, labels)))
     ok = worst_bce <= 1e-9 and worst_rank <= 1e-12
@@ -188,7 +188,7 @@ def test_c6_small_fixture_oracles():
                 labels[0] = 1 - labels[0]
             worst = max(worst, abs(auroc(probs, labels) - auroc_by_pairs(probs, labels)))
             worst = max(worst, abs(auprc(probs, labels) - _auprc_oracle(probs, labels)))
-            worst = max(worst, abs(ece(probs, labels, 10) - ece_by_enumeration(probs, labels, 10)))
+            worst = max(worst, abs(ece(probs, labels) - ece_by_enumeration(probs, labels, 10)))
             tau = select_threshold_fbeta(probs, labels, beta=2.0)
             oracle_tau, _ = fbeta_sweep_oracle(probs, labels, 2.0)
             worst = max(worst, abs(tau - oracle_tau))

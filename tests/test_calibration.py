@@ -34,21 +34,21 @@ def grouped_logits(rates, group_size, scale=1.0):
 class TestFitTemperature:
     def test_calibrated_logits_recover_unity(self):
         logits, labels = grouped_logits([0.2, 0.5, 0.8], 50)
-        fit = fit_temperature(logits, labels)
+        temperature = fit_temperature(logits, labels)
         oracle = grid_search_temperature(logits, labels)
-        assert fit.temperature == pytest.approx(1.0, abs=0.05)
-        assert fit.temperature == pytest.approx(oracle, abs=0.05)
+        assert temperature == pytest.approx(1.0, abs=0.05)
+        assert temperature == pytest.approx(oracle, abs=0.05)
 
     def test_doubled_logits_recover_two(self):
         logits, labels = grouped_logits([0.2, 0.5, 0.8], 50, scale=2.0)
-        fit = fit_temperature(logits, labels)
+        temperature = fit_temperature(logits, labels)
         oracle = grid_search_temperature(logits, labels)
-        assert fit.temperature == pytest.approx(2.0, abs=0.05)
-        assert fit.temperature == pytest.approx(oracle, abs=0.05)
+        assert temperature == pytest.approx(2.0, abs=0.05)
+        assert temperature == pytest.approx(oracle, abs=0.05)
 
     def test_single_class_skipped(self):
-        fit = fit_temperature([0.2, 1.4, -0.3], [1, 1, 1])
-        assert fit.temperature == 1.0
+        temperature = fit_temperature([0.2, 1.4, -0.3], [1, 1, 1])
+        assert temperature == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_increases_validation_bce(self, seed):
@@ -56,8 +56,8 @@ class TestFitTemperature:
         logits = rng.normal(0, 3, 80)
         labels = rng.integers(0, 2, 80)
         labels[:2] = [0, 1]
-        fit = fit_temperature(logits, labels)
-        assert mean_bce(logits, labels, fit.temperature) <= mean_bce(logits, labels, 1.0) + 1e-9
+        temperature = fit_temperature(logits, labels)
+        assert mean_bce(logits, labels, temperature) <= mean_bce(logits, labels, 1.0) + 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_scaling_preserves_ranking_metrics(self, seed):
@@ -65,9 +65,9 @@ class TestFitTemperature:
         logits = rng.normal(0, 2, 60)
         labels = rng.integers(0, 2, 60)
         labels[:2] = [0, 1]
-        fit = fit_temperature(logits, labels)
+        temperature = fit_temperature(logits, labels)
         before = apply_temperature(logits, 1.0)
-        after = apply_temperature(logits, fit.temperature)
+        after = apply_temperature(logits, temperature)
         assert auroc(after, labels) == pytest.approx(auroc(before, labels), abs=1e-12)
         assert auprc(after, labels) == pytest.approx(auprc(before, labels), abs=1e-12)
 

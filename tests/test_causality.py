@@ -20,7 +20,7 @@ T, H = CONTEXT_LEN, HORIZON
 STATS = StandardizationStats(mu=90.0, sigma=15.0)
 ENCODERS = {
     "grud": models.GrudConfig(hidden_dim=4),
-    "transformer": models.TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16, max_len=T),
+    "transformer": models.TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16),
 }
 
 

@@ -16,6 +16,8 @@ from hrbench.errors import (
     SplitInfeasible,
 )
 from hrbench.ingest import (
+    CONTEXT_LEN,
+    HORIZON,
     HrSeries,
     RPeakRecord,
     SplitData,
@@ -135,20 +137,22 @@ class TestBuildWindows:
         ]
         assert counts == sorted(counts)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.floats(60.0, 140.0))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 400), st.floats(60.0, 140.0))
     @settings(max_examples=50, deadline=None)
     def test_labels_match_the_per_window_horizon_mean(self, seed, length, theta):
+        T, H = CONTEXT_LEN, HORIZON
         hr = np.random.default_rng(seed).uniform(40.0, 160.0, length)
-        windows = build_windows(HrSeries("r", hr), T=20, H=5, theta=theta)
+        windows = build_windows(HrSeries("r", hr), theta=theta)
         assert windows.cls_labels.tolist() == [
-            int(hr[start + 20 : start + 25].mean() >= theta) for start in windows.start_indices
+            int(hr[start + T : start + T + H].mean() >= theta) for start in windows.start_indices
         ]
-        contexts = [hr[start : start + 20] for start in windows.start_indices]
-        np.testing.assert_array_equal(windows.contexts_bpm, np.reshape(contexts, (-1, 20)))
+        contexts = [hr[start : start + T] for start in windows.start_indices]
+        np.testing.assert_array_equal(windows.contexts_bpm, np.reshape(contexts, (-1, T)))
         positives = int(windows.cls_labels.sum())
         if positives:
             # 40 copies of the record meet the guard whatever the positive count
-            guard = select_threshold([HrSeries("r", hr)] * 40, (theta,), T=20, H=5)
+            with mock.patch.object(ingest, "THETA_CANDIDATES", (theta,)):
+                guard = select_threshold([HrSeries("r", hr)] * 40)
             assert (guard.n_positive_windows, guard.n_positive_records) == (40 * positives, 40)
 
 
@@ -330,10 +334,10 @@ class TestPreparedFiles:
             np.testing.assert_array_equal(a.contexts_norm, b.contexts_norm)
 
     def test_empty_split_keeps_context_length(self, tmp_path):
-        T = 30
+        T = CONTEXT_LEN
         windows = _windows(
-            ("a", [60.0, 80.0] * 15, 80.0, 1, 0),
-            ("b", [80.0, 60.0] * 15, 70.0, 0, 0),
+            ("a", [60.0, 80.0] * (T // 2), 80.0, 1, 0),
+            ("b", [80.0, 60.0] * (T // 2), 70.0, 0, 0),
         )
         assignment = {"a": "train", "b": "val", "c": "test"}
         stats = standardize(windows, assignment)
@@ -348,7 +352,7 @@ class TestPreparedFiles:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
-        T = data.draw(st.integers(1, 60))
+        T = CONTEXT_LEN
         ids = data.draw(st.lists(st.text(ID_ALPHABET, min_size=1, max_size=8),
                                  min_size=2, max_size=6, unique=True))
         names = ("train", "val", "test")
@@ -387,7 +391,7 @@ class TestPreparedFiles:
         """The chunked writer writes the reference's bytes, and the one-pass
         loader, and the row-by-row scan it falls back on, read the
         reference's columns bit for bit, dtypes included."""
-        T = data.draw(st.integers(1, 6))
+        T = CONTEXT_LEN
         # line breaks in an id make csv.writer quote it across lines
         ids = data.draw(st.lists(st.text(ID_ALPHABET + "\r\n", min_size=1, max_size=6),
                                  min_size=1, max_size=5, unique=True))
@@ -418,7 +422,7 @@ class TestPreparedFiles:
         with np.errstate(invalid="ignore"):
             expected = load_prepared_reference(theirs)
             loaded = load_prepared(ours)
-            scanned = WindowedDataset(ingest._scan_windows(ours / "windows.csv", T, split),
+            scanned = WindowedDataset(ingest._scan_windows(ours / "windows.csv", split),
                                       split, stats, 95.0)
         for name in ("train", "val", "test"):
             _assert_same_columns(loaded.split(name), expected.split(name))
@@ -426,7 +430,7 @@ class TestPreparedFiles:
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_file_loads_as_empty_splits(self, tmp_path):
-        T = 7
+        T = CONTEXT_LEN
         empty = Windows(np.array([], dtype=str), np.array([], dtype=np.int64),
                         np.empty((0, T)), np.array([], dtype=np.int64), np.empty(0))
         split = {"a": "train", "b": "val", "c": "test"}

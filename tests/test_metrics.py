@@ -1,12 +1,14 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrbench import metrics
 from hrbench.errors import CIUndefined, ContractViolation, UndefinedMetric
 from hrbench.metrics import (
     BootstrapResult,
@@ -131,20 +133,21 @@ class TestBrierAndF1:
 
 class TestEce:
     def test_perfectly_calibrated_half(self):
-        assert ece([0.5] * 4, [1, 0, 1, 0], 10) == 0.0
+        assert ece([0.5] * 4, [1, 0, 1, 0]) == 0.0
 
     def test_two_sample_hand_bins(self):
-        assert ece([0.9, 0.1], [1, 0], 10) == pytest.approx(0.1)
+        assert ece([0.9, 0.1], [1, 0]) == pytest.approx(0.1)
 
     def test_exact_probabilities(self):
-        assert ece([0.0, 1.0, 1.0], [0, 1, 1], 10) == 0.0
+        assert ece([0.0, 1.0, 1.0], [0, 1, 1]) == 0.0
 
     def test_single_bin_is_mean_gap(self):
         rng = np.random.default_rng(0)
         probs = rng.uniform(0, 1, 50)
         labels = rng.integers(0, 2, 50)
         expected = abs(labels.mean() - probs.mean())
-        assert ece(probs, labels, 1) == pytest.approx(expected, abs=1e-12)
+        with mock.patch.object(metrics, "ECE_BINS", 1):
+            assert ece(probs, labels) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_bin_enumeration(self, seed):
@@ -152,12 +155,12 @@ class TestEce:
         n = int(rng.integers(2, 13))
         probs = rng.uniform(0, 1, n)
         labels = rng.integers(0, 2, n)
-        assert ece(probs, labels, 10) == pytest.approx(
+        assert ece(probs, labels) == pytest.approx(
             ece_by_enumeration(probs, labels, 10), abs=1e-12
         )
 
     def test_probability_one_lands_in_last_bin(self):
-        assert ece([1.0], [1], 10) == 0.0
+        assert ece([1.0], [1]) == 0.0
 
 
 class TestMaeRmse:
@@ -304,7 +307,7 @@ def test_metrics_permutation_invariant(seed):
     assert auroc(probs, labels) == pytest.approx(auroc(probs[perm], labels[perm]), abs=1e-12)
     assert auprc(probs, labels) == pytest.approx(auprc(probs[perm], labels[perm]), abs=1e-12)
     assert brier(probs, labels) == pytest.approx(brier(probs[perm], labels[perm]), abs=1e-15)
-    assert ece(probs, labels, 10) == pytest.approx(ece(probs[perm], labels[perm], 10), abs=1e-14)
+    assert ece(probs, labels) == pytest.approx(ece(probs[perm], labels[perm]), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,7 @@ WEIGHTED = {
     "auroc": (lambda p: auroc(p["probs"], p["labels"], p.weights), True),
     "auprc": (lambda p: auprc(p["probs"], p["labels"], p.weights), False),
     "brier": (lambda p: brier(p["probs"], p["labels"], p.weights), False),
-    "ece": (lambda p: ece(p["probs"], p["labels"], 10, p.weights), False),
+    "ece": (lambda p: ece(p["probs"], p["labels"], p.weights), False),
     "f1": (lambda p: f1_at_threshold(p["probs"], p["labels"], 0.5, p.weights), True),
     "prevalence": (lambda p: weighted_mean(p["labels"], p.weights), False),
     "mae": (lambda p: mae_rmse(p["mu"], p["y"], p.weights)[0], False),

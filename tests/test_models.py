@@ -118,7 +118,7 @@ class TestAgainstOpByOpReferences:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_transformer_matches_the_full_sequence_layers(self, layers):
         rng = np.random.default_rng(31)
-        config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12, max_len=15)
+        config = TransformerConfig(d_model=8, layers=layers, heads=2, ffn_dim=12)
         params = float64(_random_model(init_transformer_params(config, rng), 8, rng))
         context = rng.normal(size=(4, 15))
         last = context[:, -1]
@@ -249,7 +249,7 @@ class TestTransformer:
 
     def test_uniform_attention_with_zero_query_key(self, monkeypatch):
         rng = np.random.default_rng(7)
-        config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16, max_len=12)
+        config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16)
         params = float64(init_transformer_params(config, rng))
         params["tf.layer0.attn.q_w"].data[:] = 0.0
         params["tf.layer0.attn.k_w"].data[:] = 0.0
@@ -258,14 +258,14 @@ class TestTransformer:
 
     def test_final_layer_attends_from_the_pooled_row_only(self, monkeypatch):
         rng = np.random.default_rng(22)
-        config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16, max_len=16)
+        config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16)
         params = init_transformer_params(config, rng)
         attentions = _attention_maps(monkeypatch, config, params, rng.uniform(-2, 2, (3, 13)))
         assert [a.shape for a in attentions] == [(3, 4, 13, 13), (3, 4, 1, 13)]
 
     def test_attention_rows_sum_to_one(self, monkeypatch):
         rng = np.random.default_rng(8)
-        config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16, max_len=16)
+        config = TransformerConfig(d_model=8, layers=2, heads=4, ffn_dim=16)
         params = float64(init_transformer_params(config, rng))
         attentions = _attention_maps(monkeypatch, config, params, rng.uniform(-2, 2, (2, 13)))
         for attn in attentions:
@@ -273,22 +273,16 @@ class TestTransformer:
 
     def test_positions_matter(self):
         rng = np.random.default_rng(9)
-        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16, max_len=12)
+        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16)
         params = init_transformer_params(config, rng)
         context = rng.uniform(-2, 2, 10)
         h_fwd = transformer_forward(config, params, context).data
         h_rev = transformer_forward(config, params, context[::-1].copy()).data
         assert np.abs(h_fwd - h_rev).max() > 1e-6
 
-    def test_context_longer_than_max_len_rejected(self):
-        config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=8, max_len=4)
-        params = init_transformer_params(config, np.random.default_rng(10))
-        with pytest.raises(ContractViolation):
-            transformer_forward(config, params, np.zeros(5))
-
     def test_batch_order_equivariance(self):
         rng = np.random.default_rng(11)
-        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16, max_len=10)
+        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16)
         params = init_transformer_params(config, rng)
         contexts = rng.uniform(-2, 2, (6, 10))
         perm = rng.permutation(6)
@@ -297,7 +291,7 @@ class TestTransformer:
         np.testing.assert_array_equal(h[perm], h_perm)
 
     def test_deterministic_given_seed(self):
-        config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=8, max_len=8)
+        config = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=8)
         a = init_transformer_params(config, np.random.default_rng(21))
         b = init_transformer_params(config, np.random.default_rng(21))
         for name in a:
@@ -429,7 +423,7 @@ class TestGradientChecks:
 
     def test_transformer_with_both_losses(self):
         rng = np.random.default_rng(17)
-        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12, max_len=8)
+        config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=12)
         params = float64({**init_transformer_params(config, rng), **init_head_params(8, rng)})
         randomize_heads(params, rng)
         context = rng.uniform(-2, 2, (3, 8))
@@ -476,10 +470,10 @@ class TestGradientChecks:
 # float32 sizes
 @pytest.mark.parametrize("kind,encoder,steps", [
     pytest.param("grud", GrudConfig(hidden_dim=8), 20, id="grud"),
-    pytest.param("transformer", TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16,
-                                                  max_len=20), 20, id="transformer"),
-    pytest.param("transformer", TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16,
-                                                  max_len=20), 20, id="transformer-2-layers"),
+    pytest.param("transformer", TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16),
+                 20, id="transformer"),
+    pytest.param("transformer", TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16),
+                 20, id="transformer-2-layers"),
     pytest.param("grud", GrudConfig(), 60, id="grud-default"),
     pytest.param("transformer", TransformerConfig(), 60, id="transformer-default"),
 ])

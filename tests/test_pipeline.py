@@ -24,6 +24,7 @@ from hrbench.config import (
     write_default_config,
 )
 from hrbench.errors import DataError, EvaluationError
+from hrbench.files import sha256
 from hrbench.ingest import load_prepared
 from hrbench.models import GrudConfig
 from hrbench.synth import SyntheticSpec
@@ -607,6 +608,41 @@ def _compressed_peak_file(tmp_path) -> str:
     return f"[data]\npeaks_manifest = {tmp_path / 'manifest.csv'}\n"
 
 
+def _prepared_for_another_task(tmp_path, stage: str, **task) -> str:
+    """The INI of a micro grid whose dataset.json gives the `task` values (T,
+    H or theta) and whose windows.csv is as wide as its T, as an older
+    version prepared a dataset under other settings. For `evaluate` the grid
+    was trained on it first, as that version could: each run manifest holds
+    its sha256."""
+    config = micro_config(tmp_path, train=TrainConfig(epochs=1, seeds=(0,)))
+    pipeline.run_synth(config)
+    pipeline.run_prepare(config)
+    if stage == "evaluate":
+        pipeline.run_train(config)
+    dataset = Path(config.data.dataset_dir)
+    width = task.get("T", 60)
+    with open(dataset / "windows.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dataset / "windows.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header[:4] + [f"ctx_{i}" for i in range(width)])
+        # each context's last `width` seconds, or its first ones repeated before it
+        writer.writerows(row[:4] + (row[4:] * 2)[-width:] for row in rows)
+    sidecar = json.loads((dataset / "dataset.json").read_text(encoding="utf-8"))
+    (dataset / "dataset.json").write_text(json.dumps({**sidecar, **task}), encoding="utf-8")
+    for manifest in Path(config.runs_dir).glob("*/manifest.json"):
+        run = json.loads(manifest.read_text(encoding="utf-8"))
+        run["dataset_sha256"] = sha256(dataset / "dataset.json")
+        manifest.write_text(json.dumps(run), encoding="utf-8")
+    return render_config(config)
+
+
+# a dataset.json of another task: at T = 30, H = 5 or theta = 97 train and
+# evaluate used it as it was, and at T = 90 the first Transformer run stopped
+# training after the GRU-D runs were written
+OTHER_TASKS = {"T_30": {"T": 30}, "T_90": {"T": 90}, "H_5": {"H": 5}, "theta_97": {"theta": 97.0}}
+
+
 def _report(tmp_path, row: str,
             header="task,model,seed,metric,point,ci_low,ci_high,n_valid_draws") -> str:
     runs = tmp_path / "runs"
@@ -690,8 +726,7 @@ MALFORMED = {
         t, lambda doc: doc["grud.gru.w_hh"].update(shape=[24, 8])),
         "classification_grud_seed0, parameter grud.gru.w_hh", EvaluationError.exit_code),
     "checkpoint_without_dtypes": ("evaluate", lambda t: _edited_checkpoint(t, _without_dtypes),
-                                  "has float64 (1, 8), the model float32 (1, 8)",
-                                  EvaluationError.exit_code),
+                                  "unreadable checkpoint.json", EvaluationError.exit_code),
     "dataset_json_with_negative_T": ("train", lambda t: _windows_row(
         t, _full_row(), sidecar={**SIDECAR, "T": -5}), "dataset.json: T"),
     "dataset_json_split_not_a_map": ("train", lambda t: _windows_row(
@@ -795,6 +830,10 @@ MALFORMED = {
         t, "hidden_sweep =", "hidden_sweep = 8,8"), "[train] hidden_sweep repeats a size"),
     "repeated_sweep_size_flag": ("train --hidden-sweep 8,8", _prepared_grud_ini,
                                  "--hidden-sweep '8,8': [train] hidden_sweep repeats a size"),
+    **{f"dataset_json_of_another_task_{name}_on_{stage}": (
+        stage, lambda t, stage=stage, task=task: _prepared_for_another_task(t, stage, **task),
+        "dataset.json: T = ") for name, task in OTHER_TASKS.items()
+       for stage in ("train", "evaluate")},
     # a misspelt id kept the record it was meant to leave out
     "exclude_id_not_in_the_manifest": ("prepare", lambda t: _micro_ini(
         t, synth=True, exclude=("synth0001",)),
@@ -811,6 +850,15 @@ def test_malformed_input_is_a_data_error(case, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert where in err[0]
+
+
+def test_a_dataset_of_a_longer_context_trains_no_run(tmp_path, capsys):
+    ini = tmp_path / "bench.ini"
+    ini.write_text(_prepared_for_another_task(tmp_path, "train", T=90), encoding="utf-8")
+    assert cli.main(["train", "--config", str(ini)]) == 2
+    meta = tmp_path / "dataset" / "dataset.json"
+    assert capsys.readouterr().err.startswith(f"error: {meta}: T = 90, H = 10, theta = ")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "non_utf8"])

@@ -169,11 +169,3 @@ def test_a_non_finite_parameter_is_a_contract_violation(tmp_path, dtype, bad):
         save_checkpoint(path, params)
     assert not path.exists()
 
-
-def test_a_checkpoint_without_dtypes_loads_as_float64(tmp_path):
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps({"w": {"shape": [2], "data": [0.1, -2.5]}}), encoding="utf-8")
-    params, config = load_checkpoint(path)
-    assert config is None
-    assert params["w"].data.dtype == np.float64
-    np.testing.assert_array_equal(params["w"].data, [0.1, -2.5])
