@@ -12,18 +12,9 @@ attention (`attention`), feed-forward block (`ffn`) and residual layer norm
 (`add_layer_norm`). Each records one node and keeps only the arrays its
 backward reads.
 
-The three Transformer nodes use a second core: forward and backward, taped
-or not, the batch is cut into four fixed row chunks (`_row_chunks`), which
-the calling thread and one long-lived helper thread take in turn, each the
-next chunk no thread has taken (`_split_rows`). A core that stalls thus
-holds up at most the one chunk it runs, not half the batch. The chunks do
-not depend on the core count or on scheduling, each chunk runs the node's
-own math, and a parameter gradient is the chunks' gradients summed in row
-order, so the bits are fixed. The helper only computes on arrays: the
-calling thread passes every gradient on and builds the graph. `gru_scan`
-stays on one thread: its step loop is many numpy calls on small (B, H)
-blocks that hold the GIL, and two half-batch scans in two threads were no
-faster than one after the other.
+Every node runs on the calling thread, over the whole batch. A second core
+trains another run of the grid in a process of its own
+(`pipeline.run_train`), which pays no hand-off inside a step.
 
 Elementwise operands must match shapes exactly, with three exceptions: `add`
 takes a last-axis bias vector as its second operand, and `t + c`, `t * c`
@@ -42,13 +33,9 @@ give float64 silently, so callers cast their data to the parameters' dtype.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import numbers
-import os
-import threading
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -218,9 +205,8 @@ def _column_sums(rows: Array) -> Array:
     return np.ones(rows.shape[-2], rows.dtype) @ rows
 
 
-def _stack_matmul(a: Array, w: Array, out: Array | None = None) -> Array:
-    """A stack a (..., n, m) against one weight matrix w (m, k), into `out`
-    if given (C-contiguous).
+def _stack_matmul(a: Array, w: Array) -> Array:
+    """A stack a (..., n, m) against one weight matrix w (m, k).
 
     numpy runs a stacked product as one GEMM per leading index. Slices of
     many rows are small GEMMs that OpenBLAS runs without packing, as fast
@@ -230,107 +216,10 @@ def _stack_matmul(a: Array, w: Array, out: Array | None = None) -> Array:
     product, which rounds the same.
     """
     if w.shape[0] == 1:
-        return np.multiply(a, w, out=out)
+        return a * w
     if a.shape[-2] == 1:
-        flat = None if out is None else out.reshape(-1, w.shape[-1])
-        flat = np.matmul(a.reshape(-1, a.shape[-1]), w, out=flat)
-        return flat.reshape(*a.shape[:-1], w.shape[-1])
-    return np.matmul(a, w, out=out)
-
-
-# rows of a batch per node call cut into this many chunks, so that a stalled
-# thread holds up a quarter of the batch at most
-_CHUNKS = 4
-_helper = None  # the one ThreadPoolExecutor of _split_rows, made on first use
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread: its first split makes its own."""
-    global _helper
-    _helper = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _executor():
-    global _helper
-    if _helper is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hrbench-rows")
-    return _helper
-
-
-def _row_chunks(batch: int) -> list[slice]:
-    """The batch's rows in `_CHUNKS` contiguous chunks of near-equal size
-    (fewer for a batch of fewer rows; one slice for a batch of one)."""
-    n = max(1, min(batch, _CHUNKS))
-    return [slice(batch * i // n, batch * (i + 1) // n) for i in range(n)]
-
-
-def _split_rows(body: Callable, batch: int, *per_chunk: Sequence) -> list:
-    """body(rows, *kept) for each chunk of a batch's rows, on two threads;
-    the results in row order.
-
-    The calling thread and the one helper thread each take the next chunk
-    no thread has taken until none is left, so a thread that stalls (its
-    core busy elsewhere) holds up only the chunk it runs. `kept` holds each
-    sequence of `per_chunk` at that chunk's index (a forward's results, for
-    its backward). A body only computes on arrays: it writes its rows into
-    disjoint slices of arrays the caller made and returns the rest. It
-    makes no Tensor and calls no `_accum`, so the graph and every gradient
-    stay with the calling thread. The chunks are the same whatever the
-    core count, and each chunk's math is the node's own, so the bits depend
-    on neither. A chunk that raises is raised once every chunk has ended,
-    the first in row order.
-    """
-    calls = [functools.partial(body, rows, *(kept[i] for kept in per_chunk))
-             for i, rows in enumerate(_row_chunks(batch))]
-    if len(calls) == 1:
-        return [calls[0]()]
-    left = deque(range(len(calls)))  # chunks no thread has taken; popleft is atomic
-    running = threading.Lock()  # the helper holds it from taking a chunk to its end
-    outcomes: list = [None] * len(calls)
-
-    def run_next() -> bool:
-        try:
-            i = left.popleft()
-        except IndexError:
-            return False
-        try:
-            outcomes[i] = calls[i](), None
-        except BaseException as error:  # raised on the calling thread below
-            outcomes[i] = None, error
-        return True
-
-    def helper():
-        while True:
-            with running:
-                if not run_next():
-                    return
-
-    task = _executor().submit(helper)
-    while run_next():
-        pass
-    task.cancel()  # a helper that has not started takes nothing
-    with running:  # a chunk the helper took writes into the caller's arrays
-        pass
-    ended = outcomes.copy()
-    # a task the helper has not dequeued yet keeps its closure, but no array
-    calls.clear()
-    outcomes.clear()
-    for _, error in ended:
-        if error is not None:
-            raise error
-    return [result for result, _ in ended]
-
-
-def _accum_chunks(chunks: list[list[tuple[Tensor, Array]]]) -> None:
-    """Pass on each chunk's (tensor, gradient) pairs, listed in the same
-    order by every chunk, as the chunks' gradients summed in row order."""
-    for pairs in zip(*chunks):
-        _accum(pairs[0][0], functools.reduce(np.add, [g for _, g in pairs]))
+        return (a.reshape(-1, a.shape[-1]) @ w).reshape(*a.shape[:-1], w.shape[-1])
+    return a @ w
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +546,6 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
     probabilities s, (B, heads, R, T). Backward keeps the projections, s
     and the head outputs, and forms the softmax gradient
     (g - rowsum(g * s)) * s once for all heads, its row sums in one pass.
-    Forward and backward run the chunks of the batch on two threads
-    (`_split_rows`).
     """
     x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out = (
         _coerce(t) for t in (x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out))
@@ -693,70 +580,55 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
                np.concatenate([np.zeros(d, dtype) if b is None else b.data * f
                                for b, f in (projections[n][1:] for n in names)]))
               for x, names in sources]
-    value = np.empty((batch, rows, d), dtype)
-    probs = np.empty((batch, heads, rows, x_kv.shape[1]), dtype)
-
-    def forward(part):
-        proj = {}  # name -> (n, heads, rows, d_head) view into its group's product
-        for x, names, w, b in groups:
-            y = _stack_matmul(x.data[part], w)
-            y += b
-            y = y.reshape(*y.shape[:2], len(names), d)
-            for i, name in enumerate(names):
-                proj[name] = by_head(y[:, :, i], len(y))
-        q, k, v = proj["q"], proj["k"], proj["v"]
-        s = np.matmul(q, np.swapaxes(k, -1, -2), out=probs[part])
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        mixed = np.empty((len(s), rows, d), dtype)
-        np.matmul(s, v, out=by_head(mixed, len(s)))
-        out = _stack_matmul(mixed, w_out.data, out=value[part])
-        out += b_out.data
-        return (q, k, v, s, mixed) if record else None
-
-    saved = _split_rows(forward, batch)
+    proj = {}  # name -> (batch, heads, rows, d_head) view into its group's product
+    for x, names, w, b in groups:
+        y = _stack_matmul(x.data, w)
+        y += b
+        y = y.reshape(*y.shape[:2], len(names), d)
+        for i, name in enumerate(names):
+            proj[name] = by_head(y[:, :, i], batch)
+    q, k, v = proj["q"], proj["k"], proj["v"]
+    probs = np.matmul(q, np.swapaxes(k, -1, -2))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mixed = np.empty((batch, rows, d), dtype)
+    np.matmul(probs, v, out=by_head(mixed, batch))
+    value = _stack_matmul(mixed, w_out.data)
+    value += b_out.data
     if not record:
         return Tensor(value, parents), probs
 
     def _bw(g):
-        d_xs = [np.empty(x.shape, dtype) if x.requires_grad else None for x, *_ in groups]
-
-        def backward(part, kept):
-            q, k, v, s, mixed = kept
-            n = len(s)
-            g_rows = g[part].reshape(-1, d)
-            grads = [(b_out, _column_sums(g_rows)), (w_out, mixed.reshape(-1, d).T @ g_rows)]
-            d_mixed = by_head(g_rows @ w_out.data.T, n)
-            # d(loss)/d(each group's product), filled head by head
-            d_ys = [np.empty((n, x.shape[1], len(names), d), dtype) for x, names, *_ in groups]
-            d_proj = {name: by_head(d_y[:, :, i], n)
-                      for d_y, (_, names, *_) in zip(d_ys, groups)
-                      for i, name in enumerate(names)}
-            np.matmul(np.swapaxes(s, -1, -2), d_mixed, out=d_proj["v"])
-            d_s = d_mixed @ np.swapaxes(v, -1, -2)
-            d_s -= np.einsum("...j,...j->...", d_s, s)[..., None]
-            d_s *= s
-            np.matmul(d_s, k, out=d_proj["q"])
-            np.matmul(np.swapaxes(d_s, -1, -2), q, out=d_proj["k"])
-            for d_y, (x, names, w, _), d_x in zip(d_ys, groups, d_xs):
-                d_y = d_y.reshape(-1, len(names) * d)
-                d_w = x.data[part].reshape(-1, d).T @ d_y
-                d_b = _column_sums(d_y)
-                for i, name in enumerate(names):
-                    weight, bias, factor = projections[name]
-                    columns = slice(i * d, (i + 1) * d)
-                    grads.append((weight, d_w[:, columns] * factor))
-                    if bias is not None:
-                        grads.append((bias, d_b[columns] * factor))
-                if d_x is not None:
-                    np.matmul(d_y, w.T, out=d_x[part].reshape(-1, d))
-            return grads
-
-        _accum_chunks(_split_rows(backward, batch, saved))
-        for (x, *_), d_x in zip(groups, d_xs):
-            if d_x is not None:
-                _accum(x, d_x)
+        g_rows = g.reshape(-1, d)
+        _accum(b_out, _column_sums(g_rows))
+        _accum(w_out, mixed.reshape(-1, d).T @ g_rows)
+        d_mixed = by_head(g_rows @ w_out.data.T, batch)
+        # d(loss)/d(each group's product), filled head by head
+        d_ys = [np.empty((batch, x.shape[1], len(names), d), dtype) for x, names, *_ in groups]
+        d_proj = {name: by_head(d_y[:, :, i], batch)
+                  for d_y, (_, names, *_) in zip(d_ys, groups)
+                  for i, name in enumerate(names)}
+        np.matmul(np.swapaxes(probs, -1, -2), d_mixed, out=d_proj["v"])
+        d_s = d_mixed @ np.swapaxes(v, -1, -2)
+        d_s -= np.einsum("...j,...j->...", d_s, probs)[..., None]
+        d_s *= probs
+        np.matmul(d_s, k, out=d_proj["q"])
+        np.matmul(np.swapaxes(d_s, -1, -2), q, out=d_proj["k"])
+        # the largest arrays of the step go before the input gradients are made
+        del d_mixed, d_s
+        for d_y, (x, names, w, _) in zip(d_ys, groups):
+            d_y = d_y.reshape(-1, len(names) * d)
+            d_w = x.data.reshape(-1, d).T @ d_y
+            d_b = _column_sums(d_y)
+            for i, name in enumerate(names):
+                weight, bias, factor = projections[name]
+                columns = slice(i * d, (i + 1) * d)
+                _accum(weight, d_w[:, columns] * factor)
+                if bias is not None:
+                    _accum(bias, d_b[columns] * factor)
+            if x.requires_grad:
+                _accum(x, (d_y @ w.T).reshape(x.shape))
 
     return Tensor(value, parents, _bw), probs
 
@@ -764,9 +636,9 @@ def attention(x_q, x_kv, w_q, b_q, w_k, w_v, b_v, w_out, b_out, heads: int):
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """The position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2, as
     one node over the last axis of x. Each product, forward and backward, is
-    one GEMM over all rows of a chunk of the batch (`_split_rows`), and each
-    bias gradient one matrix-vector product. Backward keeps the ReLU
-    output, whose sign is the ReLU's mask."""
+    one GEMM over all rows of the batch, and each bias gradient one
+    matrix-vector product. Backward keeps the ReLU output, whose sign is the
+    ReLU's mask."""
     x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
             or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] \
@@ -776,36 +648,26 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     d_in, d_out = w1.shape[0], w2.shape[1]
     parents = (x, w1, b1, w2, b2)
     record = _records(parents)
-    dtype = np.result_type(*(t.data for t in parents))
-    value = np.empty((*x.shape[:-1], d_out), dtype)
-
-    def forward(part):
-        hidden = x.data[part].reshape(-1, d_in) @ w1.data
-        hidden += b1.data
-        np.maximum(hidden, 0.0, out=hidden)
-        out = np.matmul(hidden, w2.data, out=value[part].reshape(-1, d_out))
-        out += b2.data
-        return hidden if record else None
-
-    saved = _split_rows(forward, len(value))
+    hidden = x.data.reshape(-1, d_in) @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    value = hidden @ w2.data
+    value += b2.data
+    value = value.reshape(*x.shape[:-1], d_out)
     if not record:
         return Tensor(value, parents)
 
     def _bw(g):
-        d_x = np.empty(x.shape, dtype) if x.requires_grad else None
-
-        def backward(part, hidden):
-            g_rows = g[part].reshape(-1, d_out)
-            grads = [(b2, _column_sums(g_rows)), (w2, hidden.T @ g_rows)]
-            d_h = g_rows @ w2.data.T
-            d_h *= hidden > 0.0
-            grads += [(b1, _column_sums(d_h)), (w1, x.data[part].reshape(-1, d_in).T @ d_h)]
-            if d_x is not None:
-                np.matmul(d_h, w1.data.T, out=d_x[part].reshape(-1, d_in))
-            return grads
-
-        _accum_chunks(_split_rows(backward, len(value), saved))
-        if d_x is not None:
+        g_rows = g.reshape(-1, d_out)
+        _accum(b2, _column_sums(g_rows))
+        _accum(w2, hidden.T @ g_rows)
+        d_h = g_rows @ w2.data.T
+        d_h *= hidden > 0.0
+        _accum(b1, _column_sums(d_h))
+        _accum(w1, x.data.reshape(-1, d_in).T @ d_h)
+        if x.requires_grad:
+            d_x = (d_h @ w1.data.T).reshape(x.shape)
+            del d_h  # before _accum adds d_x to the gradient x holds
             _accum(x, d_x)
 
     return Tensor(value, parents, _bw)
@@ -820,8 +682,6 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
     their inverse deviations; its column sums are matrix-vector products,
     and it forms rowsum(g * gain) as g @ gain and rowsum(g * gain * xhat)
     as (g * xhat) @ gain, from the product the gain's gradient needs anyway.
-    Forward and backward run the chunks of the batch on two threads
-    (`_split_rows`).
     """
     x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
     d = x.shape[-1]
@@ -831,39 +691,28 @@ def add_layer_norm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
                          f"{bias.shape}")
     parents = (x, y, gain, bias)
     record = _records(parents)
-    dtype = np.result_type(*(t.data for t in parents))
-    value = np.empty(x.shape, dtype)
-
-    def forward(part):
-        xhat = (x.data[part] + y.data[part]).reshape(-1, d)
-        xhat -= (np.einsum("ij->i", xhat) / d)[:, None]
-        inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
-        xhat *= inv
-        out = np.multiply(xhat, gain.data, out=value[part].reshape(-1, d))
-        out += bias.data
-        return (xhat, inv) if record else None
-
-    saved = _split_rows(forward, len(value))
+    xhat = (x.data + y.data).reshape(-1, d)
+    xhat -= (np.einsum("ij->i", xhat) / d)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
+    xhat *= inv
+    value = xhat * gain.data
+    value += bias.data
+    value = value.reshape(x.shape)
     if not record:
         return Tensor(value, parents)
 
     def _bw(g):
-        d_sum = np.empty(x.shape, dtype)
-
-        def backward(part, kept):
-            xhat, inv = kept
-            g_rows = g[part].reshape(-1, d)
-            g_xhat = g_rows * xhat
-            grads = [(gain, _column_sums(g_xhat)), (bias, _column_sums(g_rows))]
-            m1 = g_rows @ gain.data / d
-            m2 = g_xhat @ gain.data / d
-            d_rows = np.multiply(g_rows, gain.data, out=d_sum[part].reshape(-1, d))
-            d_rows -= m1[:, None]
-            d_rows -= np.multiply(xhat, m2[:, None], out=g_xhat)
-            d_rows *= inv
-            return grads
-
-        _accum_chunks(_split_rows(backward, len(value), saved))
+        g_rows = g.reshape(-1, d)
+        g_xhat = g_rows * xhat
+        _accum(gain, _column_sums(g_xhat))
+        _accum(bias, _column_sums(g_rows))
+        m1 = g_rows @ gain.data / d
+        m2 = g_xhat @ gain.data / d
+        d_sum = g_rows * gain.data
+        d_sum -= m1[:, None]
+        d_sum -= np.multiply(xhat, m2[:, None], out=g_xhat)
+        d_sum *= inv
+        d_sum = d_sum.reshape(x.shape)
         _accum(x, d_sum)
         _accum(y, d_sum)
 

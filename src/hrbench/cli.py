@@ -7,9 +7,10 @@ import os
 import sys
 
 # BLAS on one thread unless the environment says otherwise, set before numpy
-# loads it. The Transformer's layer nodes keep two cores busy on their own;
-# on a 2-vCPU Xeon, a desk `train` of seed 0 took 8.7-9.3 s with OpenBLAS's
-# default of a thread per core beside them, and 7.0-7.3 s with one
+# loads it; the helper processes of `train` inherit it. `train` keeps every
+# core busy with a run of its own, so BLAS threads only compete for them: on
+# a 2-vCPU Xeon, a desk `train` of seed 0 took 10.5-34.9 s with OpenBLAS's
+# default of a thread per core, and 4.0-4.8 s with one
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

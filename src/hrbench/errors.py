@@ -43,6 +43,10 @@ class TrainingDiverged(BenchError):
     exit_code = 3
 
 
+class HelperDied(BenchError):
+    """A helper process of `train` ended without reporting the run it took."""
+
+
 class EvaluationError(BenchError):
     """Problems while scoring predictions."""
 

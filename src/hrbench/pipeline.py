@@ -7,7 +7,9 @@ independently; identical configs and inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,7 +21,7 @@ from . import metrics as met
 from . import models, synth, training
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import BenchConfig
-from .errors import DataError, EvaluationError
+from .errors import DataError, EvaluationError, HelperDied
 from .files import reading, remove, sha256, write_csv, write_json
 from .ingest import (
     SplitData,
@@ -162,44 +164,172 @@ def _load_finite(config: BenchConfig, names):
     return dataset
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _train_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec) -> str:
+    """Train one run and write its manifest, its train_log.csv and, last, its
+    checkpoint.json; returns the line `run_train` prints for it."""
+    run_id = spec.run_id
+    enc_config = config.encoder_config(spec.model_kind, spec.hidden)
+    trained = training.train_model(
+        spec.task, spec.model_kind, dataset, config.train, spec.seed,
+        encoder_config=enc_config,
+    )
+    run_dir = Path(config.runs_dir) / run_id
+    manifest = {
+        "run_id": run_id,
+        **asdict(spec),
+        "train": asdict(config.train),
+        "dataset_dir": str(config.data.dataset_dir),
+        "dataset_sha256": dataset_sha256,
+    }
+    write_json(run_dir / "manifest.json", manifest)
+    write_csv(run_dir / "train_log.csv", [["run_id", "epoch", "split", "loss"]] + [
+        [run_id, row["epoch"], split, repr(row[f"{split}_loss"])]
+        for row in trained.history for split in ("train", "val")])
+    save_checkpoint(
+        run_dir / "checkpoint.json",
+        trained.params.values(),
+        config={"model_kind": spec.model_kind, **asdict(enc_config)},
+    )
+    final = trained.history[-1]
+    return f"{run_id}: train_loss={final['train_loss']:.4f} val_loss={final['val_loss']:.4f}"
+
+
+def _claimed(claims, n_runs: int):
+    """The grid indices this process takes: each time the next one no process
+    has taken (the shared counter `claims`), until none is left."""
+    while True:
+        with claims.get_lock():
+            index = claims.value
+            claims.value = min(index + 1, n_runs)
+        if index == n_runs:
+            return
+        yield index
+
+
+def _stop_claims(claims, n_runs: int) -> None:
+    """Leave no run of the grid for any process to take."""
+    with claims.get_lock():
+        claims.value = n_runs
+
+
+def _take_runs(config: BenchConfig, dataset, dataset_sha256: str, indices, claims, send) -> None:
+    """Train and write the runs `indices` yields, and send (index, print line)
+    for each. A run that raises sends (index, error) instead, once no process
+    can take another run."""
+    grid = _grid(config)
+    index = None
+    try:
+        for index in indices:
+            send((index, _train_run(config, dataset, dataset_sha256, grid[index])))
+    except BaseException as error:
+        _stop_claims(claims, len(grid))
+        send((index, error))
+
+
+def _helper(config: BenchConfig, dataset_sha256: str, claims, conn) -> None:
+    """A helper process of `run_train`: it loads the train and val splits
+    itself, then takes runs as the calling process does and sends each
+    outcome on the pipe `conn`."""
+    dataset = _load_finite(config, ("train", "val"))
+    _take_runs(config, dataset, dataset_sha256, _claimed(claims, len(_grid(config))), claims,
+               conn.send)
+
+
 def run_train(config: BenchConfig) -> list[str]:
-    """Train the grid; the test split is not loaded. A run's old checkpoint.json
-    goes before its new manifest is written, and the new one is written last,
-    so a run that stopped part way has none, which `run_evaluate` reports.
-    Each manifest holds the sha256 of the dataset.json it was trained on."""
+    """Train the grid; the test split is not loaded. Returns the run ids in
+    grid order, and prints each run's line in grid order.
+
+    The runs are independent and seeded, so they train on every CPU this
+    process may use: the calling process and one helper process per other
+    CPU (at most one process per run) each take the next run no process has
+    taken until none is left; the calling process takes the first. A helper
+    is a fresh `spawn` process that loads the train and val splits itself
+    and sends back each run's line, or the error its run raised. A run's
+    files are the same bits whichever process trains it.
+
+    Every grid run's old checkpoint.json goes first, and a run writes its
+    new one last, after its manifest, so a run that did not finish has
+    none, which `run_evaluate` reports. After a run raises, no process
+    takes another; once every helper has ended, the error of the first
+    such run in grid order is raised as it was. A helper that ends without
+    reporting its run (killed, say) stops the claims too: a HelperDied
+    names its exit code and the runs left untrained. Each manifest holds
+    the sha256 of the dataset.json it was trained on.
+    """
+    # imported here: preparing a dataset starts no process
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     dataset = _load_finite(config, ("train", "val"))
     dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
-    base = Path(config.runs_dir)
-    run_ids = []
-    for spec in _grid(config):
-        run_id = spec.run_id
-        enc_config = config.encoder_config(spec.model_kind, spec.hidden)
-        trained = training.train_model(
-            spec.task, spec.model_kind, dataset, config.train, spec.seed,
-            encoder_config=enc_config,
-        )
-        run_dir = base / run_id
-        remove(run_dir / "checkpoint.json")
-        manifest = {
-            "run_id": run_id,
-            **asdict(spec),
-            "train": asdict(config.train),
-            "dataset_dir": str(config.data.dataset_dir),
-            "dataset_sha256": dataset_sha256,
-        }
-        write_json(run_dir / "manifest.json", manifest)
-        write_csv(run_dir / "train_log.csv", [["run_id", "epoch", "split", "loss"]] + [
-            [run_id, row["epoch"], split, repr(row[f"{split}_loss"])]
-            for row in trained.history for split in ("train", "val")])
-        save_checkpoint(
-            run_dir / "checkpoint.json",
-            trained.params.values(),
-            config={"model_kind": spec.model_kind, **asdict(enc_config)},
-        )
-        run_ids.append(run_id)
-        final = trained.history[-1]
-        print(f"{run_id}: train_loss={final['train_loss']:.4f} val_loss={final['val_loss']:.4f}")
-    return run_ids
+    grid = _grid(config)
+    context = multiprocessing.get_context("spawn")
+    claims = context.Value("i", 1)  # run 0 is the calling process's
+    helpers = {}  # the receiving end of each running helper's pipe -> the helper
+    try:
+        # no helper takes a run before the old checkpoints are gone; and a
+        # script without a __main__ guard, which a spawned helper runs again,
+        # stops there at start() before it removes any
+        with claims.get_lock():
+            for _ in range(min(len(grid), _cores()) - 1):
+                receiver, sender = context.Pipe(duplex=False)
+                helpers[receiver] = context.Process(
+                    target=_helper, args=(config, dataset_sha256, claims, sender), daemon=True)
+                helpers[receiver].start()
+                sender.close()
+            for spec in grid:
+                remove(Path(config.runs_dir) / spec.run_id / "checkpoint.json")
+    except BaseException:
+        _stop_claims(claims, len(grid))
+        for helper in helpers.values():
+            helper.join()
+        raise
+    outcomes: dict = {}  # grid index -> print line or error
+    exit_codes = []  # of the helpers that ended without reporting their runs
+    printed = 0
+
+    def collect(message=None, timeout=0.0) -> None:
+        """Record `message` and whatever the helpers have sent within
+        `timeout` seconds, then print the lines now in grid order."""
+        nonlocal printed
+        if message is not None:
+            index, outcome = message
+            outcomes[index] = outcome
+        for receiver in wait(list(helpers), timeout):
+            try:
+                index, outcome = receiver.recv()
+                outcomes[index] = outcome
+            except EOFError:  # the helper has ended
+                helper = helpers.pop(receiver)
+                helper.join()
+                if helper.exitcode:
+                    exit_codes.append(helper.exitcode)
+                    _stop_claims(claims, len(grid))
+        while isinstance(outcomes.get(printed), str):
+            print(outcomes[printed])
+            printed += 1
+
+    _take_runs(config, dataset, dataset_sha256,
+               itertools.chain([0], _claimed(claims, len(grid))), claims, collect)
+    while helpers:
+        collect(timeout=None)
+    errors = [index for index, outcome in outcomes.items() if isinstance(outcome, BaseException)]
+    if errors:
+        raise outcomes[min(errors)]
+    untrained = [spec.run_id for index, spec in enumerate(grid) if index not in outcomes]
+    if untrained:
+        raise HelperDied(f"a helper process of train exited with code "
+                         f"{', '.join(map(str, exit_codes))}; runs left untrained: "
+                         f"{', '.join(untrained)}")
+    return [spec.run_id for spec in grid]
 
 
 def metric_table(task: str, threshold: float | None = None) -> dict:

@@ -122,19 +122,14 @@ def adamw_step(
 # glibc's mallopt parameter numbers
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 # a 64-window default Transformer step's largest arrays (its attention
 # probabilities and FFN activations) are about 4 MB in float32, so they come
 # from the heap. Where a live block sits below the top of the heap, all the
 # memory a step frees can end up free at the top: 16 to 24 MiB for that step
 # (12 to 16 MiB for a GRU-D step), which a lower threshold trims off after
-# every step. The layer nodes' helper thread would allocate from a glibc arena
-# of its own, which cannot reuse what the main arena holds: a desk prepare and
-# one-epoch grid (GRU-D runs, then Transformer runs) in one process peaked at
-# 79.9 MiB, against 72.2-72.4 MiB with one arena for both threads and 80.1 MiB
-# with the layer nodes on one thread. With these settings a default
-# Transformer step, after three warm-up steps, faults in 1.0 to 1.6 pages on
-# average (200 steps, one OpenBLAS thread, 2-vCPU Xeon; 0 on one thread)
+# every step. With these settings a default Transformer step, after three
+# warm-up steps, faults in 0.1 pages on average (200 steps, one OpenBLAS
+# thread, 2-vCPU Xeon)
 MMAP_THRESHOLD = 8 << 20
 TRIM_THRESHOLD = 128 << 20
 
@@ -146,9 +141,7 @@ def hold_freed_memory() -> None:
     the OS (unmapped, or trimmed off the top of the heap), and the next step
     faults the same pages in again. Arrays below MMAP_THRESHOLD come from the
     heap instead, and up to TRIM_THRESHOLD of free memory stays at its top.
-    Threads that first allocate after this share the main arena, so memory
-    one thread frees serves the other. The setting is process-wide.
-    Elsewhere than on glibc this does nothing.
+    The setting is process-wide. Elsewhere than on glibc this does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -157,7 +150,6 @@ def hold_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,16 +1,21 @@
 import csv
 import gzip
 import json
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrbench import cli, models, pipeline
+from hrbench import cli, errors, models, pipeline
 from hrbench.autodiff import save_checkpoint
 from hrbench.config import (
     BenchConfig,
@@ -23,7 +28,7 @@ from hrbench.config import (
     render_config,
     write_default_config,
 )
-from hrbench.errors import DataError, EvaluationError
+from hrbench.errors import DataError, EvaluationError, HelperDied, TrainingDiverged
 from hrbench.files import sha256
 from hrbench.ingest import load_prepared
 from hrbench.models import GrudConfig
@@ -172,6 +177,178 @@ class TestTrain:
             "classification", "grud", dataset, config.train, 0,
             encoder_config=GrudConfig(hidden_dim=8),
         )
+
+
+def _pin_cpus(monkeypatch, n: int) -> None:
+    """Let `run_train` see `n` CPUs, and so train on `n` processes. Only the
+    calling process sees this; a helper it spawns does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestTrainPool:
+    def test_one_process_and_two_write_the_same_bytes_and_lines(self, prepared, tmp_path,
+                                                                monkeypatch, capsys):
+        config, _ = prepared
+        grid_ids = [spec.run_id for spec in pipeline._grid(config)]
+        files, lines = {}, {}
+        for n in (1, 2):
+            _pin_cpus(monkeypatch, n)
+            runs = replace(config, runs_dir=str(tmp_path / f"runs_{n}"))
+            capsys.readouterr()
+            assert pipeline.run_train(runs) == grid_ids
+            lines[n] = capsys.readouterr().out.splitlines()
+            base = Path(runs.runs_dir)
+            files[n] = {path.relative_to(base).as_posix(): path.read_bytes()
+                        for path in base.rglob("*") if path.is_file()}
+        assert [line.split(":")[0] for line in lines[1]] == grid_ids
+        assert lines[1] == lines[2]
+        assert len(files[1]) == 3 * len(grid_ids) and files[1] == files[2]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_a_killed_helper_ends_train_with_a_typed_error(self, prepared, monkeypatch, capsys):
+        config, _ = prepared
+        ini = Path(config.runs_dir).parent / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        assert cli.main(["train", "--config", str(ini)]) == 0  # every run has a checkpoint
+        _pin_cpus(monkeypatch, 2)
+        killed = []
+
+        def kill_the_first_helper():
+            deadline = time.monotonic() + 120
+            while not killed and time.monotonic() < deadline:
+                helpers = multiprocessing.active_children()
+                if helpers:
+                    os.kill(helpers[0].pid, signal.SIGKILL)
+                    killed.append(helpers[0].pid)
+                time.sleep(1e-3)
+
+        killer = threading.Thread(target=kill_the_first_helper, daemon=True)
+        trainer = threading.Thread(target=lambda: codes.append(
+            cli.main(["train", "--config", str(ini)])), daemon=True)
+        codes = []
+        killer.start()
+        trainer.start()
+        trainer.join(timeout=300)
+        killer.join(timeout=10)
+        assert not trainer.is_alive() and not killer.is_alive()
+        err = capsys.readouterr().err
+        assert killed and codes == [HelperDied.exit_code]
+        assert f"exited with code {-signal.SIGKILL}; runs left untrained: " in err
+        untrained = err.strip().split("runs left untrained: ")[1].split(", ")
+        assert untrained and set(untrained) <= {spec.run_id for spec in pipeline._grid(config)}
+        assert multiprocessing.active_children() == []
+        # the runs the killed train left have no checkpoint, not the first train's
+        assert cli.main(["evaluate", "--config", str(ini)]) == EvaluationError.exit_code
+        assert f"grid run {min(untrained)} has no checkpoint" in capsys.readouterr().err
+
+    def test_a_runs_error_reaches_the_cli_unchanged_from_any_process(self, prepared,
+                                                                    monkeypatch, capsys):
+        config, _ = prepared
+        ini = Path(config.runs_dir).parent / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        # the second run's log cannot be written
+        (Path(config.runs_dir) / "forecasting_grud_seed0" / "train_log.csv").mkdir(parents=True)
+        ends = []
+        for n in (1, 2):
+            _pin_cpus(monkeypatch, n)
+            ends.append((cli.main(["train", "--config", str(ini)]), capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert ends[0] == ends[1]
+        assert ends[0][0] == DataError.exit_code
+        assert ends[0][1] == (f"error: {Path(config.runs_dir)}/forecasting_grud_seed0/"
+                              "train_log.csv: Is a directory\n")
+
+    def test_an_old_checkpoint_that_cannot_be_removed_stops_train_before_any_run(
+            self, prepared, monkeypatch, capsys):
+        config, _ = prepared
+        ini = Path(config.runs_dir).parent / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        checkpoint = Path(config.runs_dir) / "forecasting_grud_seed0" / "checkpoint.json"
+        checkpoint.mkdir(parents=True)
+        _pin_cpus(monkeypatch, 2)
+        assert cli.main(["train", "--config", str(ini)]) == DataError.exit_code
+        assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+        assert multiprocessing.active_children() == []
+        assert not list(Path(config.runs_dir).glob("*/manifest.json"))
+
+    def test_a_script_without_a_main_guard_keeps_its_checkpoints(self, prepared, tmp_path):
+        # a spawned helper runs such a script again, whose run_train must stop
+        # at starting a process before it removes any checkpoint
+        config, _ = prepared
+        ini = tmp_path / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        script = tmp_path / "train_unguarded.py"
+        script.write_text("import os\n"
+                          "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                          "from hrbench import config, pipeline\n"
+                          f"pipeline.run_train(config.load_config({str(ini)!r}))\n",
+                          encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                             text=True, timeout=300).stdout
+        trained = [line.split(":")[0] for line in out.splitlines()]
+        assert trained and all((Path(config.runs_dir) / run_id / "checkpoint.json").exists()
+                               for run_id in trained)
+
+    def test_a_helper_sends_its_runs_error_and_stops_the_claims(self, prepared):
+        config, _ = prepared
+        # a float32 step of lr = inf: the second step's loss is NaN
+        config = replace(config, train=replace(config.train, lr=1e300))
+        grid = pipeline._grid(config)
+        dataset = pipeline._load_finite(config, ("train", "val"))
+        with pytest.raises(TrainingDiverged) as inline, np.errstate(over="ignore",
+                                                                    invalid="ignore"):
+            pipeline._train_run(config, dataset, "", grid[1])
+        context = multiprocessing.get_context("spawn")
+        claims = context.Value("i", 1)
+        receiver, sender = context.Pipe(duplex=False)
+        helper = context.Process(target=pipeline._helper, args=(config, "", claims, sender))
+        helper.start()
+        sender.close()
+        assert receiver.poll(120)
+        index, error = receiver.recv()
+        helper.join(timeout=60)
+        assert (index, type(error), str(error)) == (1, TrainingDiverged, str(inline.value))
+        assert helper.exitcode == 0 and claims.value == len(grid)
+
+
+def _claim_all(claims, n_runs, start, conn):
+    """A process of the test below: every grid index it takes, once all start."""
+    start.wait(timeout=120)
+    conn.send(list(pipeline._claimed(claims, n_runs)))
+
+
+def test_processes_claiming_at_once_take_every_run_once():
+    # more processes than cores, all claiming from one counter at once: a
+    # lost update would give two of them one index, or skip one
+    context = multiprocessing.get_context("spawn")
+    n_runs, n_processes = 20000, 4
+    claims = context.Value("i", 0)
+    start = context.Barrier(n_processes + 1)
+    pipes = [context.Pipe(duplex=False) for _ in range(n_processes)]
+    processes = [context.Process(target=_claim_all, args=(claims, n_runs, start, sender))
+                 for _, sender in pipes]
+    for process in processes:
+        process.start()
+    start.wait(timeout=120)
+    taken = []
+    for (receiver, sender), process in zip(pipes, processes):
+        sender.close()
+        assert receiver.poll(120)
+        taken += receiver.recv()
+        process.join(timeout=60)
+        assert process.exitcode == 0
+    assert sorted(taken) == list(range(n_runs)) and claims.value == n_runs
+
+
+@pytest.mark.parametrize("cls", [value for value in vars(errors).values()
+                                 if isinstance(value, type) and issubclass(value, errors.BenchError)])
+def test_every_bench_error_survives_a_pickle_round_trip(cls):
+    # a helper process of `train` sends the error its run raised this way
+    error = pickle.loads(pickle.dumps(cls("a message")))
+    assert (type(error), str(error), error.exit_code) == (cls, "a message", cls.exit_code)
 
 
 class TestEvaluate:

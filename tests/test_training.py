@@ -186,7 +186,7 @@ TF_SMALL = TransformerConfig(d_model=8, layers=1, heads=2, ffn_dim=16)
 
 def train_transformer_checkpoint(path) -> None:
     """One epoch of a micro two-layer Transformer, written as checkpoint.json:
-    a full-sequence and a pooled-row layer, whose nodes split their batches."""
+    a full-sequence and a pooled-row layer."""
     config = TransformerConfig(d_model=8, layers=2, heads=2, ffn_dim=16)
     run = train_model("classification", "transformer", small_dataset(), TrainConfig(epochs=1),
                       0, encoder_config=config)
@@ -302,31 +302,6 @@ class TestTrainModel:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         step()
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="the allocator thresholds are set on glibc only")
-    def test_the_helper_thread_allocates_from_the_main_arena(self):
-        # a fresh process, so that the helper thread first allocates after
-        # hold_freed_memory, and a calling thread that waits in its chunk
-        # until the helper has allocated in the other; glibc's malloc_stats
-        # prints one "Arena n:" per arena
-        script = ("import ctypes, threading, numpy as np\n"
-                  "from hrbench import autodiff as ad, training\n"
-                  "training.hold_freed_memory()\n"
-                  "allocated = threading.Event()\n"
-                  "def body(rows):\n"
-                  "    if threading.current_thread() is not threading.main_thread():\n"
-                  "        allocated.set()\n"
-                  "        return np.ones(1 << 16)\n"
-                  "    assert allocated.wait(timeout=30)\n"
-                  "ad._split_rows(body, 2)\n"
-                  "ctypes.CDLL(None).malloc_stats()\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        stats = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                               text=True, check=True, timeout=120).stderr
-        assert [line for line in stats.splitlines() if line.startswith("Arena")] == ["Arena 0:"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator thresholds are set on glibc only")
