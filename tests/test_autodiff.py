@@ -1,3 +1,4 @@
+import functools
 import math
 import weakref
 
@@ -317,6 +318,68 @@ def test_fused_layer_nodes_reject_mismatched_shapes():
         ad.ffn(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((4, 4))), b)
     with pytest.raises(ShapeError):
         ad.add_layer_norm(x, Tensor(np.zeros((2, 1, 4))), b, b)
+
+
+# the fused layer nodes of the Transformer; no batch row reads another, so a
+# batch split into row chunks gives the same rows as the whole batch
+SPLIT_NODES = ("attention-self", "attention-pooled", "ffn", "add_layer_norm")
+
+
+def _split_node_case(node, batch, rng):
+    """Float32 batched inputs, weights, the node as a function of both, and
+    its output shape; T = 7, d = 10, 5 heads and an FFN width of 6."""
+    steps, d, heads, width = 7, 10, 5, 6
+    draw = lambda shape, low=-1.0, high=1.0: rng.uniform(low, high, shape).astype(np.float32)
+    if node.startswith("attention"):
+        weights = [draw(shape) for shape in [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]]
+        if node == "attention-self":
+            inputs, rows = [draw((batch, steps, d))], steps
+            run = lambda x, *w: ad.attention(x, x, *w, heads=heads)[0]
+        else:
+            inputs, rows = [draw((batch, 1, d)), draw((batch, steps, d))], 1
+            run = lambda x_q, x_kv, *w: ad.attention(x_q, x_kv, *w, heads=heads)[0]
+        return inputs, weights, run, (batch, rows, d)
+    if node == "ffn":
+        weights = [draw(shape) for shape in [(d, width), (width,), (width, d), (d,)]]
+        return [draw((batch, steps, d))], weights, ad.ffn, (batch, steps, d)
+    weights = [draw(d, 0.5, 1.5), draw(d, -0.5, 0.5)]
+    inputs = [draw((batch, steps, d)), draw((batch, steps, d))]
+    return inputs, weights, ad.add_layer_norm, (batch, steps, d)
+
+
+def _run_node(run, inputs, weights, g):
+    """The node's output and the gradients its backward rule passes to each
+    input and each weight for the output gradient g."""
+    xs = [Parameter(f"x{i}", x) for i, x in enumerate(inputs)]
+    ws = [Parameter(f"w{i}", w) for i, w in enumerate(weights)]
+    out = run(*xs, *ws)
+    out._backward(g)
+    return [out.data, *(t.grad for t in xs + ws)]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 64])
+@pytest.mark.parametrize("node", SPLIT_NODES)
+def test_split_node_equals_its_chunks_run_alone(node, batch):
+    rng = np.random.default_rng(batch)
+    inputs, weights, run, out_shape = _split_node_case(node, batch, rng)
+    g = rng.uniform(-1, 1, out_shape).astype(np.float32)
+    whole = _run_node(run, inputs, weights, g)
+    bounds = np.linspace(0, batch, min(batch, 4) + 1).astype(int)
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    alone = [_run_node(run, [x[rows] for x in inputs], weights, g[rows]) for rows in chunks]
+    n_rows = 1 + len(inputs)  # the output, then the input gradients
+    for rows, chunk in zip(chunks, alone):
+        for got, want in zip(whole[:n_rows], chunk[:n_rows]):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got[rows], want, rtol=1e-5, atol=1e-6)
+    # a weight's gradient sums over the batch: the whole batch's one sum equals
+    # the chunks' sums added, up to float32 rounding of the terms
+    eps = np.finfo(np.float32).eps
+    for i, got in enumerate(whole[n_rows:], n_rows):
+        assert got.dtype == np.float32
+        want = functools.reduce(np.add, [chunk[i].astype(np.float64) for chunk in alone])
+        scale = functools.reduce(np.add, [np.abs(chunk[i]).astype(np.float64) for chunk in alone])
+        assert np.all(np.abs(got - want) <= 64 * eps * (scale + 1.0))
 
 
 def test_check_gradients_linear_model_near_exact():
