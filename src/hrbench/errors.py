@@ -44,7 +44,8 @@ class TrainingDiverged(BenchError):
 
 
 class HelperDied(BenchError):
-    """A helper process of `train` ended without reporting the run it took."""
+    """A helper process of `train` or `evaluate` ended without reporting the
+    run it took."""
 
 
 class EvaluationError(BenchError):

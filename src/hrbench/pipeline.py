@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import os
+import struct
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -165,11 +166,9 @@ def _load_finite(config: BenchConfig, names):
 
 
 def _cores() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """The number of processes a stage runs its runs on: on Linux, where
+    helpers fork, every CPU this process may use; elsewhere one."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 def _train_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec) -> str:
@@ -202,107 +201,98 @@ def _train_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec)
     return f"{run_id}: train_loss={final['train_loss']:.4f} val_loss={final['val_loss']:.4f}"
 
 
-def _claimed(claims, n_runs: int):
-    """The grid indices this process takes: each time the next one no process
-    has taken (the shared counter `claims`), until none is left."""
-    while True:
-        with claims.get_lock():
-            index = claims.value
-            claims.value = min(index + 1, n_runs)
-        if index == n_runs:
-            return
-        yield index
+# a claim on a run: its index, as one fixed-size record in the claims pipe
+_CLAIM = struct.Struct("=i")
 
 
-def _stop_claims(claims, n_runs: int) -> None:
-    """Leave no run of the grid for any process to take."""
-    with claims.get_lock():
-        claims.value = n_runs
+def _claims(indices) -> int | None:
+    """The reading end of a pipe that holds one record per index and whose
+    writing end is closed, so that a read of the empty pipe ends at once: a
+    process killed while it claims leaves nothing the others wait on. None
+    where the records do not fit the pipe's buffer, since writing them would
+    wait for a reader."""
+    import fcntl  # a Unix module, as the pool is Linux-only
 
-
-def _take_runs(config: BenchConfig, dataset, dataset_sha256: str, indices, claims, send) -> None:
-    """Train and write the runs `indices` yields, and send (index, print line)
-    for each. A run that raises sends (index, error) instead, once no process
-    can take another run."""
-    grid = _grid(config)
-    index = None
+    records = b"".join(map(_CLAIM.pack, indices))
+    reader, writer = os.pipe()
     try:
-        for index in indices:
-            send((index, _train_run(config, dataset, dataset_sha256, grid[index])))
-    except BaseException as error:
-        _stop_claims(claims, len(grid))
-        send((index, error))
+        if len(records) > fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ):
+            os.close(reader)
+            return None
+        os.write(writer, records)
+    finally:
+        os.close(writer)
+    return reader
 
 
-def _helper(config: BenchConfig, dataset_sha256: str, claims, conn) -> None:
-    """A helper process of `run_train`: it loads the train and val splits
-    itself, then takes runs as the calling process does and sends each
-    outcome on the pipe `conn`."""
-    dataset = _load_finite(config, ("train", "val"))
-    _take_runs(config, dataset, dataset_sha256, _claimed(claims, len(_grid(config))), claims,
-               conn.send)
+def _claimed(claims: int):
+    """The indices this process takes: each time the next record no process
+    has read from the claims pipe, until none is left."""
+    while record := os.read(claims, _CLAIM.size):
+        yield _CLAIM.unpack(record)[0]
 
 
-def run_train(config: BenchConfig) -> list[str]:
-    """Train the grid; the test split is not loaded. Returns the run ids in
-    grid order, and prints each run's line in grid order.
+def _stop_claims(claims: int) -> None:
+    """Leave no run for any process to take."""
+    while os.read(claims, 1 << 16):
+        pass
 
-    The runs are independent and seeded, so they train on every CPU this
-    process may use: the calling process and one helper process per other
-    CPU (at most one process per run) each take the next run no process has
+
+def _outcomes(run, indices, claims: int):
+    """(index, run(index)) for each index `indices` yields. A run that raises
+    gives (index, error) instead, once no process can take another run."""
+    for index in indices:
+        try:
+            outcome = run(index)
+        except BaseException as error:  # the calling process raises it
+            _stop_claims(claims)
+            yield index, error
+            return
+        yield index, outcome
+
+
+def _serve(run, claims: int, conn) -> None:
+    """A helper process of `_pooled`: it takes runs as the calling process
+    does and sends each outcome on the pipe `conn`."""
+    for message in _outcomes(run, _claimed(claims), claims):
+        conn.send(message)
+
+
+def _pooled(run, run_ids: list[str], stage: str, undone: str):
+    """Yield run(index) for each index of `run_ids`, in order.
+
+    The runs are independent, so they run on every CPU this process may use
+    (`_cores`): the calling process and one helper process per other CPU
+    (at most one process per run) each take the next run no process has
     taken until none is left; the calling process takes the first. A helper
-    is a fresh `spawn` process that loads the train and val splits itself
-    and sends back each run's line, or the error its run raised. A run's
-    files are the same bits whichever process trains it.
+    is forked, so it holds whatever `run` reads (the loaded splits, say)
+    without loading it again, and it sends back what each of its runs
+    returned, or the error it raised. Elsewhere than Linux, or on one CPU,
+    every run runs here.
 
-    Every grid run's old checkpoint.json goes first, and a run writes its
-    new one last, after its manifest, so a run that did not finish has
-    none, which `run_evaluate` reports. After a run raises, no process
-    takes another; once every helper has ended, the error of the first
-    such run in grid order is raised as it was. A helper that ends without
-    reporting its run (killed, say) stops the claims too: a HelperDied
-    names its exit code and the runs left untrained. Each manifest holds
-    the sha256 of the dataset.json it was trained on.
+    After a run raises, no process takes another; once every helper has
+    ended, the error of the first such run in order is raised as it was.
+    A helper that ends without reporting its run (killed, say) stops the
+    claims too: a HelperDied names `stage`, the helper's exit code and the
+    runs left `undone`.
     """
-    # imported here: preparing a dataset starts no process
+    n_processes = min(len(run_ids), _cores())
+    claims = _claims(range(1, len(run_ids))) if n_processes > 1 else None
+    if claims is None:
+        yield from map(run, range(len(run_ids)))
+        return
+    # imported only where helpers start
     import multiprocessing
     from multiprocessing.connection import wait
 
-    dataset = _load_finite(config, ("train", "val"))
-    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
-    grid = _grid(config)
-    context = multiprocessing.get_context("spawn")
-    claims = context.Value("i", 1)  # run 0 is the calling process's
+    context = multiprocessing.get_context("fork")
     helpers = {}  # the receiving end of each running helper's pipe -> the helper
-    try:
-        # no helper takes a run before the old checkpoints are gone; and a
-        # script without a __main__ guard, which a spawned helper runs again,
-        # stops there at start() before it removes any
-        with claims.get_lock():
-            for _ in range(min(len(grid), _cores()) - 1):
-                receiver, sender = context.Pipe(duplex=False)
-                helpers[receiver] = context.Process(
-                    target=_helper, args=(config, dataset_sha256, claims, sender), daemon=True)
-                helpers[receiver].start()
-                sender.close()
-            for spec in grid:
-                remove(Path(config.runs_dir) / spec.run_id / "checkpoint.json")
-    except BaseException:
-        _stop_claims(claims, len(grid))
-        for helper in helpers.values():
-            helper.join()
-        raise
-    outcomes: dict = {}  # grid index -> print line or error
+    outcomes: dict = {}  # index -> what its run returned, or the error it raised
     exit_codes = []  # of the helpers that ended without reporting their runs
-    printed = 0
+    done = 0  # the runs yielded
 
-    def collect(message=None, timeout=0.0) -> None:
-        """Record `message` and whatever the helpers have sent within
-        `timeout` seconds, then print the lines now in grid order."""
-        nonlocal printed
-        if message is not None:
-            index, outcome = message
-            outcomes[index] = outcome
+    def collect(timeout) -> None:
+        """Record whatever the helpers send within `timeout` seconds."""
         for receiver in wait(list(helpers), timeout):
             try:
                 index, outcome = receiver.recv()
@@ -310,26 +300,66 @@ def run_train(config: BenchConfig) -> list[str]:
             except EOFError:  # the helper has ended
                 helper = helpers.pop(receiver)
                 helper.join()
+                receiver.close()
                 if helper.exitcode:
                     exit_codes.append(helper.exitcode)
-                    _stop_claims(claims, len(grid))
-        while isinstance(outcomes.get(printed), str):
-            print(outcomes[printed])
-            printed += 1
+                    _stop_claims(claims)
 
-    _take_runs(config, dataset, dataset_sha256,
-               itertools.chain([0], _claimed(claims, len(grid))), claims, collect)
-    while helpers:
-        collect(timeout=None)
+    try:
+        for _ in range(n_processes - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            helpers[receiver] = context.Process(target=_serve, args=(run, claims, sender),
+                                                daemon=True)
+            helpers[receiver].start()
+            sender.close()
+        # run 0 is the calling process's
+        mine = _outcomes(run, itertools.chain([0], _claimed(claims)), claims)
+        while True:
+            message = next(mine, None)
+            if message is None and not helpers:
+                break
+            if message is not None:
+                outcomes.update([message])
+            collect(None if message is None else 0)
+            while done in outcomes and not isinstance(outcomes[done], BaseException):
+                yield outcomes[done]
+                done += 1
+    finally:
+        _stop_claims(claims)
+        while helpers:
+            collect(None)
+        os.close(claims)
     errors = [index for index, outcome in outcomes.items() if isinstance(outcome, BaseException)]
     if errors:
         raise outcomes[min(errors)]
-    untrained = [spec.run_id for index, spec in enumerate(grid) if index not in outcomes]
-    if untrained:
-        raise HelperDied(f"a helper process of train exited with code "
-                         f"{', '.join(map(str, exit_codes))}; runs left untrained: "
-                         f"{', '.join(untrained)}")
-    return [spec.run_id for spec in grid]
+    left = [run_id for index, run_id in enumerate(run_ids) if index not in outcomes]
+    if left:
+        raise HelperDied(f"a helper process of {stage} exited with code "
+                         f"{', '.join(map(str, exit_codes))}; runs left {undone}: "
+                         f"{', '.join(left)}")
+
+
+def run_train(config: BenchConfig) -> list[str]:
+    """Train the grid; the test split is not loaded. Returns the run ids in
+    grid order, and prints each run's line in grid order.
+
+    The runs train on every CPU (`_pooled`); a run's files are the same bits
+    whichever process trains it. Every grid run's old checkpoint.json goes
+    before any run starts, and a run writes its new one last, after its
+    manifest, so a run that did not finish has none, which `run_evaluate`
+    reports. Each manifest holds the sha256 of the dataset.json it was
+    trained on.
+    """
+    dataset = _load_finite(config, ("train", "val"))
+    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
+    grid = _grid(config)
+    run_ids = [spec.run_id for spec in grid]
+    for run_id in run_ids:
+        remove(Path(config.runs_dir) / run_id / "checkpoint.json")
+    for line in _pooled(lambda index: _train_run(config, dataset, dataset_sha256, grid[index]),
+                        run_ids, "train", "untrained"):
+        print(line)
+    return run_ids
 
 
 def metric_table(task: str, threshold: float | None = None) -> dict:
@@ -405,13 +435,69 @@ def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_conf
                                   "train the run again")
 
 
+def _score_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec) -> list[dict]:
+    """Check one run's checkpoint and manifest against the config and the
+    dataset, score it on the test split and return its report rows; a
+    classification run also gets its calibration.json."""
+    base = Path(config.runs_dir)
+    run_dir = base / spec.run_id
+    enc_config = config.encoder_config(spec.model_kind, spec.hidden)
+    # the blob `run_train` writes, as JSON reads it back: a tuple as a list
+    wanted = json.loads(json.dumps({"model_kind": spec.model_kind, **asdict(enc_config)}))
+    try:
+        params, blob = load_checkpoint(run_dir / "checkpoint.json")
+        for key in {**wanted, **blob}:
+            if blob.get(key) != wanted.get(key):
+                raise ValueError(f"trained with {key} = {blob.get(key)!r}, "
+                                 f"the config gives {wanted.get(key)!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        # for example a file cut short or edited by hand, or a run
+        # trained under other [models] settings
+        raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
+                              f"({type(exc).__name__}: {exc}); train the run again") from None
+    _check_checkpoint(spec.run_id, base, params, spec.model_kind, enc_config)
+    manifest = run_dir / "manifest.json"
+    try:
+        with reading(manifest) as fh:
+            trained = json.load(fh)
+    except ValueError as exc:
+        raise EvaluationError(f"run {spec.run_id}: {manifest} is not a run manifest "
+                              f"({exc}); train the run again") from None
+    if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset_sha256:
+        raise EvaluationError(f"run {spec.run_id} was trained on another prepared dataset "
+                              f"than {Path(config.data.dataset_dir) / 'dataset.json'} (its "
+                              "manifest's dataset_sha256 is missing or differs); "
+                              "train the run again")
+
+    def predict(split: SplitData):
+        return models.model_predictions(spec.model_kind, enc_config, params,
+                                        split.contexts_norm, split.last_context_norm)
+
+    test = dataset.split("test")
+    out = predict(test)
+    if spec.task == "classification":
+        val = dataset.split("val")
+        temperature, tau = _calibrate(run_dir, val, predict(val)["cls_logit"], config)
+        columns = {"probs": cal.apply_temperature(out["cls_logit"], temperature),
+                   "labels": test.cls_labels.astype(np.float64)}
+        table = metric_table(spec.task, tau)
+    else:
+        mu = out["mu_tilde"] if spec.target_mode == "residual" else out["delta_mu"]
+        columns = {"mu": dataset.stats.denormalize(mu),
+                   "sigma": dataset.stats.scale_to_bpm(out["sigma_n"]),
+                   "target": test.fc_targets_bpm}
+        table = metric_table(spec.task)
+    return _scored_rows(spec.task, spec.model_label, spec.seed, test, columns, table, config)
+
+
 def run_evaluate(config: BenchConfig) -> list[dict]:
     """Score the runs of the config's grid plus the non-learned baselines;
     write reports. A grid run trained on another dataset.json than the one
     under the config's dataset_dir is an EvaluationError. Run directories
     outside the grid are not read; those that hold a checkpoint (other seeds,
     a capacity sweep the config leaves out) are named in a warning on
-    stderr."""
+    stderr. The runs are scored on every CPU (`_pooled`), and their rows
+    gather in run-id order."""
     base = Path(config.runs_dir)
     specs = sorted(_grid(config), key=lambda spec: spec.run_id)
     for spec in specs:
@@ -424,67 +510,20 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
         print(f"warning: not scoring {len(outside)} trained run(s) under {base} outside "
               f"the config's grid: {', '.join(outside)}", file=sys.stderr)
     dataset = _load_finite(config, ("val", "test", "train"))
-    dataset_json = Path(config.data.dataset_dir) / "dataset.json"
-    dataset_sha256 = sha256(dataset_json)
-    val, test = dataset.split("val"), dataset.split("test")
-    labels = test.cls_labels.astype(np.float64)
-    rows: list[dict] = []
-    for spec in specs:
-        run_dir = base / spec.run_id
-        enc_config = config.encoder_config(spec.model_kind, spec.hidden)
-        # the blob `run_train` writes, as JSON reads it back: a tuple as a list
-        wanted = json.loads(json.dumps({"model_kind": spec.model_kind, **asdict(enc_config)}))
-        try:
-            params, blob = load_checkpoint(run_dir / "checkpoint.json")
-            for key in {**wanted, **blob}:
-                if blob.get(key) != wanted.get(key):
-                    raise ValueError(f"trained with {key} = {blob.get(key)!r}, "
-                                     f"the config gives {wanted.get(key)!r}")
-        except (ValueError, KeyError, TypeError) as exc:
-            # for example a file cut short or edited by hand, or a run
-            # trained under other [models] settings
-            raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
-                                  f"({type(exc).__name__}: {exc}); train the run again") from None
-        _check_checkpoint(spec.run_id, base, params, spec.model_kind, enc_config)
-        manifest = run_dir / "manifest.json"
-        try:
-            with reading(manifest) as fh:
-                trained = json.load(fh)
-        except ValueError as exc:
-            raise EvaluationError(f"run {spec.run_id}: {manifest} is not a run manifest "
-                                  f"({exc}); train the run again") from None
-        if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset_sha256:
-            raise EvaluationError(f"run {spec.run_id} was trained on another prepared dataset "
-                                  f"than {dataset_json} (its manifest's dataset_sha256 is "
-                                  "missing or differs); train the run again")
-
-        def predict(split: SplitData):
-            return models.model_predictions(spec.model_kind, enc_config, params,
-                                            split.contexts_norm, split.last_context_norm)
-
-        out = predict(test)
-        if spec.task == "classification":
-            temperature, tau = _calibrate(run_dir, val, predict(val)["cls_logit"], config)
-            columns = {"probs": cal.apply_temperature(out["cls_logit"], temperature),
-                       "labels": labels}
-            table = metric_table(spec.task, tau)
-        else:
-            mu = out["mu_tilde"] if spec.target_mode == "residual" else out["delta_mu"]
-            columns = {"mu": dataset.stats.denormalize(mu),
-                       "sigma": dataset.stats.scale_to_bpm(out["sigma_n"]),
-                       "target": test.fc_targets_bpm}
-            table = metric_table(spec.task)
-        rows.extend(_scored_rows(spec.task, spec.model_label, spec.seed, test, columns,
-                                 table, config))
+    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
+    rows = [row for run_rows in _pooled(
+        lambda index: _score_run(config, dataset, dataset_sha256, specs[index]),
+        [spec.run_id for spec in specs], "evaluate", "unscored") for row in run_rows]
 
     # the non-learned baselines depend on no training seed: scored once,
     # reported under each seed
-    train = dataset.split("train")
+    test, train = dataset.split("test"), dataset.split("train")
     resid_std = float(np.std(train.fc_targets_bpm - train.contexts_bpm[:, -1]))
     mu_bpm, sigma_bpm = models.persistence_forecast(test.contexts_bpm, resid_std)
     baselines = _scored_rows(
         "classification", "always_negative", None, test,
-        {"probs": models.always_negative_probs(len(test)), "labels": labels},
+        {"probs": models.always_negative_probs(len(test)),
+         "labels": test.cls_labels.astype(np.float64)},
         metric_table("classification"), config,
     ) + _scored_rows(
         "forecasting", "persistence", None, test,

@@ -1,13 +1,14 @@
+import contextlib
 import csv
 import gzip
 import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -180,9 +181,50 @@ class TestTrain:
 
 
 def _pin_cpus(monkeypatch, n: int) -> None:
-    """Let `run_train` see `n` CPUs, and so train on `n` processes. Only the
-    calling process sees this; a helper it spawns does not."""
+    """Let a stage see `n` CPUs, and so run its runs on `n` processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _running(pid: int) -> bool:
+    """Whether the process `pid` still runs (a zombie does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _bench_killing_its_helper(ini: Path, stage: str):
+    """Run `bench <stage>` in a process of its own and SIGKILL its first
+    helper process once one exists. Returns the exit code, stderr, the
+    killed pid and every child process seen."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    bench = subprocess.Popen([sys.executable, "-m", "hrbench.cli", stage, "--config", str(ini)],
+                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                             text=True)
+    children = Path(f"/proc/{bench.pid}/task/{bench.pid}/children")
+    killed, seen = None, set()
+    deadline = time.monotonic() + 120
+    while killed is None and bench.poll() is None and time.monotonic() < deadline:
+        try:
+            pids = [int(pid) for pid in children.read_text().split()]
+        except FileNotFoundError:  # bench has just ended
+            break
+        seen.update(pids)
+        if pids:
+            os.kill(pids[0], signal.SIGKILL)
+            killed = pids[0]
+        time.sleep(1e-3)
+    err = bench.communicate(timeout=300)[1]
+    return bench.returncode, err, killed, seen
+
+
+needs_proc_children = pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs two CPUs and Linux's /proc/<pid>/task/<pid>/children")
 
 
 class TestTrainPool:
@@ -204,39 +246,18 @@ class TestTrainPool:
         assert lines[1] == lines[2]
         assert len(files[1]) == 3 * len(grid_ids) and files[1] == files[2]
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-    def test_a_killed_helper_ends_train_with_a_typed_error(self, prepared, monkeypatch, capsys):
+    @needs_proc_children
+    def test_a_killed_helper_ends_train_with_a_typed_error(self, prepared, capsys):
         config, _ = prepared
         ini = Path(config.runs_dir).parent / "bench.ini"
         ini.write_text(render_config(config), encoding="utf-8")
         assert cli.main(["train", "--config", str(ini)]) == 0  # every run has a checkpoint
-        _pin_cpus(monkeypatch, 2)
-        killed = []
-
-        def kill_the_first_helper():
-            deadline = time.monotonic() + 120
-            while not killed and time.monotonic() < deadline:
-                helpers = multiprocessing.active_children()
-                if helpers:
-                    os.kill(helpers[0].pid, signal.SIGKILL)
-                    killed.append(helpers[0].pid)
-                time.sleep(1e-3)
-
-        killer = threading.Thread(target=kill_the_first_helper, daemon=True)
-        trainer = threading.Thread(target=lambda: codes.append(
-            cli.main(["train", "--config", str(ini)])), daemon=True)
-        codes = []
-        killer.start()
-        trainer.start()
-        trainer.join(timeout=300)
-        killer.join(timeout=10)
-        assert not trainer.is_alive() and not killer.is_alive()
-        err = capsys.readouterr().err
-        assert killed and codes == [HelperDied.exit_code]
+        code, err, killed, seen = _bench_killing_its_helper(ini, "train")
+        assert killed and code == HelperDied.exit_code
         assert f"exited with code {-signal.SIGKILL}; runs left untrained: " in err
         untrained = err.strip().split("runs left untrained: ")[1].split(", ")
         assert untrained and set(untrained) <= {spec.run_id for spec in pipeline._grid(config)}
-        assert multiprocessing.active_children() == []
+        assert not any(map(_running, seen))
         # the runs the killed train left have no checkpoint, not the first train's
         assert cli.main(["evaluate", "--config", str(ini)]) == EvaluationError.exit_code
         assert f"grid run {min(untrained)} has no checkpoint" in capsys.readouterr().err
@@ -272,8 +293,7 @@ class TestTrainPool:
         assert not list(Path(config.runs_dir).glob("*/manifest.json"))
 
     def test_a_script_without_a_main_guard_keeps_its_checkpoints(self, prepared, tmp_path):
-        # a spawned helper runs such a script again, whose run_train must stop
-        # at starting a process before it removes any checkpoint
+        # a forked helper does not run the script's main module again
         config, _ = prepared
         ini = tmp_path / "bench.ini"
         ini.write_text(render_config(config), encoding="utf-8")
@@ -289,8 +309,9 @@ class TestTrainPool:
         out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                              text=True, timeout=300).stdout
         trained = [line.split(":")[0] for line in out.splitlines()]
-        assert trained and all((Path(config.runs_dir) / run_id / "checkpoint.json").exists()
-                               for run_id in trained)
+        assert trained == [spec.run_id for spec in pipeline._grid(config)]
+        assert all((Path(config.runs_dir) / run_id / "checkpoint.json").exists()
+                   for run_id in trained)
 
     def test_a_helper_sends_its_runs_error_and_stops_the_claims(self, prepared):
         config, _ = prepared
@@ -298,55 +319,181 @@ class TestTrainPool:
         config = replace(config, train=replace(config.train, lr=1e300))
         grid = pipeline._grid(config)
         dataset = pipeline._load_finite(config, ("train", "val"))
-        with pytest.raises(TrainingDiverged) as inline, np.errstate(over="ignore",
-                                                                    invalid="ignore"):
-            pipeline._train_run(config, dataset, "", grid[1])
-        context = multiprocessing.get_context("spawn")
-        claims = context.Value("i", 1)
+
+        def run(index):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return pipeline._train_run(config, dataset, "", grid[index])
+
+        with pytest.raises(TrainingDiverged) as inline:
+            run(1)
+        context = multiprocessing.get_context("fork")
+        claims = pipeline._claims(range(1, len(grid)))
         receiver, sender = context.Pipe(duplex=False)
-        helper = context.Process(target=pipeline._helper, args=(config, "", claims, sender))
+        helper = context.Process(target=pipeline._serve, args=(run, claims, sender))
         helper.start()
         sender.close()
-        assert receiver.poll(120)
-        index, error = receiver.recv()
-        helper.join(timeout=60)
-        assert (index, type(error), str(error)) == (1, TrainingDiverged, str(inline.value))
-        assert helper.exitcode == 0 and claims.value == len(grid)
+        try:
+            assert receiver.poll(120)
+            index, error = receiver.recv()
+            helper.join(timeout=60)
+            assert (index, type(error), str(error)) == (1, TrainingDiverged, str(inline.value))
+            assert helper.exitcode == 0 and list(pipeline._claimed(claims)) == []
+        finally:
+            os.close(claims)
 
 
-def _claim_all(claims, n_runs, start, conn):
-    """A process of the test below: every grid index it takes, once all start."""
+class TestEvaluatePool:
+    @pytest.fixture()
+    def trained(self, prepared):
+        config, _ = prepared
+        pipeline.run_train(config)
+        return config
+
+    def test_one_process_and_two_write_the_same_bytes(self, trained, tmp_path, monkeypatch):
+        files = {}
+        for n in (1, 2):
+            _pin_cpus(monkeypatch, n)
+            runs = replace(trained, runs_dir=str(tmp_path / f"runs_{n}"))
+            shutil.copytree(trained.runs_dir, runs.runs_dir)
+            pipeline.run_evaluate(runs)
+            base = Path(runs.runs_dir)
+            files[n] = {path.relative_to(base).as_posix(): path.read_bytes()
+                        for path in base.rglob("*") if path.is_file()}
+        written = {"report.csv", "report.json"} | {
+            f"{spec.run_id}/calibration.json" for spec in pipeline._grid(trained)
+            if spec.task == "classification"}
+        assert written <= set(files[1]) and files[1] == files[2]
+
+    def test_a_helpers_error_reaches_the_cli_unchanged(self, trained, tmp_path, monkeypatch,
+                                                       capsys):
+        ini = tmp_path / "bench.ini"
+        ini.write_text(render_config(trained), encoding="utf-8")
+        last = max(spec.run_id for spec in pipeline._grid(trained))
+        checkpoint = Path(trained.runs_dir) / last / "checkpoint.json"
+        checkpoint.write_text(checkpoint.read_text(encoding="utf-8")[:100], encoding="utf-8")
+        # the calling process waits in its first run, so a helper takes the last
+        caller, scored_by = os.getpid(), {}
+        score_run = pipeline._score_run
+
+        def slow_in_the_caller(config, dataset, dataset_sha256, spec):
+            if os.getpid() == caller:
+                time.sleep(0.5)
+            (tmp_path / spec.run_id).write_text(str(os.getpid()), encoding="utf-8")
+            return score_run(config, dataset, dataset_sha256, spec)
+
+        monkeypatch.setattr(pipeline, "_score_run", slow_in_the_caller)
+        ends = []
+        for n in (1, 2):
+            _pin_cpus(monkeypatch, n)
+            ends.append((cli.main(["evaluate", "--config", str(ini)]), capsys.readouterr().err))
+            scored_by[n] = int((tmp_path / last).read_text(encoding="utf-8"))
+            assert multiprocessing.active_children() == []
+            assert not (Path(trained.runs_dir) / "report.csv").exists()
+        assert scored_by[1] == caller != scored_by[2]
+        assert ends[0] == ends[1]
+        assert ends[0][0] == EvaluationError.exit_code
+        assert ends[0][1].startswith(f"error: run {last}: unreadable checkpoint.json under ")
+
+    @needs_proc_children
+    def test_a_killed_helper_ends_evaluate_with_a_typed_error(self, trained, tmp_path):
+        # more bootstrap draws, so the calling process's first run outlasts the kill
+        config = replace(trained, evaluation=replace(trained.evaluation, bootstrap_draws=2000))
+        ini = tmp_path / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        code, err, killed, seen = _bench_killing_its_helper(ini, "evaluate")
+        assert killed and code == HelperDied.exit_code
+        assert f"exited with code {-signal.SIGKILL}; runs left unscored: " in err
+        unscored = err.strip().split("runs left unscored: ")[1].split(", ")
+        assert unscored and set(unscored) <= {spec.run_id for spec in pipeline._grid(config)}
+        assert not any(map(_running, seen))
+        assert not (Path(config.runs_dir) / "report.csv").exists()
+
+
+def test_the_calling_process_takes_the_first_run_and_any_grid_the_claims_cannot_hold(
+        monkeypatch):
+    import fcntl  # a Unix module, as the pool is Linux-only
+
+    _pin_cpus(monkeypatch, 2)
+    assert next(pipeline._pooled(lambda index: os.getpid(), ["a", "b"], "test", "undone")) \
+        == os.getpid()
+    reader, writer = os.pipe()
+    try:
+        capacity = fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(reader)
+        os.close(writer)
+    # one record more than the claims pipe holds: every run runs here
+    ids = [str(index) for index in range(capacity // pipeline._CLAIM.size + 2)]
+    outcomes = list(pipeline._pooled(lambda index: (index, os.getpid()), ids, "test", "undone"))
+    assert outcomes == [(index, os.getpid()) for index in range(len(ids))]
+
+
+def _claim_all(claims, start, conn, pause):
+    """A process of the tests below: every index it takes, once all start,
+    waiting `pause` seconds after each."""
     start.wait(timeout=120)
-    conn.send(list(pipeline._claimed(claims, n_runs)))
+    taken = []
+    for index in pipeline._claimed(claims):
+        taken.append(index)
+        time.sleep(pause)
+    conn.send(taken)
+
+
+def _claiming_at_once(n_runs: int, n_processes: int, victim=None, pause=0.0):
+    """`n_processes` processes take indices from one claims pipe at once; the
+    `victim`-th is SIGKILLed as they start. Returns what each process that
+    ended took, by process, and their exit codes."""
+    context = multiprocessing.get_context("fork")
+    claims = pipeline._claims(range(n_runs))
+    assert claims is not None
+    try:
+        start = context.Barrier(n_processes + 1)
+        pipes = [context.Pipe(duplex=False) for _ in range(n_processes)]
+        processes = [context.Process(target=_claim_all, args=(claims, start, sender, pause))
+                     for _, sender in pipes]
+        for process, (_, sender) in zip(processes, pipes):
+            process.start()
+            sender.close()
+        start.wait(timeout=120)
+        if victim is not None:
+            os.kill(processes[victim].pid, signal.SIGKILL)
+        taken, codes = [], []
+        for (receiver, _), process in zip(pipes, processes):
+            assert receiver.poll(120)
+            with contextlib.suppress(EOFError):  # a killed process sends nothing
+                taken.append(receiver.recv())
+            process.join(timeout=60)
+            assert not process.is_alive()
+            codes.append(process.exitcode)
+        assert list(pipeline._claimed(claims)) == []
+    finally:
+        os.close(claims)
+    return taken, codes
 
 
 def test_processes_claiming_at_once_take_every_run_once():
-    # more processes than cores, all claiming from one counter at once: a
-    # lost update would give two of them one index, or skip one
-    context = multiprocessing.get_context("spawn")
-    n_runs, n_processes = 20000, 4
-    claims = context.Value("i", 0)
-    start = context.Barrier(n_processes + 1)
-    pipes = [context.Pipe(duplex=False) for _ in range(n_processes)]
-    processes = [context.Process(target=_claim_all, args=(claims, n_runs, start, sender))
-                 for _, sender in pipes]
-    for process in processes:
-        process.start()
-    start.wait(timeout=120)
-    taken = []
-    for (receiver, sender), process in zip(pipes, processes):
-        sender.close()
-        assert receiver.poll(120)
-        taken += receiver.recv()
-        process.join(timeout=60)
-        assert process.exitcode == 0
-    assert sorted(taken) == list(range(n_runs)) and claims.value == n_runs
+    # more processes than cores, all reading one claims pipe at once: a
+    # shared or torn record would give two of them one index, or skip one
+    n_runs = 16000
+    taken, codes = _claiming_at_once(n_runs, 4)
+    assert codes == [0] * 4
+    assert sorted(index for indices in taken for index in indices) == list(range(n_runs))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_a_process_killed_while_claiming_stops_no_other():
+    # each process pauses after a claim, so the victim is still claiming
+    n_runs = 16000
+    taken, codes = _claiming_at_once(n_runs, 4, victim=0, pause=1e-4)
+    assert codes == [-signal.SIGKILL, 0, 0, 0] and len(taken) == 3
+    indices = [index for indices in taken for index in indices]
+    assert len(set(indices)) == len(indices) and set(indices) <= set(range(n_runs))
 
 
 @pytest.mark.parametrize("cls", [value for value in vars(errors).values()
                                  if isinstance(value, type) and issubclass(value, errors.BenchError)])
 def test_every_bench_error_survives_a_pickle_round_trip(cls):
-    # a helper process of `train` sends the error its run raised this way
+    # a helper process of `train` or `evaluate` sends the error its run raised this way
     error = pickle.loads(pickle.dumps(cls("a message")))
     assert (type(error), str(error), error.exit_code) == (cls, "a message", cls.exit_code)
 
@@ -390,6 +537,7 @@ class TestEvaluate:
             return bootstrap(*args, **kwargs)
 
         monkeypatch.setattr(pipeline.met, "grouped_bootstrap", counted)
+        _pin_cpus(monkeypatch, 1)  # a helper's calls would not reach `calls`
         rows = pipeline.run_evaluate(config)
         # 6 classification runs x 6 metrics + 6 forecasting runs x 3, plus
         # 4 always-negative and 3 persistence metrics once, not once per seed
