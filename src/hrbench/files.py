@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -51,12 +50,6 @@ def writing(path, newline=None):
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-
-def sha256(path) -> str:
-    """The hex sha256 of the bytes of `path`."""
-    with _named(path):
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def remove(path) -> None:

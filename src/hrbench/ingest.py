@@ -15,6 +15,7 @@ plus their normalized columns.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import random
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -279,12 +280,13 @@ class WindowedDataset:
     a split left out is not built, so nothing can read it."""
 
     def __init__(self, windows: Windows, split: Mapping[str, str],
-                 stats: StandardizationStats, theta: float, names=SPLIT_NAMES):
+                 stats: StandardizationStats, theta: float, names=SPLIT_NAMES, sha256=None):
         split_of = _split_of(windows, split)
         self._splits = {name: _split_data(windows.rows(split_of == name), stats)
                         for name in SPLIT_NAMES if name in names}
         self.stats = stats
         self.theta = theta
+        self.sha256 = sha256
 
     def split(self, name: str) -> SplitData:
         if name not in self._splits:
@@ -380,9 +382,13 @@ def read_peak_file(path) -> np.ndarray:
     raise DataError(f"{path}: not a peak file")
 
 
-def read_manifest(manifest_path) -> list[RPeakRecord]:
+def read_manifest(manifest_path, exclude: Collection[str] = ()) -> list[RPeakRecord]:
     """Manifest CSV `record_id,path`; paths resolve relative to the manifest.
-    A fault in a listed record's peaks is a DataError naming the manifest line."""
+    A fault in a listed record's peaks is a DataError naming the manifest line.
+
+    The records `exclude` names are left out, and their peak files are not
+    read; their rows are checked like any other. An id in `exclude` that the
+    manifest does not list is a DataError."""
     base = Path(manifest_path).parent
     records = []
     seen: dict[str, int] = {}
@@ -399,10 +405,16 @@ def read_manifest(manifest_path) -> list[RPeakRecord]:
                 raise DataError(f"{where}: record {record_id!r} is listed twice "
                                 f"(first at line {seen[record_id]})")
             seen[record_id] = reader.line_num
+            if record_id in exclude:
+                continue
             try:
                 records.append(RPeakRecord(record_id, read_peak_file(base / rel)))
             except (DataError, ValueError) as exc:
                 raise DataError(f"{where}: {exc}") from None
+    unknown = set(exclude) - seen.keys()
+    if unknown:
+        raise DataError(f"{manifest_path}: exclude names records the manifest does not list: "
+                        f"{', '.join(map(repr, sorted(unknown)))}")
     return records
 
 
@@ -473,6 +485,17 @@ def _until_blank(lines):
         yield line
 
 
+def _checked(numbers: np.ndarray) -> np.ndarray:
+    """Parsed `windows.csv` numbers, if each row can be a window, else a
+    ValueError. Mins and maxes down the columns need no table-sized buffer,
+    and a NaN is both the min and the max of a column that holds one."""
+    starts, labels, values = numbers["start"], numbers["label"], numbers["values"]
+    if len(numbers) and not (starts.min() >= 0 and 0 <= labels.min() <= labels.max() <= 1
+                             and np.isfinite([values.min(axis=0), values.max(axis=0)]).all()):
+        raise ValueError("a value no window holds")
+    return numbers
+
+
 def _parse_windows(fh, split: Mapping[str, str]) -> Windows:
     """The body of `windows.csv` in one pass of numpy's text parser; a
     ValueError on anything the row-by-row scan must look at."""
@@ -488,7 +511,7 @@ def _parse_windows(fh, split: Mapping[str, str]) -> Windows:
         raise ValueError("a record outside the split")
     # the width np.array(ids, dtype=str) gives
     longest = max(map(len, present), default=0)
-    return _table(table["id"].astype(f"U{max(longest, 1)}"), table)
+    return _table(table["id"].astype(f"U{max(longest, 1)}"), _checked(table))
 
 
 def _scan_windows(path, split: Mapping[str, str]) -> Windows:
@@ -508,7 +531,7 @@ def _scan_windows(path, split: Mapping[str, str]) -> Windows:
             if row[0] not in split:
                 raise DataError(f"{where}: record {row[0]!r} is not in the split of dataset.json")
             try:
-                rows.append(_parse_fields(row[1:], dtype))
+                rows.append(_checked(_parse_fields(row[1:], dtype)))
             except ValueError:
                 raise _bad_field(names, row[1:], where) from None
             record_ids.append(row[0])
@@ -517,18 +540,24 @@ def _scan_windows(path, split: Mapping[str, str]) -> Windows:
 
 
 def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataError:
-    """The error naming the first of a row's number fields that does not parse."""
+    """The error naming the first of a row's number fields that no window holds."""
     for i, (name, text) in enumerate(zip(names, fields)):
         dtype, kind = (np.int64, "an integer") if i < 2 else (np.float64, "a number")
         try:
-            _parse_fields([text], dtype)
+            value = _parse_fields([text], dtype)[0]
         except ValueError:
             return DataError(f"{where}: {name} {text!r} is not {kind}")
+        fault = ("is negative" if i == 0 and value < 0 else
+                 "is not 0 or 1" if i == 1 and value not in (0, 1) else
+                 "is not finite" if i > 1 and not np.isfinite(value) else None)
+        if fault:
+            return DataError(f"{where}: {name} {text!r} {fault}")
     return DataError(f"{where}: not a row of numbers")
 
 
 def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
-    """The splits `names` of the dataset `save_prepared` wrote.
+    """The splits `names` of the dataset `save_prepared` wrote, and its
+    `sha256`: that of the dataset.json text parsed here, read untranslated.
 
     A dataset whose `T`, `H` or `theta` is not the task's (an older version
     could prepare one under other settings) is a DataError. The body of
@@ -536,12 +565,16 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
     are those of `read_peak_file`. Only a file that pass rejects, or one
     with a blank line or a record outside the split, is scanned row by row,
     to name the first faulty line in a DataError.
+
+    Every window, in every split, must have a start index >= 0, a label 0
+    or 1 and finite values; another is a DataError naming its line.
     """
     base = Path(dataset_dir)
     meta = base / "dataset.json"
+    with reading(meta, newline="") as fh:
+        text = fh.read()
     try:
-        with reading(meta) as fh:
-            sidecar = json.load(fh)
+        sidecar = json.loads(text)
         stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
         T, H, theta = int(sidecar["T"]), int(sidecar["H"]), float(sidecar["theta"])
         split = sidecar["split"]
@@ -570,4 +603,5 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
             windows = None
     if windows is None:
         windows = _scan_windows(path, split)
-    return WindowedDataset(windows, split, stats, theta, names)
+    return WindowedDataset(windows, split, stats, theta, names,
+                           hashlib.sha256(text.encode("utf-8")).hexdigest())

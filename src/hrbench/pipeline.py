@@ -23,7 +23,7 @@ from . import models, synth, training
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import BenchConfig
 from .errors import DataError, EvaluationError, HelperDied
-from .files import reading, remove, sha256, write_csv, write_json
+from .files import reading, remove, write_csv, write_json
 from .ingest import (
     SplitData,
     Windows,
@@ -65,13 +65,7 @@ def _load_peak_records(config: BenchConfig):
     manifest = data.peaks_manifest or Path(data.synth_dir) / "manifest.csv"
     if not data.peaks_manifest and not manifest.exists():
         raise DataError("no records: set data.peaks_manifest, or run `bench synth` first")
-    excluded = set(data.exclude)
-    records = read_manifest(manifest)
-    unknown = excluded - {r.record_id for r in records}
-    if unknown:
-        raise DataError(f"{manifest}: exclude names records the manifest does not list: "
-                        f"{', '.join(map(repr, sorted(unknown)))}")
-    records = [r for r in records if r.record_id not in excluded]
+    records = read_manifest(manifest, data.exclude)
     if not records:
         raise DataError("no records: the peak source is empty after exclusions")
     return records
@@ -152,26 +146,13 @@ def _grid(config: BenchConfig) -> list[RunSpec]:
     return runs
 
 
-def _load_finite(config: BenchConfig, names):
-    """The splits `names` of the prepared dataset, which must hold only finite
-    values: windows.csv stores any float, but a model input must be finite."""
-    with np.errstate(invalid="ignore"):  # an infinity makes NaN residuals
-        dataset = load_prepared(config.data.dataset_dir, names)
-    for name in names:
-        split = dataset.split(name)
-        if not (np.isfinite(split.contexts_bpm).all() and np.isfinite(split.fc_targets_bpm).all()):
-            raise DataError(f"{Path(config.data.dataset_dir) / 'windows.csv'}: a {name} "
-                            "window holds a value that is not finite")
-    return dataset
-
-
 def _cores() -> int:
     """The number of processes a stage runs its runs on: on Linux, where
     helpers fork, every CPU this process may use; elsewhere one."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _train_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec) -> str:
+def _train_run(config: BenchConfig, dataset, spec: RunSpec) -> str:
     """Train one run and write its manifest, its train_log.csv and, last, its
     checkpoint.json; returns the line `run_train` prints for it."""
     run_id = spec.run_id
@@ -186,7 +167,7 @@ def _train_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec)
         **asdict(spec),
         "train": asdict(config.train),
         "dataset_dir": str(config.data.dataset_dir),
-        "dataset_sha256": dataset_sha256,
+        "dataset_sha256": dataset.sha256,
     }
     write_json(run_dir / "manifest.json", manifest)
     write_csv(run_dir / "train_log.csv", [["run_id", "epoch", "split", "loss"]] + [
@@ -225,10 +206,13 @@ def _claims(indices) -> int | None:
     return reader
 
 
-def _claimed(claims: int):
+def _claimed(claims: int, caller: int | None = None):
     """The indices this process takes: each time the next record no process
-    has read from the claims pipe, until none is left."""
-    while record := os.read(claims, _CLAIM.size):
+    has read from the claims pipe, until none is left. A helper of the
+    process `caller` takes none once that process has ended (killed, say),
+    so no run trains on after the stage it belongs to."""
+    while (caller is None or os.getppid() == caller) and (
+            record := os.read(claims, _CLAIM.size)):
         yield _CLAIM.unpack(record)[0]
 
 
@@ -251,10 +235,11 @@ def _outcomes(run, indices, claims: int):
         yield index, outcome
 
 
-def _serve(run, claims: int, conn) -> None:
-    """A helper process of `_pooled`: it takes runs as the calling process
-    does and sends each outcome on the pipe `conn`."""
-    for message in _outcomes(run, _claimed(claims), claims):
+def _serve(run, claims: int, conn, caller: int) -> None:
+    """A helper process of `_pooled`, forked by the process `caller`: it
+    takes runs as that process does and sends each outcome on the pipe
+    `conn`."""
+    for message in _outcomes(run, _claimed(claims, caller), claims):
         conn.send(message)
 
 
@@ -308,7 +293,8 @@ def _pooled(run, run_ids: list[str], stage: str, undone: str):
     try:
         for _ in range(n_processes - 1):
             receiver, sender = context.Pipe(duplex=False)
-            helpers[receiver] = context.Process(target=_serve, args=(run, claims, sender),
+            helpers[receiver] = context.Process(target=_serve,
+                                                args=(run, claims, sender, os.getpid()),
                                                 daemon=True)
             helpers[receiver].start()
             sender.close()
@@ -350,13 +336,12 @@ def run_train(config: BenchConfig) -> list[str]:
     reports. Each manifest holds the sha256 of the dataset.json it was
     trained on.
     """
-    dataset = _load_finite(config, ("train", "val"))
-    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
+    dataset = load_prepared(config.data.dataset_dir, ("train", "val"))
     grid = _grid(config)
     run_ids = [spec.run_id for spec in grid]
     for run_id in run_ids:
         remove(Path(config.runs_dir) / run_id / "checkpoint.json")
-    for line in _pooled(lambda index: _train_run(config, dataset, dataset_sha256, grid[index]),
+    for line in _pooled(lambda index: _train_run(config, dataset, grid[index]),
                         run_ids, "train", "untrained"):
         print(line)
     return run_ids
@@ -435,7 +420,7 @@ def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_conf
                                   "train the run again")
 
 
-def _score_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec) -> list[dict]:
+def _score_run(config: BenchConfig, dataset, spec: RunSpec) -> list[dict]:
     """Check one run's checkpoint and manifest against the config and the
     dataset, score it on the test split and return its report rows; a
     classification run also gets its calibration.json."""
@@ -463,7 +448,7 @@ def _score_run(config: BenchConfig, dataset, dataset_sha256: str, spec: RunSpec)
     except ValueError as exc:
         raise EvaluationError(f"run {spec.run_id}: {manifest} is not a run manifest "
                               f"({exc}); train the run again") from None
-    if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset_sha256:
+    if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset.sha256:
         raise EvaluationError(f"run {spec.run_id} was trained on another prepared dataset "
                               f"than {Path(config.data.dataset_dir) / 'dataset.json'} (its "
                               "manifest's dataset_sha256 is missing or differs); "
@@ -509,10 +494,9 @@ def run_evaluate(config: BenchConfig) -> list[dict]:
     if outside:
         print(f"warning: not scoring {len(outside)} trained run(s) under {base} outside "
               f"the config's grid: {', '.join(outside)}", file=sys.stderr)
-    dataset = _load_finite(config, ("val", "test", "train"))
-    dataset_sha256 = sha256(Path(config.data.dataset_dir) / "dataset.json")
+    dataset = load_prepared(config.data.dataset_dir)
     rows = [row for run_rows in _pooled(
-        lambda index: _score_run(config, dataset, dataset_sha256, specs[index]),
+        lambda index: _score_run(config, dataset, specs[index]),
         [spec.run_id for spec in specs], "evaluate", "unscored") for row in run_rows]
 
     # the non-learned baselines depend on no training seed: scored once,

@@ -14,6 +14,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from test_pipeline import micro_config
 
 from hrbench import cli, errors
 from hrbench.config import render_config
+from hrbench.ingest import SPLIT_NAMES, load_prepared
 
 STAGES = ("synth", "prepare", "train", "evaluate", "report")
 # (stage, a file it reads, relative to the pipeline's directory)
@@ -120,6 +122,20 @@ def _check_mutated_input(pipeline_dir: Path, data) -> None:
     assert code in EXIT_CODES
     if code:
         assert [line for line in err if line.startswith("error: ")] == err[-1:], err
+    if name.endswith("windows.csv"):
+        _check_only_windows_load(work / "dataset")
+
+
+def _check_only_windows_load(dataset_dir: Path) -> None:
+    """Whatever `load_prepared` returns holds only windows, in every split."""
+    try:
+        dataset = load_prepared(dataset_dir)
+    except errors.DataError:
+        return
+    for name in SPLIT_NAMES:
+        split = dataset.split(name)
+        assert np.isfinite(split.contexts_bpm).all() and np.isfinite(split.fc_targets_bpm).all()
+        assert set(split.cls_labels.tolist()) <= {0, 1} and (split.start_indices >= 0).all()
 
 
 @given(data=st.data())

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import re
 from dataclasses import fields
 from unittest import mock
 
@@ -390,20 +393,26 @@ class TestPreparedFiles:
     def test_codec_matches_the_csv_module_reference(self, tmp_path_factory, data):
         """The chunked writer writes the reference's bytes, and the one-pass
         loader, and the row-by-row scan it falls back on, read the
-        reference's columns bit for bit, dtypes included."""
+        reference's columns bit for bit, dtypes included; or, where a row
+        cannot be a window, both raise a DataError naming its line."""
         T = CONTEXT_LEN
         # line breaks in an id make csv.writer quote it across lines
         ids = data.draw(st.lists(st.text(ID_ALPHABET + "\r\n", min_size=1, max_size=6),
                                  min_size=1, max_size=5, unique=True))
         split = {r: data.draw(st.sampled_from(("train", "val", "test"))) for r in ids}
         n = data.draw(st.integers(0, 9))
-        values = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
-                                                         1e16, 72.30000000000001]))
+        # half the tables hold only windows; in the others any value can be
+        # drawn, and most hold a row the loader refuses
+        any_value = data.draw(st.booleans())
+        values = st.one_of(st.floats(allow_nan=any_value, allow_infinity=any_value),
+                           st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16,
+                                            72.30000000000001]))
         windows = Windows(
             record_ids=np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)),
                                 dtype=str),
-            start_indices=np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
-                                                      min_size=n, max_size=n)), dtype=np.int64),
+            start_indices=np.array(data.draw(st.lists(
+                st.integers(-2**63 if any_value else 0, 2**63 - 1), min_size=n, max_size=n)),
+                dtype=np.int64),
             contexts_bpm=np.array(data.draw(st.lists(values, min_size=n * T, max_size=n * T)),
                                   dtype=np.float64).reshape(n, T),
             cls_labels=np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
@@ -418,15 +427,57 @@ class TestPreparedFiles:
         save_prepared_reference(theirs, windows, stats, split, theta=95.0)
         for name in ("windows.csv", "dataset.json"):
             assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
-        # drawn infinities make NaN residuals
-        with np.errstate(invalid="ignore"):
-            expected = load_prepared_reference(theirs)
-            loaded = load_prepared(ours)
-            scanned = WindowedDataset(ingest._scan_windows(ours / "windows.csv", split),
-                                      split, stats, 95.0)
+        faulty = np.flatnonzero((windows.start_indices < 0)
+                                | ~np.isfinite(windows.contexts_bpm).all(axis=1)
+                                | ~np.isfinite(windows.fc_targets_bpm))
+        if len(faulty):
+            with open(ours / "windows.csv", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                lines = [reader.line_num for _ in reader]
+            where = re.escape(f"{ours / 'windows.csv'}:{lines[faulty[0] + 1]}: ")
+            with pytest.raises(DataError, match=f"^{where}"):
+                load_prepared(ours)
+            with pytest.raises(DataError, match=f"^{where}"):
+                ingest._scan_windows(ours / "windows.csv", split)
+            return
+        expected = load_prepared_reference(theirs)
+        loaded = load_prepared(ours)
+        scanned = WindowedDataset(ingest._scan_windows(ours / "windows.csv", split),
+                                  split, stats, 95.0)
         for name in ("train", "val", "test"):
             _assert_same_columns(loaded.split(name), expected.split(name))
             _assert_same_columns(scanned.split(name), expected.split(name))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_the_fingerprint_is_that_of_the_dataset_json_bytes(self, tmp_path, newline):
+        windows, assignment = _toy_windows(), {"a": "train", "b": "val", "c": "test"}
+        save_prepared(tmp_path, windows, standardize(windows, assignment), assignment,
+                      theta=100.0)
+        meta = tmp_path / "dataset.json"
+        meta.write_bytes(meta.read_bytes().replace(b"\n", newline.encode()))
+        digest = hashlib.sha256(meta.read_bytes()).hexdigest()
+        assert load_prepared(tmp_path).sha256 == digest
+        assert load_prepared(tmp_path, ("train", "val")).sha256 == digest
+
+    @pytest.mark.parametrize("column, text, fault", [
+        ("start_index", "-7", "is negative"), ("cls_label", "2", "is not 0 or 1"),
+        ("cls_label", "-1", "is not 0 or 1"), ("fc_target", "nan", "is not finite"),
+        ("ctx_0", "-inf", "is not finite"), ("ctx_59", "1e400", "is not finite")])
+    def test_a_row_that_cannot_be_a_window_is_named_in_any_split(self, tmp_path, column, text,
+                                                                  fault):
+        windows, assignment = _toy_windows(), {"a": "train", "b": "val", "c": "test"}
+        save_prepared(tmp_path, windows, standardize(windows, assignment), assignment,
+                      theta=100.0)
+        path = tmp_path / "windows.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        # the last row, record c's, is in the test split, which is not loaded
+        fields = rows[-1].split(",")
+        fields[header.split(",").index(column)] = text
+        rows[-1] = ",".join(fields)
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_prepared(tmp_path, ("train", "val"))
+        assert str(raised.value) == f"{path}:{len(rows) + 1}: {column} {text!r} {fault}"
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_file_loads_as_empty_splits(self, tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gzip
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -30,7 +32,6 @@ from hrbench.config import (
     write_default_config,
 )
 from hrbench.errors import DataError, EvaluationError, HelperDied, TrainingDiverged
-from hrbench.files import sha256
 from hrbench.ingest import load_prepared
 from hrbench.models import GrudConfig
 from hrbench.synth import SyntheticSpec
@@ -92,6 +93,27 @@ class TestPrepare:
         )
         assert "synth000" not in sidecar["split"]
 
+    def test_an_excluded_record_is_not_read(self, tmp_path, capsys):
+        # a missing peak file stopped prepare, though exclude left its record out
+        config = micro_config(tmp_path)
+        pipeline.run_synth(config)
+        manifest = Path(config.data.synth_dir) / "manifest.csv"
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("mitbih102,missing102.txt\n")
+        ini = tmp_path / "bench.ini"
+        ini.write_text(render_config(replace(config, data=replace(
+            config.data, exclude=("mitbih102",)))), encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(ini)]) == 0
+        sidecar = json.loads(
+            (Path(config.data.dataset_dir) / "dataset.json").read_text(encoding="utf-8"))
+        assert "mitbih102" not in sidecar["split"] and len(sidecar["split"]) == 10
+        # its row is still read as a manifest row
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("mitbih102,missing102.txt\n")
+        capsys.readouterr()
+        assert cli.main(["prepare", "--config", str(ini)]) == DataError.exit_code
+        assert "record 'mitbih102' is listed twice" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_grid_and_artifacts(self, prepared):
@@ -105,6 +127,15 @@ class TestTrain:
             log = (run_dir / "train_log.csv").read_text(encoding="utf-8").splitlines()
             assert log[0] == "run_id,epoch,split,loss"
             assert len(log) == 1 + 2 * config.train.epochs
+
+    def test_each_manifest_holds_the_fingerprint_of_the_dataset_json_bytes(self, prepared):
+        config, _ = prepared
+        run_ids = pipeline.run_train(config)
+        meta = Path(config.data.dataset_dir) / "dataset.json"
+        digest = hashlib.sha256(meta.read_bytes()).hexdigest()
+        assert load_prepared(config.data.dataset_dir).sha256 == digest
+        assert {json.loads((Path(config.runs_dir) / run_id / "manifest.json").read_text(
+            encoding="utf-8"))["dataset_sha256"] for run_id in run_ids} == {digest}
 
     def test_hidden_sweep_adds_classification_runs(self, prepared):
         config, _ = prepared
@@ -194,31 +225,41 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _bench_killing_its_helper(ini: Path, stage: str):
-    """Run `bench <stage>` in a process of its own and SIGKILL its first
-    helper process once one exists. Returns the exit code, stderr, the
-    killed pid and every child process seen."""
+def _bench(ini: Path, stage: str, stderr=subprocess.PIPE) -> subprocess.Popen:
+    """`bench <stage>` started in a process of its own."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    bench = subprocess.Popen([sys.executable, "-m", "hrbench.cli", stage, "--config", str(ini)],
-                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                             text=True)
+    return subprocess.Popen([sys.executable, "-m", "hrbench.cli", stage, "--config", str(ini)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=stderr, text=True)
+
+
+def _helpers(bench: subprocess.Popen) -> list[int]:
+    """The child processes of `bench` once it has any; none if it ends first."""
     children = Path(f"/proc/{bench.pid}/task/{bench.pid}/children")
-    killed, seen = None, set()
     deadline = time.monotonic() + 120
-    while killed is None and bench.poll() is None and time.monotonic() < deadline:
+    while bench.poll() is None and time.monotonic() < deadline:
         try:
             pids = [int(pid) for pid in children.read_text().split()]
         except FileNotFoundError:  # bench has just ended
             break
-        seen.update(pids)
         if pids:
-            os.kill(pids[0], signal.SIGKILL)
-            killed = pids[0]
+            return pids
         time.sleep(1e-3)
+    return []
+
+
+def _bench_killing_its_helper(ini: Path, stage: str):
+    """Run `bench <stage>` in a process of its own and SIGKILL its first
+    helper process once one exists. Returns the exit code, stderr, the
+    killed pid and every child process seen."""
+    bench = _bench(ini, stage)
+    seen = _helpers(bench)
+    killed = seen[0] if seen else None
+    if killed:
+        os.kill(killed, signal.SIGKILL)
     err = bench.communicate(timeout=300)[1]
-    return bench.returncode, err, killed, seen
+    return bench.returncode, err, killed, set(seen)
 
 
 needs_proc_children = pytest.mark.skipif(
@@ -261,6 +302,31 @@ class TestTrainPool:
         # the runs the killed train left have no checkpoint, not the first train's
         assert cli.main(["evaluate", "--config", str(ini)]) == EvaluationError.exit_code
         assert f"grid run {min(untrained)} has no checkpoint" in capsys.readouterr().err
+
+    @needs_proc_children
+    def test_a_killed_bench_leaves_no_helper_training(self, prepared):
+        # eight runs, so that a helper left to itself would train several
+        config, _ = prepared
+        config = replace(config, train=replace(config.train, seeds=(0, 1)))
+        ini = Path(config.runs_dir).parent / "bench.ini"
+        ini.write_text(render_config(config), encoding="utf-8")
+        # stderr not piped: the helper would hold the pipe open
+        bench = _bench(ini, "train", stderr=subprocess.DEVNULL)
+        helpers = _helpers(bench)
+        bench.kill()  # SIGKILL, sent only while bench runs
+        assert helpers and bench.wait(timeout=60) == -signal.SIGKILL
+
+        def checkpoints():
+            return len(list(Path(config.runs_dir).glob("*/checkpoint.json")))
+
+        at_kill = checkpoints()
+        # a helper finishes the run it holds, so that run's files are whole,
+        # and takes no other
+        deadline = time.monotonic() + 60
+        while any(map(_running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, helpers))
+        assert checkpoints() <= at_kill + 1 < len(pipeline._grid(config))
 
     def test_a_runs_error_reaches_the_cli_unchanged_from_any_process(self, prepared,
                                                                     monkeypatch, capsys):
@@ -318,18 +384,19 @@ class TestTrainPool:
         # a float32 step of lr = inf: the second step's loss is NaN
         config = replace(config, train=replace(config.train, lr=1e300))
         grid = pipeline._grid(config)
-        dataset = pipeline._load_finite(config, ("train", "val"))
+        dataset = load_prepared(config.data.dataset_dir, ("train", "val"))
 
         def run(index):
             with np.errstate(over="ignore", invalid="ignore"):
-                return pipeline._train_run(config, dataset, "", grid[index])
+                return pipeline._train_run(config, dataset, grid[index])
 
         with pytest.raises(TrainingDiverged) as inline:
             run(1)
         context = multiprocessing.get_context("fork")
         claims = pipeline._claims(range(1, len(grid)))
         receiver, sender = context.Pipe(duplex=False)
-        helper = context.Process(target=pipeline._serve, args=(run, claims, sender))
+        helper = context.Process(target=pipeline._serve,
+                                 args=(run, claims, sender, os.getpid()))
         helper.start()
         sender.close()
         try:
@@ -375,11 +442,11 @@ class TestEvaluatePool:
         caller, scored_by = os.getpid(), {}
         score_run = pipeline._score_run
 
-        def slow_in_the_caller(config, dataset, dataset_sha256, spec):
+        def slow_in_the_caller(config, dataset, spec):
             if os.getpid() == caller:
                 time.sleep(0.5)
             (tmp_path / spec.run_id).write_text(str(os.getpid()), encoding="utf-8")
-            return score_run(config, dataset, dataset_sha256, spec)
+            return score_run(config, dataset, spec)
 
         monkeypatch.setattr(pipeline, "_score_run", slow_in_the_caller)
         ends = []
@@ -875,6 +942,24 @@ def _nul_in_a_record_id(tmp_path) -> str:
     return ini
 
 
+def _edited_window(tmp_path, stage: str, split: str, field: str, value: str) -> str:
+    """The INI of a GRU-D micro grid, prepared and, for `evaluate`, trained,
+    whose first `split` window has `field` set to `value` and is moved to the
+    top of windows.csv, its line 2."""
+    config = (_trained_micro_grid if stage == "evaluate" else _prepared_micro_grid)(
+        tmp_path, "grud")
+    dataset = Path(config.data.dataset_dir)
+    assignment = json.loads((dataset / "dataset.json").read_text(encoding="utf-8"))["split"]
+    with open(dataset / "windows.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    row = next(row for row in rows if assignment[row[0]] == split)
+    rows.remove(row)
+    row[header.index(field)] = value
+    with open(dataset / "windows.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, row, *rows])
+    return render_config(config)
+
+
 def _prepared_micro_grid(tmp_path, kind: str) -> BenchConfig:
     """The micro config of a one-epoch grid of `kind`, prepared from synth on."""
     config = micro_config(tmp_path)
@@ -957,7 +1042,7 @@ def _prepared_for_another_task(tmp_path, stage: str, **task) -> str:
     (dataset / "dataset.json").write_text(json.dumps({**sidecar, **task}), encoding="utf-8")
     for manifest in Path(config.runs_dir).glob("*/manifest.json"):
         run = json.loads(manifest.read_text(encoding="utf-8"))
-        run["dataset_sha256"] = sha256(dataset / "dataset.json")
+        run["dataset_sha256"] = hashlib.sha256((dataset / "dataset.json").read_bytes()).hexdigest()
         manifest.write_text(json.dumps(run), encoding="utf-8")
     return render_config(config)
 
@@ -1111,9 +1196,9 @@ MALFORMED = {
     "nul_in_a_record_id": ("prepare", _nul_in_a_record_id,
                            "manifest.csv:2: 'synth000\\x00': a record id cannot hold a NUL"),
     "infinite_context_value": ("train", lambda t: _windows_row(t, _full_row(value="inf")),
-                               "windows.csv: a train window holds a value that is not finite"),
+                               "windows.csv:2: ctx_0 'inf' is not finite"),
     "nan_forecast_target": ("train", lambda t: _windows_row(
-        t, _full_row().replace(",80.0,", ",nan,", 1)), "windows.csv: a train window"),
+        t, _full_row().replace(",80.0,", ",nan,", 1)), "windows.csv:2: fc_target 'nan' is not"),
     "infinite_mu": ("train", lambda t: _windows_row(
         t, _full_row(), sidecar={**SIDECAR, "mu": float("inf")}), "dataset.json: not a prepared"),
     "infinite_T": ("train", lambda t: _windows_row(
@@ -1159,6 +1244,18 @@ MALFORMED = {
         stage, lambda t, stage=stage, task=task: _prepared_for_another_task(t, stage, **task),
         "dataset.json: T = ") for name, task in OTHER_TASKS.items()
        for stage in ("train", "evaluate")},
+    # a stage checked only the splits it loads, and only for values that are
+    # not finite: train used a test window of an infinity, and evaluate
+    # named no line
+    "infinite_context_in_a_test_window_on_train": ("train", lambda t: _edited_window(
+        t, "train", "test", "ctx_7", "inf"), "windows.csv:2: ctx_7 'inf' is not finite"),
+    "nan_target_in_a_test_window_on_evaluate": ("evaluate", lambda t: _edited_window(
+        t, "evaluate", "test", "fc_target", "nan"), "windows.csv:2: fc_target 'nan' is not finite"),
+    # BCE trained on the label 2, and nothing read a start index
+    "label_of_two": ("train", lambda t: _edited_window(t, "train", "train", "cls_label", "2"),
+                     "windows.csv:2: cls_label '2' is not 0 or 1"),
+    "negative_start_index": ("train", lambda t: _edited_window(
+        t, "train", "train", "start_index", "-1"), "windows.csv:2: start_index '-1' is negative"),
     # a misspelt id kept the record it was meant to leave out
     "exclude_id_not_in_the_manifest": ("prepare", lambda t: _micro_ini(
         t, synth=True, exclude=("synth0001",)),
@@ -1210,6 +1307,16 @@ class TestGrid:
         sweep = [g for g in grid if g.hidden is not None]
         assert [g.hidden for g in sweep] == [32, 64, 128]
         assert all(g.task == "classification" and g.model_kind == "grud" for g in sweep)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux's /proc")
+def test_the_test_process_runs_no_thread_but_its_python_ones():
+    # a pool test forks this process, and a BLAS thread would make that the
+    # fork of a multi-threaded process (a DeprecationWarning from Python 3.12);
+    # OpenBLAS ends its threads at a fork, and a product this large starts them
+    np.ones((512, 512)) @ np.ones((512, 512))
+    num_threads = int(Path("/proc/self/stat").read_text().rsplit(")", 1)[1].split()[17])
+    assert num_threads == threading.active_count()
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
