@@ -765,13 +765,31 @@ def save_checkpoint(path, params: Iterable[Parameter], config: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, Parameter], dict | None]:
-    """Parameters in their stored dtype, and the config blob."""
-    with reading(path) as fh:
-        doc = json.load(fh)
+    """Parameters in their stored dtype, and the config blob (None if the
+    file holds none). A readable file that is not a checkpoint is a
+    ValueError, and no other error: the top level and its config must be
+    JSON objects, and each other entry an object of a shape, a dtype,
+    float32 or float64, and data that fill the shape with values finite in
+    that dtype."""
+    try:
+        with reading(path) as fh:
+            doc = json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("config", {}), dict):
+        raise ValueError("not a JSON object of parameters and a config object")
     config = doc.pop("config", None)
     params = {}
     for name, entry in doc.items():
-        data = np.array(entry["data"], dtype=entry["dtype"]).reshape(entry["shape"])
+        try:
+            if entry["dtype"] not in ("float32", "float64"):
+                raise ValueError(f"dtype {entry['dtype']!r} is not float32 or float64")
+            # an overflow in the cast itself raises: 3.40282347e+38 is above
+            # float32's largest value in float64, yet casts to it exactly
+            with np.errstate(over="raise"):
+                data = np.array(entry["data"], dtype=entry["dtype"]).reshape(entry["shape"])
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(f"parameter {name!r}: {type(exc).__name__}: {exc}") from None
         if not np.isfinite(data).all():
             raise ValueError(f"parameter {name!r} holds a value that is not finite")
         params[name] = Parameter(name, data)

@@ -32,6 +32,9 @@ from .files import reading, write_json, writing
 
 HR_MIN = 20.0
 HR_MAX = 220.0
+# the span, in seconds, that no recording reaches: a peak time or a synthetic
+# record beyond it is refused before any array of its length is made
+MAX_RECORD_SECONDS = 14 * 24 * 3600
 CONTEXT_LEN = 60
 HORIZON = 10
 THETA_CANDIDATES = (100.0, 95.0, 90.0, 85.0)
@@ -59,6 +62,10 @@ class RPeakRecord:
             raise ValueError(f"{self.record_id}: peak times must be >= 0")
         if not (np.diff(times) > 0.0).all():
             raise ValueError(f"{self.record_id}: peak times must strictly increase")
+        if times.size and times[-1] > MAX_RECORD_SECONDS:
+            raise ValueError(f"{self.record_id}: a peak at {times[-1]:g} s, after the "
+                             f"{MAX_RECORD_SECONDS} s ({MAX_RECORD_SECONDS // 86400} days) "
+                             "a record may span")
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,7 +498,8 @@ def _checked(numbers: np.ndarray) -> np.ndarray:
     and a NaN is both the min and the max of a column that holds one."""
     starts, labels, values = numbers["start"], numbers["label"], numbers["values"]
     if len(numbers) and not (starts.min() >= 0 and 0 <= labels.min() <= labels.max() <= 1
-                             and np.isfinite([values.min(axis=0), values.max(axis=0)]).all()):
+                             and HR_MIN <= values.min(axis=0).min()
+                             and values.max(axis=0).max() <= HR_MAX):
         raise ValueError("a value no window holds")
     return numbers
 
@@ -539,6 +547,9 @@ def _scan_windows(path, split: Mapping[str, str]) -> Windows:
     return _table(np.array(record_ids, dtype=str), numbers)
 
 
+_BPM = f"[{HR_MIN:g}, {HR_MAX:g}] bpm"
+
+
 def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataError:
     """The error naming the first of a row's number fields that no window holds."""
     for i, (name, text) in enumerate(zip(names, fields)):
@@ -549,7 +560,8 @@ def _bad_field(names: Sequence[str], fields: Sequence[str], where: str) -> DataE
             return DataError(f"{where}: {name} {text!r} is not {kind}")
         fault = ("is negative" if i == 0 and value < 0 else
                  "is not 0 or 1" if i == 1 and value not in (0, 1) else
-                 "is not finite" if i > 1 and not np.isfinite(value) else None)
+                 "is not finite" if i > 1 and not np.isfinite(value) else
+                 f"is outside {_BPM}" if i > 1 and not HR_MIN <= value <= HR_MAX else None)
         if fault:
             return DataError(f"{where}: {name} {text!r} {fault}")
     return DataError(f"{where}: not a row of numbers")
@@ -567,7 +579,8 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
     to name the first faulty line in a DataError.
 
     Every window, in every split, must have a start index >= 0, a label 0
-    or 1 and finite values; another is a DataError naming its line.
+    or 1 and values in [HR_MIN, HR_MAX], the range `derive_hr` writes, as
+    must `mu`; another window is a DataError naming its line and field.
     """
     base = Path(dataset_dir)
     meta = base / "dataset.json"
@@ -576,11 +589,13 @@ def load_prepared(dataset_dir, names=SPLIT_NAMES) -> WindowedDataset:
     try:
         sidecar = json.loads(text)
         stats = StandardizationStats(mu=sidecar["mu"], sigma=sidecar["sigma"])
+        if not HR_MIN <= stats.mu <= HR_MAX:
+            raise ValueError(f"mu = {stats.mu!r} is outside {_BPM}")
         T, H, theta = int(sidecar["T"]), int(sidecar["H"]), float(sidecar["theta"])
         split = sidecar["split"]
     except KeyError as exc:
         raise DataError(f"{meta}: no {exc} entry") from None
-    except (ValueError, TypeError, OverflowError, DegenerateScale) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError, DegenerateScale) as exc:
         raise DataError(f"{meta}: not a prepared dataset file: {exc}") from None
     if (T, H) != (CONTEXT_LEN, HORIZON) or theta not in THETA_CANDIDATES:
         raise DataError(f"{meta}: T = {T}, H = {H}, theta = {theta}, not the task's "

@@ -152,6 +152,11 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
+def _model_config(spec: RunSpec, enc_config) -> dict:
+    """The model config a run's checkpoint.json holds."""
+    return {"model_kind": spec.model_kind, **asdict(enc_config)}
+
+
 def _train_run(config: BenchConfig, dataset, spec: RunSpec) -> str:
     """Train one run and write its manifest, its train_log.csv and, last, its
     checkpoint.json; returns the line `run_train` prints for it."""
@@ -176,7 +181,7 @@ def _train_run(config: BenchConfig, dataset, spec: RunSpec) -> str:
     save_checkpoint(
         run_dir / "checkpoint.json",
         trained.params.values(),
-        config={"model_kind": spec.model_kind, **asdict(enc_config)},
+        config=_model_config(spec, enc_config),
     )
     final = trained.history[-1]
     return f"{run_id}: train_loss={final['train_loss']:.4f} val_loss={final['val_loss']:.4f}"
@@ -404,48 +409,47 @@ def _calibrate(run_dir: Path, val: SplitData, logits_val, config: BenchConfig):
     return temperature, tau
 
 
-def _check_checkpoint(run_id: str, base: Path, params: dict, kind: str, enc_config) -> None:
-    """Raise an EvaluationError naming the run and the first parameter whose
-    name, shape or dtype differs from the model `kind` and `enc_config` build."""
-    model = models.build_params(kind, enc_config, 0)
-
-    def held(p):
-        return "no such parameter" if p is None else f"{p.data.dtype} {p.shape}"
-
-    for name in sorted(model.keys() | params.keys()):
-        got, want = params.get(name), model.get(name)
-        if held(got) != held(want):
-            raise EvaluationError(f"run {run_id}, parameter {name}: checkpoint.json under {base} "
-                                  f"has {held(got)}, the model {held(want)}; "
-                                  "train the run again")
+def _contents(model_config: dict, params: dict) -> dict:
+    """What `_trained_params` compares: each model config field (a tuple as the
+    list JSON reads back), then each parameter's dtype and shape by name."""
+    return {**{("config", key): list(value) if isinstance(value, tuple) else value
+               for key, value in model_config.items()},
+            **{("parameter", name): f"{p.data.dtype} {p.shape}"
+               for name, p in sorted(params.items())}}
 
 
-def _score_run(config: BenchConfig, dataset, spec: RunSpec) -> list[dict]:
-    """Check one run's checkpoint and manifest against the config and the
-    dataset, score it on the test split and return its report rows; a
-    classification run also gets its calibration.json."""
+def _trained_params(config: BenchConfig, dataset, spec: RunSpec, enc_config) -> dict:
+    """The parameters of the grid run `spec`, the one gate of a trained run.
+    Its checkpoint.json must hold the model config `_train_run` writes for
+    it and the parameters `models.build_params` builds, each of the same
+    name, dtype and shape; its manifest.json, the sha256 of the loaded
+    dataset.json. Else an EvaluationError names the run and what differs."""
     base = Path(config.runs_dir)
     run_dir = base / spec.run_id
-    enc_config = config.encoder_config(spec.model_kind, spec.hidden)
-    # the blob `run_train` writes, as JSON reads it back: a tuple as a list
-    wanted = json.loads(json.dumps({"model_kind": spec.model_kind, **asdict(enc_config)}))
     try:
         params, blob = load_checkpoint(run_dir / "checkpoint.json")
-        for key in {**wanted, **blob}:
-            if blob.get(key) != wanted.get(key):
-                raise ValueError(f"trained with {key} = {blob.get(key)!r}, "
-                                 f"the config gives {wanted.get(key)!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+        held = _contents(blob or {}, params)
+        wanted = _contents(_model_config(spec, enc_config),
+                           models.build_params(spec.model_kind, enc_config, 0))
+        for part, name in {**wanted, **held}:
+            got, want = held.get((part, name)), wanted.get((part, name))
+            if got != want and part == "config":
+                raise ValueError(f"trained with {name} = {got!r}, the config gives {want!r}")
+            if got != want:
+                raise EvaluationError(
+                    f"run {spec.run_id}, parameter {name}: checkpoint.json under {base} has "
+                    f"{got or 'no such parameter'}, the model {want or 'no such parameter'}; "
+                    "train the run again")
+    except ValueError as exc:
         # for example a file cut short or edited by hand, or a run
         # trained under other [models] settings
         raise EvaluationError(f"run {spec.run_id}: unreadable checkpoint.json under {base} "
                               f"({type(exc).__name__}: {exc}); train the run again") from None
-    _check_checkpoint(spec.run_id, base, params, spec.model_kind, enc_config)
     manifest = run_dir / "manifest.json"
     try:
         with reading(manifest) as fh:
             trained = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise EvaluationError(f"run {spec.run_id}: {manifest} is not a run manifest "
                               f"({exc}); train the run again") from None
     if not isinstance(trained, dict) or trained.get("dataset_sha256") != dataset.sha256:
@@ -453,6 +457,16 @@ def _score_run(config: BenchConfig, dataset, spec: RunSpec) -> list[dict]:
                               f"than {Path(config.data.dataset_dir) / 'dataset.json'} (its "
                               "manifest's dataset_sha256 is missing or differs); "
                               "train the run again")
+    return params
+
+
+def _score_run(config: BenchConfig, dataset, spec: RunSpec) -> list[dict]:
+    """Score a run `_trained_params` lets through on the test split and
+    return its report rows; a classification run also gets its
+    calibration.json."""
+    run_dir = Path(config.runs_dir) / spec.run_id
+    enc_config = config.encoder_config(spec.model_kind, spec.hidden)
+    params = _trained_params(config, dataset, spec, enc_config)
 
     def predict(split: SplitData):
         return models.model_predictions(spec.model_kind, enc_config, params,

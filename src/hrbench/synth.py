@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .files import write_csv, write_json, writing
-from .ingest import HR_MAX, HR_MIN, HrSeries, RPeakRecord, build_windows
+from .ingest import HR_MAX, HR_MIN, MAX_RECORD_SECONDS, HrSeries, RPeakRecord, build_windows
 
 
 # the shape of every synthetic record; the spec sets its size, base rate,
@@ -41,6 +41,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.record_seconds < 1 or self.n_records < 1:
             raise ValueError("need at least one record of at least one second")
+        if self.record_seconds > MAX_RECORD_SECONDS:
+            raise ValueError(f"record_seconds = {self.record_seconds}: more than the "
+                             f"{MAX_RECORD_SECONDS} s ({MAX_RECORD_SECONDS // 86400} days) "
+                             "a record may span")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -14,7 +14,6 @@ import re
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,7 @@ from test_pipeline import micro_config
 
 from hrbench import cli, errors
 from hrbench.config import render_config
-from hrbench.ingest import SPLIT_NAMES, load_prepared
+from hrbench.ingest import HR_MAX, HR_MIN, SPLIT_NAMES, load_prepared
 
 STAGES = ("synth", "prepare", "train", "evaluate", "report")
 # (stage, a file it reads, relative to the pipeline's directory)
@@ -47,6 +46,10 @@ EXIT_CODES = {0} | {cls.exit_code for cls in vars(errors).values()
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 BYTES = [b"\xff", b"\0", b"\r"]
 NUMBERS = [b"nan", b"inf", b"1e400", b"-0", b""]
+# finite, and past float32's range: drawn too in the files of numbers, not in
+# bench.ini, where such a value is an accepted setting
+LARGE = [b"1e39", b"1e300"]
+NUMBER_FILES = (".txt", "windows.csv", "dataset.json", "checkpoint.json")
 MUTATIONS = ("truncate", "flip", "insert", "drop_line", "repeat_line", "swap_fields", "number")
 
 
@@ -81,10 +84,10 @@ def pipeline_dir(tmp_path_factory):
 
 
 @st.composite
-def mutations(draw, text: bytes) -> bytes:
+def mutations(draw, text: bytes, numbers=NUMBERS) -> bytes:
     """`text` with one mutation: cut at a byte, a byte flipped to or inserted
     as 0xff, NUL or CR, a line dropped or repeated, two fields of a line
-    swapped, or a number replaced."""
+    swapped, or a number replaced by one of `numbers`."""
     kind = draw(st.sampled_from(MUTATIONS))
     if kind == "truncate":
         return text[:draw(st.integers(0, max(len(text) - 1, 0)))]
@@ -94,7 +97,7 @@ def mutations(draw, text: bytes) -> bytes:
     if kind == "number":
         spans = [m.span() for m in NUMBER.finditer(text)]
         start, end = spans[draw(st.integers(0, len(spans) - 1))]
-        return text[:start] + draw(st.sampled_from(NUMBERS)) + text[end:]
+        return text[:start] + draw(st.sampled_from(numbers)) + text[end:]
     lines = text.splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "swap_fields":
@@ -117,7 +120,8 @@ def _check_mutated_input(pipeline_dir: Path, data) -> None:
         shutil.copytree(pipeline_dir / sub, work / sub)
     ini = _write_ini(work)
     target = work / name
-    target.write_bytes(data.draw(mutations(target.read_bytes()), label=name))
+    numbers = NUMBERS + LARGE if name.endswith(NUMBER_FILES) else NUMBERS
+    target.write_bytes(data.draw(mutations(target.read_bytes(), numbers), label=name))
     code, err = _run(stage, ini)
     assert code in EXIT_CODES
     if code:
@@ -127,14 +131,16 @@ def _check_mutated_input(pipeline_dir: Path, data) -> None:
 
 
 def _check_only_windows_load(dataset_dir: Path) -> None:
-    """Whatever `load_prepared` returns holds only windows, in every split."""
+    """Whatever `load_prepared` returns holds only windows, in every split:
+    their values in the range `derive_hr` writes."""
     try:
         dataset = load_prepared(dataset_dir)
     except errors.DataError:
         return
     for name in SPLIT_NAMES:
         split = dataset.split(name)
-        assert np.isfinite(split.contexts_bpm).all() and np.isfinite(split.fc_targets_bpm).all()
+        for bpm in (split.contexts_bpm, split.fc_targets_bpm):
+            assert ((HR_MIN <= bpm) & (bpm <= HR_MAX)).all()
         assert set(split.cls_labels.tolist()) <= {0, 1} and (split.start_indices >= 0).all()
 
 

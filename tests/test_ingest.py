@@ -21,6 +21,8 @@ from hrbench.errors import (
 from hrbench.ingest import (
     CONTEXT_LEN,
     HORIZON,
+    HR_MAX,
+    HR_MIN,
     HrSeries,
     RPeakRecord,
     SplitData,
@@ -401,12 +403,14 @@ class TestPreparedFiles:
                                  min_size=1, max_size=5, unique=True))
         split = {r: data.draw(st.sampled_from(("train", "val", "test"))) for r in ids}
         n = data.draw(st.integers(0, 9))
-        # half the tables hold only windows; in the others any value can be
-        # drawn, and most hold a row the loader refuses
+        # half the tables hold only windows, their values in the bpm range;
+        # in the others any value can be drawn, and most hold a row the
+        # loader refuses
         any_value = data.draw(st.booleans())
-        values = st.one_of(st.floats(allow_nan=any_value, allow_infinity=any_value),
-                           st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16,
-                                            72.30000000000001]))
+        awkward = [72.30000000000001, HR_MIN, HR_MAX, 99.99999999999999]
+        values = st.one_of(st.floats(), st.sampled_from(
+            [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, *awkward])) if any_value else (
+            st.one_of(st.floats(HR_MIN, HR_MAX), st.sampled_from(awkward)))
         windows = Windows(
             record_ids=np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)),
                                 dtype=str),
@@ -427,9 +431,13 @@ class TestPreparedFiles:
         save_prepared_reference(theirs, windows, stats, split, theta=95.0)
         for name in ("windows.csv", "dataset.json"):
             assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+
+        def in_range(bpm):
+            return (HR_MIN <= bpm) & (bpm <= HR_MAX)
+
         faulty = np.flatnonzero((windows.start_indices < 0)
-                                | ~np.isfinite(windows.contexts_bpm).all(axis=1)
-                                | ~np.isfinite(windows.fc_targets_bpm))
+                                | ~in_range(windows.contexts_bpm).all(axis=1)
+                                | ~in_range(windows.fc_targets_bpm))
         if len(faulty):
             with open(ours / "windows.csv", encoding="utf-8", newline="") as fh:
                 reader = csv.reader(fh)
@@ -462,7 +470,9 @@ class TestPreparedFiles:
     @pytest.mark.parametrize("column, text, fault", [
         ("start_index", "-7", "is negative"), ("cls_label", "2", "is not 0 or 1"),
         ("cls_label", "-1", "is not 0 or 1"), ("fc_target", "nan", "is not finite"),
-        ("ctx_0", "-inf", "is not finite"), ("ctx_59", "1e400", "is not finite")])
+        ("ctx_0", "-inf", "is not finite"), ("ctx_59", "1e400", "is not finite"),
+        ("ctx_9", "1e300", "is outside [20, 220] bpm"),
+        ("fc_target", "19.999999999999996", "is outside [20, 220] bpm")])
     def test_a_row_that_cannot_be_a_window_is_named_in_any_split(self, tmp_path, column, text,
                                                                   fault):
         windows, assignment = _toy_windows(), {"a": "train", "b": "val", "c": "test"}

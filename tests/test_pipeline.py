@@ -862,14 +862,13 @@ def _full_row(record_id="r1", start="0", value="70.0") -> str:
     return ",".join([record_id, start, "1", "80.0"] + [value] * 60)
 
 
-def _truncated_checkpoint(tmp_path) -> str:
-    """A prepared dataset and a GRU-D grid whose checkpoints were cut off
-    mid-write."""
+def _checkpoint_of(tmp_path, text='{"grud.proj.w": {"shape": [2, 8], "da') -> str:
+    """A prepared dataset and a GRU-D grid whose checkpoints hold `text`, by
+    default a checkpoint cut off mid-write."""
     for run_id in ("classification_grud_seed0", "forecasting_grud_seed0"):
         run = tmp_path / "runs" / run_id
         run.mkdir(parents=True)
-        (run / "checkpoint.json").write_text('{"grud.proj.w": {"shape": [2, 8], "da',
-                                             encoding="utf-8")
+        (run / "checkpoint.json").write_text(text, encoding="utf-8")
     return _windows_row(tmp_path, _full_row()) + (
         f"[models]\nkinds = grud\n[train]\nseeds = 0\nruns_dir = {tmp_path / 'runs'}\n")
 
@@ -877,7 +876,7 @@ def _truncated_checkpoint(tmp_path) -> str:
 def _checkpoint_directory(tmp_path) -> str:
     """A prepared dataset and a GRU-D grid whose checkpoint.json is a
     directory."""
-    ini = _truncated_checkpoint(tmp_path)
+    ini = _checkpoint_of(tmp_path)
     for path in (tmp_path / "runs").glob("*/checkpoint.json"):
         path.unlink()
         path.mkdir()
@@ -1011,6 +1010,22 @@ def _run_manifest_cut_short(tmp_path) -> str:
     return render_config(config)
 
 
+def _run_manifest_nested_too_deeply(tmp_path) -> str:
+    config = _trained_micro_grid(tmp_path, "grud")
+    manifest = Path(config.runs_dir) / "classification_grud_seed0" / "manifest.json"
+    manifest.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return render_config(config)
+
+
+def _prepared_under_mu(tmp_path, mu: float) -> str:
+    """The INI of a prepared GRU-D micro grid whose dataset.json gives `mu`."""
+    config = _prepared_micro_grid(tmp_path, "grud")
+    meta = Path(config.data.dataset_dir) / "dataset.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text(encoding="utf-8")), "mu": mu}),
+                    encoding="utf-8")
+    return render_config(config)
+
+
 def _compressed_peak_file(tmp_path) -> str:
     with gzip.open(tmp_path / "r1.txt.gz", "wt", encoding="utf-8") as fh:
         fh.write("1.0\n2.0\n")
@@ -1127,7 +1142,7 @@ MALFORMED = {
     "report_without_a_result_column": ("report", lambda t: _report(
         t, "classification,grud,0,auroc,0.5,0.4,0.6",
         header="task,model,seed,metric,point,ci_low,ci_high"), "report.csv"),
-    "truncated_checkpoint": ("evaluate", _truncated_checkpoint, "classification_grud_seed0",
+    "truncated_checkpoint": ("evaluate", _checkpoint_of, "classification_grud_seed0",
                              EvaluationError.exit_code),
     "checkpoint_without_a_parameter": ("evaluate", lambda t: _edited_checkpoint(
         t, lambda doc: doc.pop("grud.proj.b")),
@@ -1260,6 +1275,47 @@ MALFORMED = {
     "exclude_id_not_in_the_manifest": ("prepare", lambda t: _micro_ini(
         t, synth=True, exclude=("synth0001",)),
         "manifest.csv: exclude names records the manifest does not list: 'synth0001'"),
+    # each ended in a traceback (AttributeError, OverflowError, RecursionError),
+    # named `pop` or `NoneType`, or warned of an overflow in the cast
+    **{f"checkpoint_holding_{name}": ("evaluate", lambda t, text=text: _checkpoint_of(t, text),
+                                      "(ValueError: not a JSON object of parameters and a "
+                                      "config object)", EvaluationError.exit_code)
+       for name, text in (("one", "1"), ("null", "null"), ("a_list", "[]"))},
+    "checkpoint_without_a_config": ("evaluate", lambda t: _checkpoint_of(t, "{}"),
+                                    "(ValueError: trained with model_kind = None, the config "
+                                    "gives 'grud')", EvaluationError.exit_code),
+    "checkpoint_parameter_of_int64": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc["grud.proj.b"].update(dtype="int64", data=[1e30] * 8)),
+        "parameter 'grud.proj.b': ValueError: dtype 'int64' is not float32 or float64",
+        EvaluationError.exit_code),
+    "checkpoint_value_past_float32": ("evaluate", lambda t: _edited_checkpoint(
+        t, lambda doc: doc["grud.proj.b"]["data"].__setitem__(0, 1e39)),
+        "parameter 'grud.proj.b': FloatingPointError: overflow encountered in cast",
+        EvaluationError.exit_code),
+    "checkpoint_nested_too_deeply": ("evaluate", lambda t: _checkpoint_of(
+        t, "[" * 100_000 + "]" * 100_000), "(ValueError: JSON nested too deeply)",
+        EvaluationError.exit_code),
+    "run_manifest_nested_too_deeply": ("evaluate", _run_manifest_nested_too_deeply,
+                                       "classification_grud_seed0/manifest.json is not a run "
+                                       "manifest", EvaluationError.exit_code),
+    "dataset_json_nested_too_deeply": ("train", lambda t: _bad_windows_file(
+        t, sidecar="[" * 100_000 + "]" * 100_000), "dataset.json: not a prepared"),
+    # numpy tried to allocate the span: a traceback of `Maximum allowed size
+    # exceeded` or a MemoryError
+    "peak_time_of_1e300": ("prepare", lambda t: _peak_manifest(t, "1.0\n2.0\n1e300\n"),
+                           "manifest.csv:2: r1: a peak at 1e+300 s, after the 1209600 s"),
+    "peak_time_of_1e15": ("prepare", lambda t: _peak_manifest(t, "1.0\n2.0\n1e15\n"),
+                          "manifest.csv:2: r1: a peak at 1e+15 s"),
+    "synth_record_seconds_of_1e15": ("synth", lambda t: (
+        f"[data]\nsynth_dir = {t / 'synth'}\n[synth]\nrecord_seconds = 1000000000000000\n"),
+        "[synth]: record_seconds = 1000000000000000: more than the 1209600 s"),
+    # train ended in `non-finite loss at step 0`, exit 3, after numpy warned
+    # of an overflow in the cast to float32
+    "context_of_1e300": ("train", lambda t: _edited_window(t, "train", "train", "ctx_9", "1e300"),
+                         "windows.csv:2: ctx_9 '1e300' is outside [20, 220] bpm"),
+    "mu_of_1e300": ("train", lambda t: _prepared_under_mu(t, 1e300),
+                    "dataset.json: not a prepared dataset file: mu = 1e+300 is outside "
+                    "[20, 220] bpm"),
 }
 
 

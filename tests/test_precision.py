@@ -8,6 +8,7 @@ float32 ones must match.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,42 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, values):
     assert loaded.dtype == values.dtype and loaded.shape == values.shape
     # bit patterns, so -0.0 and subnormals count too
     assert loaded.tobytes() == values.tobytes()
+
+
+# any JSON document, and more often an object of entries that have a
+# checkpoint's keys, so that draws reach the parse of each entry's values
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+           | st.sampled_from(["float32", "float64", "int64"]))
+_JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=4), max_leaves=16)
+_ENTRIES = st.fixed_dictionaries({
+    "shape": st.lists(st.integers(-1, 3), max_size=2),
+    "dtype": st.sampled_from(["float32", "float64", "int64"]),
+    # past float32's range, its largest value's nine-digit text, and past float64's
+    "data": st.lists(st.floats() | st.integers() | st.sampled_from(
+        [1e39, -1e300, 3.40282347e+38, 10**400]), max_size=4),
+})
+_DOCUMENTS = _JSON | st.dictionaries(st.sampled_from(["config", "w", "b"]), _ENTRIES | _JSON,
+                                     min_size=1, max_size=3)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_any_json_document_loads_or_is_a_value_error(tmp_path_factory, doc):
+    """Every other error, or a numpy warning, is a fault of load_checkpoint;
+    what loads is float32 or float64 and finite. What save_checkpoint writes
+    loads back bit for bit (the round-trip tests above)."""
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            params, config = load_checkpoint(path)
+        except ValueError:
+            return
+    assert config is None or isinstance(config, dict)
+    for p in params.values():
+        assert p.data.dtype in (np.float32, np.float64) and np.isfinite(p.data).all()
 
 
 # float32 bit patterns: every 997th positive subnormal and the largest; and
